@@ -147,6 +147,9 @@ class TrainedModel:
 def fit(spec: ClassifierSpec, train: Dataset, origin: str, jobs: int = 1) -> TrainedModel:
     """Train one classifier; deterministic for a fixed spec seed.
 
+    ``jobs`` is accepted and ignored: training is single-threaded, and the
+    result never depends on it.
+
     Raises PipelineError when the training set holds a single class, and for
     knn when it holds fewer than k samples.
     """
@@ -174,7 +177,7 @@ def fit(spec: ClassifierSpec, train: Dataset, origin: str, jobs: int = 1) -> Tra
     elif spec.kind == "rf":
         params = fit_forest(
             X, y, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"],
-            spec.seed, jobs=jobs,
+            spec.seed,
         )
     else:
         params = fit_nb(X, y, n_classes, hp["var_smoothing"])

@@ -6,14 +6,15 @@ serializable. Each split considers ceil(sqrt(n_features)) candidate features
 drawn from the tree's own generator; candidate thresholds are the midpoints
 between consecutive distinct sorted values. Equal-impurity splits resolve to
 the lower feature index, then the lower threshold, so training is fully
-deterministic. Per-tree seeds derive from the spec seed and tree index,
-making the forest identical under any thread count.
+deterministic. Per-tree seeds derive from the spec seed and tree index, and
+each split node draws its candidates in preorder (node, left subtree, right
+subtree), so node ids and draws follow the tree alone. Training is
+single-threaded.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,72 +49,70 @@ class ForestModel:
     n_classes: int
 
 
-def _gini_best_split(X, y, idx, feats, n_classes):
-    """Best (gini, feature, threshold) over candidate features, or None."""
-    m = idx.size
-    best_gini = math.inf
-    best = None
-    for f in feats:
-        values = X[idx, f]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        ys = y[idx][order]
-        cut = np.nonzero(vs[1:] != vs[:-1])[0]
-        if cut.size == 0:
-            continue
-        onehot = np.zeros((m, n_classes), dtype=np.float64)
-        onehot[np.arange(m), ys] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        left_counts = prefix[cut]
-        n_left = (cut + 1).astype(np.float64)
-        n_right = m - n_left
-        right_counts = prefix[-1] - left_counts
-        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-        gini = (n_left * gini_left + n_right * gini_right) / m
-        j = int(np.argmin(gini))  # first minimum -> lowest threshold
-        if gini[j] < best_gini:
-            best_gini = float(gini[j])
-            threshold = (vs[cut[j]] + vs[cut[j] + 1]) / 2.0
-            best = (best_gini, int(f), float(threshold))
-    return best
-
-
 def _grow_tree(X, y, n_classes, max_depth, min_split, n_candidates, rng):
-    n_features = X.shape[1]
+    """Grow one tree in preorder from an explicit stack (left child first).
+
+    Each stack entry carries a ``(n_features, m)`` block whose row f lists
+    the node's rows sorted by column f. The columns are argsorted once per
+    tree; a split partitions every row of the block with one boolean mask,
+    which keeps each row sorted. All k candidate features are scored in one
+    pass over ``(k, m - 1)`` cut positions.
+    """
+    XT = np.ascontiguousarray(X.T)
+    n_features, n = XT.shape
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     counts: list[np.ndarray] = []
-
-    def recurse(idx: np.ndarray, depth: int) -> int:
+    n_left_all = np.arange(1.0, n)
+    classes = np.arange(n_classes)
+    # (block, class counts, depth, id of the parent whose right child this is)
+    stack = [(np.argsort(XT, axis=1, kind="stable"),
+              np.bincount(y, minlength=n_classes), 0, -1)]
+    while stack:
+        block, node_counts, depth, right_of = stack.pop()
         nid = len(feature)
-        node_counts = np.bincount(y[idx], minlength=n_classes)
+        if right_of >= 0:
+            right[right_of] = nid
         feature.append(-1)
         threshold.append(0.0)  # never read at a leaf; keeps the JSON export finite
         left.append(-1)
         right.append(-1)
         counts.append(node_counts)
-        if (
-            depth >= max_depth
-            or idx.size < min_split
-            or int((node_counts > 0).sum()) <= 1
-        ):
-            return nid
+        m = block.shape[1]
+        if depth >= max_depth or m < min_split or np.count_nonzero(node_counts) <= 1:
+            continue
         feats = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
-        best = _gini_best_split(X, y, idx, feats, n_classes)
-        if best is None:
-            return nid
-        _, f, thr = best
-        mask = X[idx, f] <= thr
+        rows = block[feats]
+        values = XT[feats[:, None], rows]
+        prefix = np.cumsum(y[rows][..., None] == classes, axis=1)
+        left_counts = prefix[:, :-1]
+        n_left = n_left_all[: m - 1]
+        n_right = m - n_left
+        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=-1)
+        right_counts = node_counts - left_counts
+        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=-1)
+        gini = (n_left * gini_left + n_right * gini_right) / m
+        gini[values[:, 1:] == values[:, :-1]] = np.inf  # cut between distinct values
+        # first minimum in (feature, cut) order: lowest feature, then threshold
+        c, cut = divmod(int(np.argmin(gini)), m - 1)
+        if gini[c, cut] == np.inf:
+            continue
+        f = int(feats[c])
+        thr = float((values[c, cut] + values[c, cut + 1]) / 2.0)
+        mask = XT[f][block] <= thr
+        # the midpoint can round up onto the larger value, so the left child
+        # is the first m_left rows of block[f], not always the first cut + 1
+        m_left = int(np.count_nonzero(mask[0]))
+        left_node_counts = prefix[c, m_left - 1].copy()
         feature[nid] = f
         threshold[nid] = thr
-        left[nid] = recurse(idx[mask], depth + 1)
-        right[nid] = recurse(idx[~mask], depth + 1)
-        return nid
-
-    recurse(np.arange(X.shape[0]), 0)
+        left[nid] = nid + 1  # preorder: the left child is popped next
+        stack.append((block[~mask].reshape(n_features, m - m_left),
+                      node_counts - left_node_counts, depth + 1, nid))
+        stack.append((block[mask].reshape(n_features, m_left),
+                      left_node_counts, depth + 1, -1))
     return TreeNodes(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -123,23 +122,17 @@ def _grow_tree(X, y, n_classes, max_depth, min_split, n_candidates, rng):
     )
 
 
-def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed, jobs=1) -> ForestModel:
+def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestModel:
     n = X.shape[0]
     n_candidates = min(X.shape[1], math.ceil(math.sqrt(X.shape[1])))
-
-    def build(tree_index: int) -> TreeNodes:
+    trees = []
+    for tree_index in range(n_trees):
         rng = generator(derive_seed(seed, STAGE_TREE, tree_index))
         sample = rng.integers(0, n, size=n)
-        return _grow_tree(
+        trees.append(_grow_tree(
             X[sample], y[sample], n_classes, max_depth, min_split, n_candidates, rng
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = tuple(pool.map(build, range(n_trees)))
-    else:
-        trees = tuple(build(i) for i in range(n_trees))
-    return ForestModel(trees=trees, n_features=X.shape[1], n_classes=n_classes)
+        ))
+    return ForestModel(trees=tuple(trees), n_features=X.shape[1], n_classes=n_classes)
 
 
 def tree_leaf_ids(tree: TreeNodes, X: np.ndarray) -> np.ndarray:

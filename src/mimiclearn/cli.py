@@ -6,7 +6,8 @@ bad model file). Commands compute everything before writing anything, so a
 failure leaves no partial output directory behind.
 
 Outputs are deterministic: rerunning a command with the same inputs and seed
-reproduces every artifact byte for byte, whatever ``--jobs`` says.
+reproduces every artifact byte for byte. Training is single-threaded and
+``--jobs`` never changes results.
 """
 
 from __future__ import annotations
@@ -302,10 +303,11 @@ def cmd_run(args) -> int:
     _write_all(_out_dir(args), artifacts)
 
     fid = run.fidelity
+    race = run.teacher_race
     print(
         f"teacher={run.teacher.spec.kind} "
-        f"(cv {run.teacher_race.selection_metric}="
-        f"{_fmt(max(r.mean_accuracy for r in run.teacher_race.reports))}) "
+        f"(cv {race.selection_metric}="
+        f"{_fmt(race.winner.mean(race.selection_metric))}) "
         f"student={run.student.spec.kind}"
     )
     print(
@@ -399,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads for forest training; never changes results",
+        help="accepted for compatibility; training is single-threaded and "
+             "--jobs never changes results",
     )
     p_run.add_argument(
         "--out-dir", default=None,

@@ -10,9 +10,9 @@ Stages, each callable on its own or together through :func:`run_pipeline`:
 4. student selection -- the same race, run on the annotated pool,
 5. fidelity -- teacher and student are compared on the held-out test rows.
 
-Everything downstream of the master seed is deterministic, including under
-``jobs > 1``; wall-clock timings live only on the in-memory result object so
-serialized runs are reproducible byte for byte.
+Everything downstream of the master seed is deterministic, whatever
+``jobs`` says; wall-clock timings live only on the in-memory result object
+so serialized runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ SELECTION_METRICS = ("accuracy", "macro_f1")
 class PipelineConfig:
     """Everything a run needs besides the data itself.
 
-    ``jobs`` only controls how many worker threads forest training may use;
-    it never changes any numeric result and is deliberately left out of the
-    serialized echo.
+    ``jobs`` is accepted and validated but training is single-threaded, so it
+    never changes any result; it is deliberately left out of the serialized
+    echo.
     """
 
     specs: tuple[ClassifierSpec, ...]
@@ -103,6 +103,10 @@ class CvReport:
     @property
     def mean_macro_f1(self) -> float:
         return sum(self.fold_macro_f1) / len(self.fold_macro_f1)
+
+    def mean(self, metric: str) -> float:
+        """Mean over folds of a selection metric from SELECTION_METRICS."""
+        return self.mean_accuracy if metric == "accuracy" else self.mean_macro_f1
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,13 +256,13 @@ def run_json(run: PipelineRun) -> str:
     return json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _cross_validate(spec, train_set, assignment, jobs):
+def _cross_validate(spec, train_set, assignment):
     n_classes = len(train_set.class_names)
     accs, f1s = [], []
     for fold in range(assignment.k):
         fit_part = train_set.select(assignment.train_indices(fold))
         eval_part = train_set.select(assignment.test_indices(fold))
-        model = fit(spec, fit_part, ORIGIN_TEACHER, jobs=jobs)
+        model = fit(spec, fit_part, ORIGIN_TEACHER)
         pred = predict_batch(model, eval_part.features)
         accs.append(float(np.mean(pred == eval_part.labels)))
         f1s.append(macro_metrics(eval_part.labels, pred, n_classes).f1)
@@ -277,13 +281,10 @@ def _race(train_set: Dataset, config: PipelineConfig) -> RaceResult:
         train_set, config.cv_k, derive_seed(config.seed, STAGE_FOLDS)
     )
     reports = [
-        _cross_validate(spec, train_set, assignment, config.jobs)
+        _cross_validate(spec, train_set, assignment)
         for spec in config.specs
     ]
-    if config.selection_metric == "accuracy":
-        values = [r.mean_accuracy for r in reports]
-    else:
-        values = [r.mean_macro_f1 for r in reports]
+    values = [r.mean(config.selection_metric) for r in reports]
     winner = max(
         range(len(reports)),
         key=lambda i: (values[i], reports[i].mean_macro_f1, -i),
@@ -300,7 +301,7 @@ def train_teacher(
 ) -> tuple[TrainedModel, RaceResult]:
     """Select by cross-validation on the private partition, refit on all of it."""
     race = _race(private, config)
-    model = fit(race.winner.spec, private, ORIGIN_TEACHER, jobs=config.jobs)
+    model = fit(race.winner.spec, private, ORIGIN_TEACHER)
     return model, race
 
 
@@ -342,7 +343,7 @@ def train_student(
         )
     train_set = annotated.to_dataset()
     race = _race(train_set, config)
-    model = fit(race.winner.spec, train_set, ORIGIN_STUDENT, jobs=config.jobs)
+    model = fit(race.winner.spec, train_set, ORIGIN_STUDENT)
     return model, race
 
 

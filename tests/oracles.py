@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from mimiclearn.classifiers.forest import ForestModel, TreeNodes
+from mimiclearn.rng import STAGE_TREE, derive_seed, generator
+
 
 def knn_predict_bruteforce(train_X, train_y, query_X, k, n_classes):
     """Per-query loop: sort by (squared distance, training index), vote.
@@ -27,6 +30,96 @@ def knn_predict_bruteforce(train_X, train_y, query_X, k, n_classes):
         tied = [c for c, v in enumerate(votes) if v == top]
         preds.append(tied[0] if len(tied) == 1 else neighbor_labels[0])
     return np.array(preds, dtype=np.int64)
+
+
+def _gini_best_split(X, y, idx, feats, n_classes):
+    """Best (gini, feature, threshold) over candidate features, or None."""
+    m = idx.size
+    best_gini = math.inf
+    best = None
+    for f in feats:
+        values = X[idx, f]
+        order = np.argsort(values, kind="stable")
+        vs = values[order]
+        ys = y[idx][order]
+        cut = np.nonzero(vs[1:] != vs[:-1])[0]
+        if cut.size == 0:
+            continue
+        onehot = np.zeros((m, n_classes), dtype=np.float64)
+        onehot[np.arange(m), ys] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        left_counts = prefix[cut]
+        n_left = (cut + 1).astype(np.float64)
+        n_right = m - n_left
+        right_counts = prefix[-1] - left_counts
+        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+        gini = (n_left * gini_left + n_right * gini_right) / m
+        j = int(np.argmin(gini))  # first minimum -> lowest threshold
+        if gini[j] < best_gini:
+            best_gini = float(gini[j])
+            threshold = (vs[cut[j]] + vs[cut[j] + 1]) / 2.0
+            best = (best_gini, int(f), float(threshold))
+    return best
+
+
+def _grow_tree(X, y, n_classes, max_depth, min_split, n_candidates, rng):
+    n_features = X.shape[1]
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    counts: list[np.ndarray] = []
+
+    def recurse(idx: np.ndarray, depth: int) -> int:
+        nid = len(feature)
+        node_counts = np.bincount(y[idx], minlength=n_classes)
+        feature.append(-1)
+        threshold.append(0.0)  # never read at a leaf; keeps the JSON export finite
+        left.append(-1)
+        right.append(-1)
+        counts.append(node_counts)
+        if (
+            depth >= max_depth
+            or idx.size < min_split
+            or int((node_counts > 0).sum()) <= 1
+        ):
+            return nid
+        feats = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
+        best = _gini_best_split(X, y, idx, feats, n_classes)
+        if best is None:
+            return nid
+        _, f, thr = best
+        mask = X[idx, f] <= thr
+        feature[nid] = f
+        threshold[nid] = thr
+        left[nid] = recurse(idx[mask], depth + 1)
+        right[nid] = recurse(idx[~mask], depth + 1)
+        return nid
+
+    recurse(np.arange(X.shape[0]), 0)
+    return TreeNodes(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        counts=np.array(counts, dtype=np.int64),
+    )
+
+
+def fit_forest_recursive(X, y, n_classes, n_trees, max_depth, min_split, seed):
+    """``fit_forest`` with the per-node recursive grower above: same
+    bootstrap and per-tree generator, one candidate feature at a time."""
+    n = X.shape[0]
+    n_candidates = min(X.shape[1], math.ceil(math.sqrt(X.shape[1])))
+    trees = []
+    for tree_index in range(n_trees):
+        rng = generator(derive_seed(seed, STAGE_TREE, tree_index))
+        sample = rng.integers(0, n, size=n)
+        trees.append(_grow_tree(
+            X[sample], y[sample], n_classes, max_depth, min_split, n_candidates, rng
+        ))
+    return ForestModel(trees=tuple(trees), n_features=X.shape[1], n_classes=n_classes)
 
 
 def tree_predict_walk(tree, row):

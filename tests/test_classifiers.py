@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from mimiclearn.classifiers import (
     score_batch,
 )
 from mimiclearn.classifiers.bayes import nb_log_posterior
+from mimiclearn.classifiers.forest import fit_forest
 from mimiclearn.data import Dataset
 from mimiclearn.errors import PipelineError
 from mimiclearn.rng import generator
 from mimiclearn.synthetic import linearly_separable, threshold_toy
 
 from oracles import (
+    fit_forest_recursive,
     forest_predict_walk,
     knn_predict_bruteforce,
     nb_log_posterior_direct,
@@ -139,6 +143,63 @@ class TestForestOracle:
                 else:
                     assert tree.left[i] == -1 and tree.right[i] == -1
                     assert tree.counts[i].sum() > 0
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_trees_equal_the_recursive_reference(self, n_classes):
+        # small integer ranges make ties the rule; scaling half the trials
+        # onto adjacent doubles makes some midpoints round up onto the
+        # larger value, so the <= mask and the cut position disagree
+        rng = generator(40 + n_classes)
+        eps = np.finfo(np.float64).eps
+        for trial in range(16):
+            n_rows = int(rng.integers(12, 120))
+            n_features = int(rng.integers(1, 7))
+            X = rng.integers(0, int(rng.integers(2, 6)), size=(n_rows, n_features))
+            X = 1.0 + eps * X if trial % 2 else X.astype(np.float64)
+            y = rng.integers(0, n_classes, size=n_rows)
+            args = (
+                X, y, n_classes, 3,
+                int(rng.choice([0, 1, 3, 16])),  # max_depth
+                int(rng.choice([2, 5, 20])),  # min_split
+                int(rng.integers(0, 1000)),  # seed
+            )
+            fast, slow = fit_forest(*args), fit_forest_recursive(*args)
+            for a, b in zip(fast.trees, slow.trees, strict=True):
+                for name in ("feature", "threshold", "left", "right", "counts"):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_deep_chain_grows_without_recursion(self):
+        # one feature, alternating labels: no split separates the classes
+        # well, so the tree grows 78 levels deep
+        n = 3000
+        train = Dataset(
+            features=np.arange(n, dtype=np.float64)[:, None],
+            feature_names=("x",),
+            labels=np.arange(n) % 2,
+            class_names=("a", "b"),
+            source_id="chain",
+        )
+        spec = ClassifierSpec("rf", {"n_trees": 1, "max_depth": 5000}, seed=1)
+        fit(spec, train, ORIGIN_TEACHER)  # warm-up: lazy imports and first calls
+
+        frame, stack_depth = sys._getframe(), 0
+        while frame is not None:
+            frame, stack_depth = frame.f_back, stack_depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth + 60)
+        try:
+            with pytest.raises(RecursionError):
+                fit_forest_recursive(
+                    train.features, train.labels, 2, 1, 5000, 2, spec.seed
+                )
+            tree = fit(spec, train, ORIGIN_TEACHER).params.trees[0]
+        finally:
+            sys.setrecursionlimit(limit)
+
+        depth = np.zeros(tree.n_nodes, dtype=np.int64)
+        for i in np.nonzero(tree.feature >= 0)[0]:
+            depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+        assert depth.max() == 78
 
     def test_vote_fraction_score_matches_votes(self, heart_ds):
         spec = ClassifierSpec("rf", {"n_trees": 9, "max_depth": 4}, seed=3)

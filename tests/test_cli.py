@@ -118,6 +118,22 @@ class TestRunCommand:
         a, b, c = (_read_all(tmp_path / n) for n in ("a", "b", "c"))
         assert a == b == c
 
+    def test_summary_reports_the_winners_selection_metric(
+        self, toy_csv, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"specs": [{"kind": "knn"}]}))
+        out = tmp_path / "out"
+        code = main(_run_args(
+            toy_csv, out, "--config", str(config), "--selection-metric", "macro_f1"
+        ))
+        assert code == EXIT_OK
+        race = json.loads((out / "run.json").read_text())["teacher_race"]
+        winner = race["entries"][race["winner_index"]]
+        assert winner["mean_macro_f1"] != winner["mean_accuracy"]
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert f"(cv macro_f1={winner['mean_macro_f1']:.4f})" in summary
+
     def test_config_file_controls_specs(self, toy_csv, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"specs": [{"kind": "nb"}], "cv_k": 4}))

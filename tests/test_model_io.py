@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ from mimiclearn.classifiers import (
     ORIGIN_STUDENT,
     ORIGIN_TEACHER,
     ClassifierSpec,
+    default_specs,
     fit,
     predict_batch,
     score_batch,
@@ -22,6 +24,7 @@ from mimiclearn.model_io import (
     parse_model_file,
 )
 from mimiclearn.rng import generator
+from mimiclearn.synthetic import breast_cancer_like, cardio_like, heart_disease_like
 
 EXPORTABLE = ("svm", "rf", "nb")
 
@@ -222,3 +225,39 @@ class TestHandBuiltFile:
             log_high = -0.5 * (math.log(2 * math.pi) + (x - 4.0) ** 2)
             expected = int(log_high > log_low)
             assert predict_batch(model, np.array([[x]]))[0] == expected
+
+
+# sha256 of file_json(model_to_file(...)) for rf students fit on the bundled
+# generators (not on CSVs under data/, which would move them); a forest change
+# that moves any tree byte changes these
+GOLDEN_RF_DIGESTS = {
+    ("breast", 1, "default"): "f91786dd76e31c44410cd67a9cd959a092bab1fa522ebedbb768ee1fc007775d",
+    ("breast", 2, "default"): "9dad521a226cde462276e0703f6fca2498a37501ffb2a7ffa65cc9048a28c2fa",
+    ("heart", 1, "default"): "c8f29d21647095765754b0f7313b77c1f5f576134a492271065ed33f8c1f1a4a",
+    ("heart", 2, "default"): "742124618523652e4e0f5ac1ee86b9420ecb570fc55e20efc5de1d246bc715af",
+    ("cardio", 1, "default"): "f491e9b248197257a7f18fe9727c08a7a285f579e1e6b33825af023e282d4486",
+    ("cardio", 2, "default"): "ee19a39e578ba0aa6a71d05035715f247bc20c68bc75b5b63761ec49df89028a",
+    ("breast", 1, "small"): "d5f10cc07966ef70fe5af4d15fe4cc7e720c92216a75b70c72f70493ed611719",
+    ("heart", 1, "small"): "cf63e0075231cd75b9583be096a7d60a5e5b8e526dce2da72422071e86715db8",
+    ("cardio", 1, "small"): "99a1c647ca15366f5c799333fe38971f9eee2209462916911a63c90872f3e0b1",
+}
+GOLDEN_DATASETS = {
+    "breast": breast_cancer_like,
+    "heart": heart_disease_like,
+    "cardio": cardio_like,
+}
+SMALL_RF = {"n_trees": 7, "max_depth": 4, "min_split": 5}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(GOLDEN_RF_DIGESTS), ids=lambda key: "-".join(map(str, key))
+)
+def test_rf_student_file_matches_golden_digest(key):
+    name, seed, config = key
+    spec = default_specs(seed)[2]
+    assert spec.kind == "rf"
+    if config == "small":
+        spec = ClassifierSpec("rf", SMALL_RF, seed=spec.seed)
+    model = fit(spec, GOLDEN_DATASETS[name](), ORIGIN_STUDENT)
+    digest = hashlib.sha256(file_json(model_to_file(model)).encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_RF_DIGESTS[key]
