@@ -12,7 +12,9 @@ sign, or argmax rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -20,9 +22,9 @@ from ..data import Dataset, ScalerParams, apply_scaler, fit_scaler
 from ..errors import DataError, PipelineError
 from ..rng import STAGE_SPEC, derive_seed
 from .bayes import NbModel, fit_nb, nb_log_posterior, nb_posterior
-from .forest import ForestModel, TreeNodes, fit_forest, forest_votes, tree_predict
+from .forest import ForestModel, TreeNodes, fit_forest, forest_votes
 from .knn import KnnModel, fit_knn, knn_vote
-from .svm import SvmModel, fit_svm, svm_margin, svm_objective
+from .svm import SvmModel, fit_svm, svm_margin
 
 __all__ = [
     "FAMILIES",
@@ -44,19 +46,79 @@ __all__ = [
     "NbModel",
 ]
 
-FAMILIES = ("svm", "knn", "rf", "nb")
-
 ORIGIN_TEACHER = "teacher-private"
 ORIGIN_STUDENT = "student-shareable"
 
-DEFAULT_HYPERPARAMETERS = {
-    "svm": {"reg_lambda": 1e-4, "epochs": 50},
-    "knn": {"n_neighbors": 8},
-    "rf": {"n_trees": 100, "max_depth": 16, "min_split": 2},
-    "nb": {"var_smoothing": 1e-9},
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one classifier family.
+
+    ``defaults`` gives each hyperparameter's default, whose type is the only
+    type accepted (a bool is never an int). ``minimums`` gives each one's
+    lower bound: an int may equal it, a float must be finite and exceed it.
+    ``scaled`` families are fit on standardized features. ``fit`` takes
+    ``(X, y, n_classes, hyperparameters, seed)`` and returns the family's
+    parameters; ``predict`` and ``score`` take ``(params, X,
+    hyperparameters)``; ``n_features`` reads the feature count off params.
+    """
+
+    defaults: dict
+    minimums: dict
+    scaled: bool
+    fit: Callable
+    predict: Callable
+    score: Callable
+    n_features: Callable
+
+
+REGISTRY = {
+    "svm": Family(
+        defaults={"reg_lambda": 1e-4, "epochs": 50},
+        minimums={"reg_lambda": 0.0, "epochs": 1},
+        scaled=True,
+        fit=lambda X, y, n_classes, hp, seed: fit_svm(
+            X, y, n_classes, hp["reg_lambda"], hp["epochs"], seed
+        )[0],
+        predict=lambda p, X, hp: (svm_margin(p, X) > 0).astype(np.int64),
+        score=lambda p, X, hp: svm_margin(p, X),
+        n_features=lambda p: p.weights.shape[0],
+    ),
+    "knn": Family(
+        defaults={"n_neighbors": 8},
+        minimums={"n_neighbors": 1},
+        scaled=True,
+        fit=lambda X, y, n_classes, hp, seed: fit_knn(X, y, n_classes, hp["n_neighbors"]),
+        predict=lambda p, X, hp: knn_vote(p, X, hp["n_neighbors"])[0],
+        score=lambda p, X, hp: (
+            knn_vote(p, X, hp["n_neighbors"])[1][:, 1] / float(hp["n_neighbors"])
+        ),
+        n_features=lambda p: p.points.shape[1],
+    ),
+    "rf": Family(
+        defaults={"n_trees": 100, "max_depth": 16, "min_split": 2},
+        minimums={"n_trees": 1, "max_depth": 0, "min_split": 2},
+        scaled=False,
+        fit=lambda X, y, n_classes, hp, seed: fit_forest(
+            X, y, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"], seed
+        ),
+        predict=lambda p, X, hp: np.argmax(forest_votes(p, X), axis=1),
+        score=lambda p, X, hp: forest_votes(p, X)[:, 1] / float(len(p.trees)),
+        n_features=lambda p: p.n_features,
+    ),
+    "nb": Family(
+        defaults={"var_smoothing": 1e-9},
+        minimums={"var_smoothing": 0.0},
+        scaled=False,
+        fit=lambda X, y, n_classes, hp, seed: fit_nb(X, y, n_classes, hp["var_smoothing"]),
+        predict=lambda p, X, hp: np.argmax(nb_log_posterior(p, X), axis=1),
+        score=lambda p, X, hp: nb_posterior(p, X)[:, 1],
+        n_features=lambda p: p.means.shape[1],
+    ),
 }
 
-_SCALED_FAMILIES = ("svm", "knn")
+FAMILIES = tuple(REGISTRY)
+DEFAULT_HYPERPARAMETERS = {kind: family.defaults for kind, family in REGISTRY.items()}
 
 
 @dataclass(frozen=True)
@@ -64,7 +126,8 @@ class ClassifierSpec:
     """A classifier family plus its hyperparameters and training seed.
 
     Missing hyperparameters are filled from the family defaults; unknown
-    keys are rejected.
+    keys, values of the wrong type and values below the family minimum are
+    rejected.
     """
 
     kind: str
@@ -76,34 +139,30 @@ class ClassifierSpec:
             raise PipelineError(
                 f"unknown classifier kind {self.kind!r}; expected one of {FAMILIES}"
             )
-        defaults = DEFAULT_HYPERPARAMETERS[self.kind]
-        unknown = set(self.hyperparameters) - set(defaults)
+        if not isinstance(self.hyperparameters, dict):
+            raise PipelineError(f"{self.kind}: hyperparameters must be an object")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise PipelineError(f"{self.kind}: seed must be an integer")
+        family = REGISTRY[self.kind]
+        unknown = set(self.hyperparameters) - set(family.defaults)
         if unknown:
             raise PipelineError(
                 f"unknown {self.kind} hyperparameters: {sorted(unknown)}"
             )
-        merged = {**defaults, **self.hyperparameters}
-        _validate_hyperparameters(self.kind, merged)
+        merged = {**family.defaults, **self.hyperparameters}
+        for name, value in merged.items():
+            expected, low = type(family.defaults[name]), family.minimums[name]
+            if isinstance(value, bool) or not isinstance(value, expected):
+                raise PipelineError(f"{self.kind}: {name} must be {expected.__name__}")
+            if expected is int and value < low:
+                raise PipelineError(f"{self.kind}: {name} must be >= {low}")
+            if expected is float and not (math.isfinite(value) and value > low):
+                raise PipelineError(f"{self.kind}: {name} must be finite and > {low}")
         object.__setattr__(self, "hyperparameters", merged)
 
 
-def _validate_hyperparameters(kind, hp):
-    checks = {
-        "svm": [("reg_lambda", hp.get("reg_lambda", 0) > 0, "reg_lambda must be > 0"),
-                ("epochs", hp.get("epochs", 0) >= 1, "epochs must be >= 1")],
-        "knn": [("n_neighbors", hp.get("n_neighbors", 0) >= 1, "n_neighbors must be >= 1")],
-        "rf": [("n_trees", hp.get("n_trees", 0) >= 1, "n_trees must be >= 1"),
-               ("max_depth", hp.get("max_depth", -1) >= 0, "max_depth must be >= 0"),
-               ("min_split", hp.get("min_split", 0) >= 2, "min_split must be >= 2")],
-        "nb": [("var_smoothing", hp.get("var_smoothing", 0) > 0, "var_smoothing must be > 0")],
-    }
-    for _, ok, msg in checks[kind]:
-        if not ok:
-            raise PipelineError(f"{kind}: {msg}")
-
-
 def default_specs(seed: int = 0) -> tuple[ClassifierSpec, ...]:
-    """The four families with default hyperparameters and derived seeds."""
+    """Every family with default hyperparameters and derived seeds."""
     return tuple(
         ClassifierSpec(kind, {}, seed=derive_seed(seed, STAGE_SPEC, i))
         for i, kind in enumerate(FAMILIES)
@@ -130,25 +189,15 @@ class TrainedModel:
 
     @property
     def n_features(self) -> int:
-        p = self.params
-        if isinstance(p, SvmModel):
-            return p.weights.shape[0]
-        if isinstance(p, KnnModel):
-            return p.points.shape[1]
-        if isinstance(p, ForestModel):
-            return p.n_features
-        return p.means.shape[1]
+        return REGISTRY[self.spec.kind].n_features(self.params)
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
 
-def fit(spec: ClassifierSpec, train: Dataset, origin: str, jobs: int = 1) -> TrainedModel:
+def fit(spec: ClassifierSpec, train: Dataset, origin: str) -> TrainedModel:
     """Train one classifier; deterministic for a fixed spec seed.
-
-    ``jobs`` is accepted and ignored: training is single-threaded, and the
-    result never depends on it.
 
     Raises PipelineError when the training set holds a single class, and for
     knn when it holds fewer than k samples.
@@ -159,29 +208,16 @@ def fit(spec: ClassifierSpec, train: Dataset, origin: str, jobs: int = 1) -> Tra
         raise PipelineError(
             f"training set for {spec.kind} contains a single class"
         )
-    n_classes = len(train.class_names)
+    family = REGISTRY[spec.kind]
     scaler = None
     fit_data = train
-    if spec.kind in _SCALED_FAMILIES:
+    if family.scaled:
         scaler = fit_scaler(train)
         fit_data = apply_scaler(train, scaler)
-    X, y = fit_data.features, fit_data.labels
-    hp = spec.hyperparameters
-
-    if spec.kind == "svm":
-        params, _ = fit_svm(
-            X, y, n_classes, hp["reg_lambda"], hp["epochs"], spec.seed
-        )
-    elif spec.kind == "knn":
-        params = fit_knn(X, y, n_classes, hp["n_neighbors"])
-    elif spec.kind == "rf":
-        params = fit_forest(
-            X, y, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"],
-            spec.seed,
-        )
-    else:
-        params = fit_nb(X, y, n_classes, hp["var_smoothing"])
-
+    params = family.fit(
+        fit_data.features, fit_data.labels, len(train.class_names),
+        spec.hyperparameters, spec.seed,
+    )
     return TrainedModel(
         spec=spec,
         params=params,
@@ -210,15 +246,7 @@ def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     X = _prepare_rows(model, rows)
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    p = model.params
-    if isinstance(p, SvmModel):
-        return (svm_margin(p, X) > 0).astype(np.int64)
-    if isinstance(p, KnnModel):
-        preds, _ = knn_vote(p, X, model.spec.hyperparameters["n_neighbors"])
-        return preds
-    if isinstance(p, ForestModel):
-        return np.argmax(forest_votes(p, X), axis=1)
-    return np.argmax(nb_log_posterior(p, X), axis=1)
+    return REGISTRY[model.spec.kind].predict(model.params, X, model.spec.hyperparameters)
 
 
 def score_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
@@ -226,17 +254,7 @@ def score_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     X = _prepare_rows(model, rows)
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
-    p = model.params
-    if isinstance(p, SvmModel):
-        return svm_margin(p, X)
-    if isinstance(p, KnnModel):
-        k = model.spec.hyperparameters["n_neighbors"]
-        _, counts = knn_vote(p, X, k)
-        return counts[:, 1] / float(k)
-    if isinstance(p, ForestModel):
-        votes = forest_votes(p, X)
-        return votes[:, 1] / float(len(p.trees))
-    return nb_posterior(p, X)[:, 1]
+    return REGISTRY[model.spec.kind].score(model.params, X, model.spec.hyperparameters)
 
 
 def predict(model: TrainedModel, row: np.ndarray) -> int:

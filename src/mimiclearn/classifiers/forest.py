@@ -26,7 +26,7 @@ from ..rng import STAGE_TREE, derive_seed, generator
 class TreeNodes:
     """One decision tree as parallel node arrays.
 
-    ``feature[i] == -1`` marks a leaf (threshold is NaN, children are -1).
+    ``feature[i] == -1`` marks a leaf (threshold is 0.0, children are -1).
     ``counts[i]`` holds the class counts of the bootstrap samples that
     reached node i; a leaf votes for its argmax class (lower index on ties).
     """

@@ -29,7 +29,7 @@ from .data import (
     stratified_split,
     write_split_manifest,
 )
-from .errors import DataError, PipelineError
+from .errors import DataError, PipelineError, PrivacyError
 from .metrics import macro_metrics, positive_metrics, roc
 from .mimic import SELECTION_METRICS, PipelineConfig, run_json, run_pipeline
 from .model_io import file_json, import_model, model_to_file
@@ -126,7 +126,7 @@ def _load_config_file(path) -> dict:
         raise UsageError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
@@ -153,8 +153,7 @@ def _specs_from_config(raw_specs, seed) -> tuple[ClassifierSpec, ...]:
         try:
             specs.append(
                 ClassifierSpec(
-                    entry["kind"], dict(entry.get("hyperparameters", {})),
-                    seed=entry_seed,
+                    entry["kind"], entry.get("hyperparameters", {}), seed=entry_seed
                 )
             )
         except PipelineError as exc:
@@ -170,6 +169,8 @@ def _build_config(args) -> PipelineConfig:
     else:
         specs = default_specs(seed)
     cv_k = args.cv_k if args.cv_k is not None else file_cfg.get("cv_k", 10)
+    if isinstance(cv_k, bool) or not isinstance(cv_k, int):
+        raise UsageError("config 'cv_k' must be an integer")
     selection = (
         args.selection_metric
         if args.selection_metric is not None
@@ -179,9 +180,11 @@ def _build_config(args) -> PipelineConfig:
         fractions = _parse_fractions(args.fractions)
     elif "fractions" in file_cfg:
         f = file_cfg["fractions"]
-        if not isinstance(f, list) or len(f) != 3:
-            raise UsageError("config 'fractions' must be a list of three numbers")
-        fractions = tuple(float(x) for x in f)
+        # a valid fraction lies in (0, 1), so it is never a JSON integer
+        if not (isinstance(f, list) and len(f) == 3
+                and all(isinstance(x, float) for x in f)):
+            raise UsageError("config 'fractions' must be a list of three fractions")
+        fractions = tuple(f)
     else:
         fractions = (0.5, 0.3, 0.2)
     try:
@@ -191,7 +194,6 @@ def _build_config(args) -> PipelineConfig:
             fractions=fractions,
             cv_k=cv_k,
             selection_metric=selection,
-            jobs=args.jobs,
         )
     except (PipelineError, DataError) as exc:
         raise UsageError(str(exc)) from exc
@@ -262,6 +264,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     schema = _schema_from_args(args)
     ds, stats = ingest_csv(args.data, schema)
     config = _build_config(args)
@@ -274,16 +278,16 @@ def cmd_run(args) -> int:
         "roc_teacher.csv": run.fidelity.teacher_roc.to_csv_text(),
         "roc_student.csv": run.fidelity.student_roc.to_csv_text(),
     }
-    student_file = None
+    student_file = "student_model.json"
     student_note = None
-    if run.student.spec.kind == "knn":
+    try:
+        artifacts[student_file] = file_json(model_to_file(run.student))
+    except PrivacyError:  # a family without a codec: knn, whose params are rows
+        student_file = None
         student_note = (
             "student is a nearest-neighbor model; no shareable file is "
             "written because its parameters would be raw training rows"
         )
-    else:
-        student_file = "student_model.json"
-        artifacts[student_file] = file_json(model_to_file(run.student))
 
     manifest = {
         "command": "run",
@@ -401,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--jobs", type=int, default=1,
-        help="accepted for compatibility; training is single-threaded and "
-             "--jobs never changes results",
+        help="accepted for compatibility (must be >= 1); training is "
+             "single-threaded and --jobs never changes results",
     )
     p_run.add_argument(
         "--out-dir", default=None,

@@ -191,9 +191,6 @@ class SplitResult:
     public_labels_hidden: np.ndarray
     row_ids: dict = field(default_factory=dict)
 
-    def parts(self) -> tuple[Dataset, Dataset, Dataset]:
-        return (self.private, self.public_pool, self.test)
-
 
 def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStats]:
     """Load a CSV per ``schema``, returning the dataset and ingestion stats.

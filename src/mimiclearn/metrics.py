@@ -8,7 +8,6 @@ AUC equals the pairwise ranking statistic with half credit for ties.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,7 +259,3 @@ def roc(scores, y_true, positive: int = 1) -> RocCurve:
     thresholds = np.concatenate([[math.inf], sorted_scores[last_of_group]])
     auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1])) / 2.0)
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds, auc=auc)
-
-
-def report_json(report: MetricsReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -10,9 +10,9 @@ Stages, each callable on its own or together through :func:`run_pipeline`:
 4. student selection -- the same race, run on the annotated pool,
 5. fidelity -- teacher and student are compared on the held-out test rows.
 
-Everything downstream of the master seed is deterministic, whatever
-``jobs`` says; wall-clock timings live only on the in-memory result object
-so serialized runs are reproducible byte for byte.
+Everything downstream of the master seed is deterministic; wall-clock
+timings live only on the in-memory result object so serialized runs are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -42,19 +42,13 @@ SELECTION_METRICS = ("accuracy", "macro_f1")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs besides the data itself.
-
-    ``jobs`` is accepted and validated but training is single-threaded, so it
-    never changes any result; it is deliberately left out of the serialized
-    echo.
-    """
+    """Everything a run needs besides the data itself."""
 
     specs: tuple[ClassifierSpec, ...]
     seed: int = 0
     fractions: tuple[float, float, float] = (0.5, 0.3, 0.2)
     cv_k: int = 10
     selection_metric: str = "accuracy"
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.specs:
@@ -68,8 +62,6 @@ class PipelineConfig:
             raise PipelineError(
                 f"selection_metric must be one of {SELECTION_METRICS}"
             )
-        if self.jobs < 1:
-            raise PipelineError("jobs must be at least 1")
 
     def to_json_dict(self) -> dict:
         return {

@@ -128,6 +128,10 @@ class TestRunCommand:
             toy_csv, out, "--config", str(config), "--selection-metric", "macro_f1"
         ))
         assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["student_model_file"] is None
+        assert "nearest-neighbor" in manifest["note"]
+        assert not (out / "student_model.json").exists()
         race = json.loads((out / "run.json").read_text())["teacher_race"]
         winner = race["entries"][race["winner_index"]]
         assert winner["mean_macro_f1"] != winner["mean_accuracy"]
@@ -249,6 +253,39 @@ class TestExitCodes:
         config.write_text(json.dumps({"species": []}))
         code = main(_run_args(toy_csv, tmp_path / "o", "--config", str(config)))
         assert code == EXIT_USAGE
+
+    def test_config_nested_too_deep(self, toy_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "o"
+        assert main(_run_args(toy_csv, out, "--config", str(config))) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_jobs_must_be_positive(self, toy_csv, tmp_path):
+        out = tmp_path / "o"
+        assert main(_run_args(toy_csv, out, "--jobs", "0")) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"cv_k": "5"},
+        {"cv_k": 2.5},
+        {"fractions": ["a", 1, 2]},
+        {"fractions": [None, 1, 2]},
+        {"fractions": [2**1024, 0, 0]},
+        {"specs": [{"kind": "rf", "hyperparameters": {"n_trees": "3"}}]},
+        {"specs": [{"kind": "rf", "hyperparameters": {"n_trees": 2.5}}]},
+        {"specs": [{"kind": "nb", "hyperparameters": None}]},
+        {"specs": [{"kind": "nb", "hyperparameters": [1]}]},
+        {"specs": [{"kind": "nb", "seed": "x"}]},
+        {"specs": [{"kind": "svm", "hyperparameters": {"epochs": True}}]},
+    ], ids=lambda config: json.dumps(config)[:60])
+    def test_wrongly_typed_config_value(self, config, toy_csv, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(_run_args(toy_csv, out, "--config", str(path))) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("mimiclearn: error:")
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

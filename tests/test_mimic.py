@@ -74,14 +74,8 @@ class TestConfig:
             PipelineConfig(specs=SMALL_SPECS, cv_k=1)
         with pytest.raises(PipelineError):
             PipelineConfig(specs=SMALL_SPECS, selection_metric="recall")
-        with pytest.raises(PipelineError):
-            PipelineConfig(specs=SMALL_SPECS, jobs=0)
         with pytest.raises(DataError):
             PipelineConfig(specs=SMALL_SPECS, fractions=(0.7, 0.2, 0.2))
-
-    def test_json_echo_excludes_jobs(self):
-        config = PipelineConfig(specs=SMALL_SPECS, jobs=8)
-        assert "jobs" not in config.to_json_dict()
 
 
 class TestRace:
@@ -209,11 +203,9 @@ class TestFidelity:
 class TestRunPipeline:
     def test_run_json_is_deterministic_and_jobs_free(self, heart_ds):
         config = PipelineConfig(specs=SMALL_SPECS, seed=9, cv_k=5)
-        threaded = PipelineConfig(specs=SMALL_SPECS, seed=9, cv_k=5, jobs=3)
         text_a = run_json(run_pipeline(heart_ds, config))
         text_b = run_json(run_pipeline(heart_ds, config))
-        text_c = run_json(run_pipeline(heart_ds, threaded))
-        assert text_a == text_b == text_c
+        assert text_a == text_b
 
     def test_json_shape(self, toy):
         run = run_pipeline(toy, PipelineConfig(specs=SMALL_SPECS, seed=6, cv_k=5))

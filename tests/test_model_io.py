@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,8 @@ from mimiclearn.classifiers import (
     predict_batch,
     score_batch,
 )
-from mimiclearn.errors import DataError, ModelFormatError, PrivacyError
+from mimiclearn.classifiers.svm import SvmModel
+from mimiclearn.errors import DataError, ModelFormatError, PipelineError, PrivacyError
 from mimiclearn.model_io import (
     MODEL_FORMAT_VERSION,
     export_model,
@@ -48,6 +50,17 @@ class TestRoundTrip:
         assert back.origin == ORIGIN_STUDENT
         assert back.spec == model.spec
 
+    @pytest.mark.parametrize("kind", EXPORTABLE)
+    def test_import_then_export_reproduces_the_file(self, kind, heart_ds):
+        text = file_json(model_to_file(_student(kind, heart_ds)))
+        assert file_json(model_to_file(parse_model_file(text))) == text
+
+    def test_export_refuses_a_model_that_would_not_import(self, toy):
+        model = _student("svm", toy)
+        broken = SvmModel(weights=model.params.weights * np.nan, bias=0.0)
+        with pytest.raises(PipelineError, match="would not import"):
+            model_to_file(dataclasses.replace(model, params=broken))
+
     def test_export_is_byte_deterministic(self, toy, tmp_path):
         model = _student("nb", toy)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -58,9 +71,9 @@ class TestRoundTrip:
     def test_created_at_default_is_reproducible_null(self, toy, tmp_path):
         model = _student("svm", toy)
         record = export_model(model, tmp_path / "m.json")
-        assert record.created_at is None
+        assert record["created_at"] is None
         stamped = model_to_file(model, created_at="2024-01-01T00:00:00Z")
-        assert stamped.created_at == "2024-01-01T00:00:00Z"
+        assert stamped["created_at"] == "2024-01-01T00:00:00Z"
 
     def test_scaler_travels_with_scaled_families(self, toy, tmp_path):
         path = tmp_path / "svm.json"
@@ -85,14 +98,13 @@ class TestPrivacyRefusals:
             export_model(student, tmp_path / "k.json")
 
     def test_teacher_origin_in_file_refused_at_import(self, toy, tmp_path):
-        record = model_to_file(_student("nb", toy))
-        payload = record.to_json_dict()
+        payload = model_to_file(_student("nb", toy))
         payload["origin"] = ORIGIN_TEACHER
         with pytest.raises(PrivacyError):
             parse_model_file(json.dumps(payload))
 
     def test_knn_kind_in_file_refused_at_import(self, toy):
-        record = model_to_file(_student("nb", toy)).to_json_dict()
+        record = model_to_file(_student("nb", toy))
         record["kind"] = "knn"
         record["hyperparameters"] = {"n_neighbors": 8}
         with pytest.raises(PrivacyError):
@@ -123,9 +135,37 @@ class TestPrivacyRefusals:
         walk(payload)
 
 
+# (family, path to a field of its model file, a value the import must refuse)
+BAD_FIELDS = [
+    ("rf", ("parameters", "trees"), [1]),
+    ("rf", ("parameters", "trees", 0, "counts", 0), [1]),
+    ("rf", ("parameters", "trees", 0, "counts", 0), [0.5, 1]),
+    ("rf", ("hyperparameters", "max_depth"), 2.5),
+    ("rf", ("hyperparameters", "max_depth"), 2.0),
+    ("nb", ("parameters", "priors"), ["a", "b"]),
+    ("nb", ("seed",), True),
+    ("svm", ("scaler", "means", 0), "x"),
+    ("svm", ("parameters", "bias"), True),
+    ("svm", ("parameters", "bias"), 2**1024),
+]
+
+
 class TestFormatValidation:
     def _valid_payload(self, toy):
-        return model_to_file(_student("nb", toy)).to_json_dict()
+        return model_to_file(_student("nb", toy))
+
+    @pytest.mark.parametrize(
+        "kind, path, value", BAD_FIELDS,
+        ids=[f"{k}-{'.'.join(map(str, p))}={v!r}"[:60] for k, p, v in BAD_FIELDS],
+    )
+    def test_malformed_field_refused(self, kind, path, value, toy):
+        payload = model_to_file(_student(kind, toy))
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ModelFormatError):
+            parse_model_file(json.dumps(payload))
 
     def test_truncated_json(self, toy):
         text = file_json(model_to_file(_student("nb", toy)))
@@ -133,8 +173,9 @@ class TestFormatValidation:
             parse_model_file(text[: len(text) // 2])
 
     def test_not_an_object(self):
-        with pytest.raises(ModelFormatError):
-            parse_model_file("[1, 2, 3]")
+        for text in ("[1, 2, 3]", "[" * 100_000 + "]" * 100_000):
+            with pytest.raises(ModelFormatError):
+                parse_model_file(text)
 
     def test_future_version_refused(self, toy):
         payload = self._valid_payload(toy)
@@ -175,7 +216,7 @@ class TestFormatValidation:
 
     def test_tree_children_must_point_forward(self, heart_ds, tmp_path):
         model = _student("rf", heart_ds)
-        payload = model_to_file(model).to_json_dict()
+        payload = model_to_file(model)
         tree = payload["parameters"]["trees"][0]
         if tree["feature"][0] >= 0:  # root is internal in any grown tree
             tree["left"][0] = 0  # self-loop
@@ -183,7 +224,7 @@ class TestFormatValidation:
             parse_model_file(json.dumps(payload))
 
     def test_tree_counts_must_be_nonnegative(self, heart_ds):
-        payload = model_to_file(_student("rf", heart_ds)).to_json_dict()
+        payload = model_to_file(_student("rf", heart_ds))
         tree = payload["parameters"]["trees"][0]
         leaf = tree["feature"].index(-1)
         tree["counts"][leaf] = [-1, 2]
