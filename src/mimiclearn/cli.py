@@ -13,7 +13,6 @@ reproduces every artifact byte for byte. Training is single-threaded and
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -52,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_data_flags(p, needs_labels=True):
+def _add_data_flags(p):
     p.add_argument("--data", required=True, metavar="CSV", help="input CSV file")
     p.add_argument(
         "--no-header", action="store_true",
@@ -76,27 +75,16 @@ def _add_data_flags(p, needs_labels=True):
     )
 
 
-def _last_column_index(path) -> int:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if row:
-                return len(row) - 1
-    raise DataError(f"empty file: {path}")
-
-
 def _schema_from_args(args) -> CsvSchema:
     label = args.label_column
     if label is None:
-        label = _last_column_index(args.data)
+        label = -1  # the last column
     else:
         try:
             label = int(label)
         except ValueError:
             pass
-        if isinstance(label, int) and args.no_header is False and label < 0:
+        if isinstance(label, int) and label < 0:
             raise UsageError("--label-column index must be >= 0")
     return CsvSchema(
         label_column=label,
@@ -126,7 +114,7 @@ def _load_config_file(path) -> dict:
         raise UsageError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")

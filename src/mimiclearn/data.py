@@ -1,6 +1,7 @@
 """Tabular dataset ingestion, scaling, and deterministic splitting.
 
-CSV files are comma-separated UTF-8 with an optional header row. Missing
+CSV files are comma-separated UTF-8 (a leading byte-order mark is dropped)
+with an optional header row. Non-finite cells are refused. Missing
 cells (default token ``?``) are imputed with the column median of the
 non-missing values, so no NaN survives ingestion. Labels are mapped to class
 indices through an alphabetically sorted class-name list; for binary tasks
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,23 +76,14 @@ class Dataset:
     def select(self, idx: np.ndarray, source_suffix: str = "") -> "Dataset":
         """Row subset, preserving label/schema metadata."""
         labels = None if self.labels is None else self.labels[idx]
-        return Dataset(
-            self.features[idx],
-            self.feature_names,
-            labels,
-            self.class_names,
-            self.source_id + source_suffix,
-        )
+        return replace(self, features=self.features[idx], labels=labels,
+                       source_id=self.source_id + source_suffix)
 
     def without_labels(self) -> "Dataset":
-        return Dataset(
-            self.features, self.feature_names, None, self.class_names, self.source_id
-        )
+        return replace(self, labels=None)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.features, self.feature_names, labels, self.class_names, self.source_id
-        )
+        return replace(self, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -159,8 +151,9 @@ class FoldAssignment:
 class CsvSchema:
     """How to read a CSV: which column holds labels and how cells are coded.
 
-    ``label_column`` is a header name (or 0-based column index when the file
-    has no header); None loads every column as features. For binary data,
+    ``label_column`` is a header name or a 0-based column index (a negative
+    index counts from the end, so -1 is the last column); None loads every
+    column as features. For binary data,
     ``positive_class`` names the label value that must become class index 1.
     """
 
@@ -195,14 +188,18 @@ class SplitResult:
 def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStats]:
     """Load a CSV per ``schema``, returning the dataset and ingestion stats.
 
-    Raises DataError for a missing/empty file, ragged rows (naming the line),
-    non-numeric feature cells, or an unknown positive class.
+    Raises DataError for a missing, unreadable or empty file, ragged rows
+    (naming the line), non-numeric or non-finite feature cells (naming the
+    line and column), or an unknown positive class.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
     if not rows:
         raise DataError(f"empty file: {path}")
 
@@ -245,12 +242,16 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
                 missing[r, c] = True
             else:
                 try:
-                    raw[r, c] = float(cell)
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
                     raise DataError(
-                        f"{path} line {line}: non-numeric value {cell!r} "
+                        f"{path} line {line}: {kind} value {cell!r} "
                         f"in column {header[i]!r}"
-                    ) from None
+                    )
+                raw[r, c] = value
             c += 1
 
     n_imputed = int(missing.sum())
@@ -288,9 +289,10 @@ def _resolve_label_column(label_column, header, n_cols, path):
     if label_column is None:
         return None
     if isinstance(label_column, int):
-        if not (0 <= label_column < n_cols):
+        index = label_column + n_cols if label_column < 0 else label_column
+        if not (0 <= index < n_cols):
             raise DataError(f"{path}: label column index {label_column} out of range")
-        return label_column
+        return index
     try:
         return header.index(label_column)
     except ValueError:
@@ -431,8 +433,7 @@ def kfold(ds: Dataset, k: int, seed: int) -> FoldAssignment:
                 f"fewer than k={k}"
             )
         shuffled = members[rng.permutation(members.size)]
-        for j, i in enumerate(shuffled):
-            fold_of[i] = (cursor + j) % k
+        fold_of[shuffled] = (cursor + np.arange(members.size)) % k
         cursor = (cursor + members.size) % k
     return FoldAssignment(fold_of, k)
 

@@ -154,13 +154,24 @@ def recall(c: ConfusionMatrix) -> float:
     return c.tp / denom if denom else 0.0
 
 
-def f1(c: ConfusionMatrix) -> float:
-    p, r = precision(c), recall(c)
-    return 2.0 * p * r / (p + r) if p + r else 0.0
-
-
 def _harmonic(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r else 0.0
+
+
+def f1(c: ConfusionMatrix) -> float:
+    return _harmonic(precision(c), recall(c))
+
+
+def _class_metrics(c: ConfusionMatrix, index: int, flags: list) -> ClassMetrics:
+    """One class's precision, recall and f1; appends to ``flags`` the names
+    of those defined as 0 because their denominator vanished."""
+    p, r = precision(c), recall(c)
+    for name, denom in (("precision", c.tp + c.fp), ("recall", c.tp + c.fn),
+                        ("f1", p + r)):
+        if denom == 0:
+            flags.append(name)
+    return ClassMetrics(class_index=index, precision=p, recall=r,
+                        f1=_harmonic(p, r), support=c.tp + c.fn)
 
 
 def positive_metrics(y_true, y_pred, positive: int = 1) -> MetricsReport:
@@ -168,19 +179,13 @@ def positive_metrics(y_true, y_pred, positive: int = 1) -> MetricsReport:
     y_true, y_pred = _check_pair(y_true, y_pred)
     c = confusion(y_true, y_pred, positive)
     flags = []
-    if c.tp + c.fp == 0:
-        flags.append("precision")
-    if c.tp + c.fn == 0:
-        flags.append("recall")
-    p, r = precision(c), recall(c)
-    if p + r == 0:
-        flags.append("f1")
+    m = _class_metrics(c, positive, flags)
     return MetricsReport(
         n=c.total,
         accuracy=accuracy(c),
-        precision=p,
-        recall=r,
-        f1=_harmonic(p, r),
+        precision=m.precision,
+        recall=m.recall,
+        f1=m.f1,
         averaging="positive",
         zero_denominator=tuple(flags),
     )
@@ -195,26 +200,11 @@ def macro_metrics(y_true, y_pred, n_classes: int) -> MetricsReport:
     y_true, y_pred = _check_pair(y_true, y_pred)
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
-    per_class = []
-    flags = set()
-    for c_idx in range(n_classes):
-        c = confusion(y_true, y_pred, c_idx)
-        if c.tp + c.fp == 0:
-            flags.add("precision")
-        if c.tp + c.fn == 0:
-            flags.add("recall")
-        p, r = precision(c), recall(c)
-        if p + r == 0:
-            flags.add("f1")
-        per_class.append(
-            ClassMetrics(
-                class_index=c_idx,
-                precision=p,
-                recall=r,
-                f1=_harmonic(p, r),
-                support=c.tp + c.fn,
-            )
-        )
+    flags = []
+    per_class = [
+        _class_metrics(confusion(y_true, y_pred, c_idx), c_idx, flags)
+        for c_idx in range(n_classes)
+    ]
     macro_p = sum(c.precision for c in per_class) / n_classes
     macro_r = sum(c.recall for c in per_class) / n_classes
     acc = float(np.mean(y_true == y_pred))
@@ -226,7 +216,7 @@ def macro_metrics(y_true, y_pred, n_classes: int) -> MetricsReport:
         f1=_harmonic(macro_p, macro_r),
         averaging="macro",
         per_class=tuple(per_class),
-        zero_denominator=tuple(sorted(flags)),
+        zero_denominator=tuple(sorted(set(flags))),
     )
 
 

@@ -10,15 +10,13 @@ Stages, each callable on its own or together through :func:`run_pipeline`:
 4. student selection -- the same race, run on the annotated pool,
 5. fidelity -- teacher and student are compared on the held-out test rows.
 
-Everything downstream of the master seed is deterministic; wall-clock
-timings live only on the in-memory result object so serialized runs are
-reproducible byte for byte.
+Everything downstream of the master seed is deterministic, so serialized
+runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,9 +209,9 @@ class FidelityReport:
 class PipelineRun:
     """Complete record of one end-to-end run.
 
-    ``timings`` (seconds per stage) and the two models are in-memory only;
-    ``to_json_dict`` reflects everything derived from the seed and nothing
-    else, so two runs of the same config serialize identically.
+    The two models are in-memory only; ``to_json_dict`` reflects everything
+    derived from the seed and nothing else, so two runs of the same config
+    serialize identically.
     """
 
     config: PipelineConfig
@@ -225,7 +223,6 @@ class PipelineRun:
     fidelity: FidelityReport
     teacher: TrainedModel
     student: TrainedModel
-    timings: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,8 +258,11 @@ def _cross_validate(spec, train_set, assignment):
     return CvReport(spec=spec, fold_accuracies=tuple(accs), fold_macro_f1=tuple(f1s))
 
 
-def _race(train_set: Dataset, config: PipelineConfig) -> RaceResult:
-    """Cross-validate every spec on ``train_set`` and pick the best.
+def _select(
+    train_set: Dataset, config: PipelineConfig, origin: str
+) -> tuple[TrainedModel, RaceResult]:
+    """Cross-validate every spec on ``train_set``, pick the best, and refit
+    it on all of ``train_set`` as an ``origin`` model.
 
     Ties on the selection metric fall back to mean macro-F1, then to the
     earlier entry in ``config.specs``.
@@ -281,20 +281,19 @@ def _race(train_set: Dataset, config: PipelineConfig) -> RaceResult:
         range(len(reports)),
         key=lambda i: (values[i], reports[i].mean_macro_f1, -i),
     )
-    return RaceResult(
+    race = RaceResult(
         reports=tuple(reports),
         winner_index=winner,
         selection_metric=config.selection_metric,
     )
+    return fit(race.winner.spec, train_set, origin), race
 
 
 def train_teacher(
     private: Dataset, config: PipelineConfig
 ) -> tuple[TrainedModel, RaceResult]:
     """Select by cross-validation on the private partition, refit on all of it."""
-    race = _race(private, config)
-    model = fit(race.winner.spec, private, ORIGIN_TEACHER)
-    return model, race
+    return _select(private, config, ORIGIN_TEACHER)
 
 
 def annotate(teacher: TrainedModel, pool: Dataset) -> AnnotatedDataset:
@@ -333,10 +332,7 @@ def train_student(
             "teacher annotated the whole pool with one class; "
             "no student can be trained from it"
         )
-    train_set = annotated.to_dataset()
-    race = _race(train_set, config)
-    model = fit(race.winner.spec, train_set, ORIGIN_STUDENT)
-    return model, race
+    return _select(annotated.to_dataset(), config, ORIGIN_STUDENT)
 
 
 def evaluate_fidelity(
@@ -386,29 +382,12 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineRun:
             "the pipeline is defined for binary labels; "
             "the metrics functions alone handle more classes"
         )
-    timings = {}
-    t0 = time.perf_counter()
-
     spec = SplitSpec(*config.fractions, seed=derive_seed(config.seed, STAGE_SPLIT))
     split = stratified_split(dataset, spec)
-    timings["split"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
     teacher, teacher_race = train_teacher(split.private, config)
-    timings["teacher"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
     annotated = annotate(teacher, split.public_pool)
-    timings["annotate"] = time.perf_counter() - t2
-
-    t3 = time.perf_counter()
     student, student_race = train_student(annotated, config)
-    timings["student"] = time.perf_counter() - t3
-
-    t4 = time.perf_counter()
     fidelity = evaluate_fidelity(teacher, student, split.test)
-    timings["fidelity"] = time.perf_counter() - t4
-    timings["total"] = time.perf_counter() - t0
 
     part_counts = {
         "private": split.private.n_rows,
@@ -425,5 +404,4 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineRun:
         fidelity=fidelity,
         teacher=teacher,
         student=student,
-        timings=timings,
     )

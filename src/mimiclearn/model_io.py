@@ -237,10 +237,7 @@ def _decode(raw) -> TrainedModel:
                       False, "scaler.std_devs")
         if (stds <= 0).any():
             raise ModelFormatError("scaler.std_devs must be strictly positive")
-        try:
-            scaler = ScalerParams(means=means, std_devs=stds)
-        except DataError as exc:
-            raise ModelFormatError(f"invalid scaler in model file: {exc}") from exc
+        scaler = ScalerParams(means=means, std_devs=stds)
 
     hyperparameters = _need(raw, "hyperparameters", dict, "")
     seed = _need(raw, "seed", int, "")
@@ -329,4 +326,8 @@ def import_model(path: str | Path) -> TrainedModel:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"model file not found: {p}")
-    return parse_model_file(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
+    return parse_model_file(text)

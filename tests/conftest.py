@@ -33,10 +33,8 @@ def dataset_or_surrogate(name):
     filename, positive = _REAL_FILES[name]
     path = DATA_DIR / filename
     if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            n_cols = len(fh.readline().split(","))
         schema = CsvSchema(
-            label_column=n_cols - 1, has_header=False, positive_class=positive
+            label_column=-1, has_header=False, positive_class=positive
         )
         return load_csv(path, schema)
     return _GENERATORS[name]()

@@ -72,6 +72,42 @@ class TestSplitCommand:
         assert main(args(tmp_path / "b")) == EXIT_OK
         assert _read_all(tmp_path / "a") == _read_all(tmp_path / "b")
 
+    def test_utf8_bom_header(self, tmp_path):
+        bom = tmp_path / "bom.csv"
+        rows = "".join(f"{'yes' if i % 2 else 'no'},{i}\n" for i in range(12))
+        bom.write_bytes(b"\xef\xbb\xbf" + f"label,a\n{rows}".encode())
+        code = main(["split", "--data", str(bom), "--label-column", "label",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_OK
+
+
+class TestDefaultLabelColumn:
+    """Without --label-column, split and run take the last column."""
+
+    @pytest.mark.parametrize("command", ["split", "run"])
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    def test_matches_the_explicit_last_column(self, command, header, toy_csv, tmp_path):
+        lines = toy_csv.read_text().splitlines(keepends=True)
+        if header:
+            data, flags, explicit = toy_csv, [], "label"
+        else:
+            data, flags = tmp_path / "noheader.csv", ["--no-header"]
+            data.write_text("".join(lines[1:]))
+            explicit = str(lines[0].count(","))  # index of the last column
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"specs": [{"kind": "nb"}], "cv_k": 4}))
+        extra = ["--config", str(config)] if command == "run" else []
+
+        def outputs(out, *label):
+            args = [command, "--data", str(data), "--positive-class", "high",
+                    "--out-dir", str(out), *flags, *extra, *label]
+            assert main(args) == EXIT_OK
+            return _read_all(out)
+
+        assert outputs(tmp_path / "a") == outputs(
+            tmp_path / "b", "--label-column", explicit
+        )
+
 
 class TestRunCommand:
     def test_artifacts_and_manifest_hashes(self, toy_csv, tmp_path):
@@ -286,6 +322,47 @@ class TestExitCodes:
         assert main(_run_args(toy_csv, out, "--config", str(path))) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("mimiclearn: error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("no_header", [False, True])
+    def test_negative_label_column_refused(self, toy_csv, tmp_path, no_header):
+        args = ["split", "--data", str(toy_csv), "--label-column", "-1",
+                "--out-dir", str(tmp_path / "o")]
+        assert main(args + ["--no-header"] * no_header) == EXIT_USAGE
+
+    @pytest.mark.parametrize("case", [
+        "directory", "directory-with-label-column", "non-utf8", "huge-cell",
+    ])
+    def test_unreadable_data_is_a_data_error(self, case, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        label = []
+        if case.startswith("directory"):
+            data.mkdir()
+            label = ["--label-column", "x"] * case.endswith("label-column")
+        elif case == "non-utf8":
+            data.write_bytes(b"a,label\n\xff,0\n")
+        else:
+            data.write_bytes(b"a,label\n" + b"1" * 200_000 + b",0\n")
+        out = tmp_path / "o"
+        code = main(["run", "--data", str(data), *label, "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("mimiclearn: data error:")
+        assert not out.exists()
+
+    def test_non_utf8_config(self, toy_csv, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b"\xff{}")
+        out = tmp_path / "o"
+        assert main(_run_args(toy_csv, out, "--config", str(config))) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("mimiclearn: error:")
+        assert not out.exists()
+
+    def test_non_utf8_model(self, toy_csv, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_bytes(b"\xff{}")
+        code = main(["evaluate", "--model", str(model), "--data", str(toy_csv),
+                     "--label-column", "label"])
+        assert code == EXIT_PIPELINE
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

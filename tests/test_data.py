@@ -15,6 +15,7 @@ from mimiclearn.data import (
     write_split_manifest,
 )
 from mimiclearn.errors import DataError
+from mimiclearn.rng import generator
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -90,6 +91,23 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             ingest_csv(tmp_path / "nope.csv", CsvSchema())
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = _write(tmp_path, f"a,b,label\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(DataError, match=f"line 3: non-finite value '{cell}' "
+                                            "in column 'b'"):
+            ingest_csv(path, CsvSchema(label_column="label"))
+
+    def test_negative_label_index_counts_from_the_end(self, tmp_path):
+        path = _write(tmp_path, "1,2,0\n3,4,1\n")
+        ds = load_csv(path, CsvSchema(label_column=-1, has_header=False))
+        assert ds.feature_names == ("x0", "x1")
+        assert ds.labels.tolist() == [0, 1]
+        assert load_csv(path, CsvSchema(label_column=-3, has_header=False)
+                        ).feature_names == ("x1", "x2")
+        with pytest.raises(DataError, match="index -4 out of range"):
+            load_csv(path, CsvSchema(label_column=-4, has_header=False))
 
     def test_unlabeled_load(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,2\n3,4\n")
@@ -239,6 +257,21 @@ class TestKfold:
         a = kfold(toy, 5, seed=9)
         b = kfold(toy, 5, seed=9)
         np.testing.assert_array_equal(a.fold_of_sample, b.fold_of_sample)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_deals_rows_round_robin_with_a_carried_cursor(self, heart_ds, seed):
+        # reference: deal each class's shuffled rows out one at a time
+        rng = generator(seed)
+        expected = np.empty(heart_ds.n_rows, dtype=np.int64)
+        cursor = 0
+        for c in range(2):
+            members = np.nonzero(heart_ds.labels == c)[0]
+            for j, i in enumerate(members[rng.permutation(members.size)]):
+                expected[i] = (cursor + j) % 7
+            cursor = (cursor + members.size) % 7
+        np.testing.assert_array_equal(
+            kfold(heart_ds, 7, seed=seed).fold_of_sample, expected
+        )
 
     def test_k_validation(self, toy):
         with pytest.raises(DataError):

@@ -65,6 +65,12 @@ class TestPositiveMetrics:
         assert "recall" in no_true_pos.zero_denominator
         assert "f1" in no_true_pos.zero_denominator
 
+    def test_flag_order(self):
+        # positive: precision, recall, f1 in that order; macro: sorted
+        y = np.array([0, 0])
+        assert positive_metrics(y, y).zero_denominator == ("precision", "recall", "f1")
+        assert macro_metrics(y, y, 2).zero_denominator == ("f1", "precision", "recall")
+
     @given(pairs)
     @settings(max_examples=200, deadline=None)
     def test_matches_count_oracle(self, pair):

@@ -215,7 +215,6 @@ class TestRunPipeline:
         assert set(payload["split"]["counts"]) == {"private", "public_pool", "test"}
         assert payload["teacher_race"]["winner_kind"] == run.teacher_race.winner.spec.kind
         assert payload["fidelity"]["agreement"] == run.fidelity.agreement
-        assert run.timings["total"] > 0  # still measured, just not serialized
         counts = payload["annotation"]["label_counts"]
         assert sum(counts) == payload["split"]["counts"]["public_pool"]
 
