@@ -46,12 +46,7 @@ def _neighbor_labels(model: KnnModel, X: np.ndarray, k: int):
 def knn_vote(model: KnnModel, X: np.ndarray, k: int):
     """Majority vote over k neighbors; returns (predictions, vote_counts)."""
     neighbors = _neighbor_labels(model, X, k)
-    preds = np.empty(X.shape[0], dtype=np.int64)
-    counts = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
-    for r in range(X.shape[0]):
-        votes = np.bincount(neighbors[r], minlength=model.n_classes)
-        counts[r] = votes
-        top = votes.max()
-        tied = np.nonzero(votes == top)[0]
-        preds[r] = tied[0] if tied.size == 1 else neighbors[r, 0]
+    counts = (neighbors[:, :, None] == np.arange(model.n_classes)).sum(axis=1)
+    tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    preds = np.where(tied, neighbors[:, 0], counts.argmax(axis=1))
     return preds, counts

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 (missing/malformed input), 3 pipeline problem (training, privacy refusal,
-bad model file). Commands compute everything before writing anything, so a
-failure leaves no partial output directory behind.
+bad model file). Commands compute everything, then stage their files and rename
+each into place; no file of a failed command is left under the output directory.
 
 Outputs are deterministic: rerunning a command with the same inputs and seed
 reproduces every artifact byte for byte. Training is single-threaded and
@@ -17,16 +17,17 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .classifiers import ClassifierSpec, default_specs, predict_batch, score_batch
 from .data import (
     CsvSchema,
     SplitSpec,
+    csv_text,
     ingest_csv,
-    save_csv,
+    split_manifest_json,
     stratified_split,
-    write_split_manifest,
 )
 from .errors import DataError, PipelineError, PrivacyError
 from .metrics import macro_metrics, positive_metrics, roc
@@ -79,13 +80,8 @@ def _schema_from_args(args) -> CsvSchema:
     label = args.label_column
     if label is None:
         label = -1  # the last column
-    else:
-        try:
-            label = int(label)
-        except ValueError:
-            pass
-        if isinstance(label, int) and label < 0:
-            raise UsageError("--label-column index must be >= 0")
+    elif label.startswith("-") and label[1:].isdigit():
+        raise UsageError("--label-column index must be >= 0")
     return CsvSchema(
         label_column=label,
         has_header=not args.no_header,
@@ -222,9 +218,23 @@ def _fidelity_table(fid) -> str:
 
 
 def _write_all(out: Path, artifacts: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        (out / name).write_text(text, encoding="utf-8")
+    """Write ``{name: text}`` under ``out``: stage all, then rename in order.
+
+    The only place a command writes a file. A target that is a directory is
+    refused before anything is written; any OSError is a UsageError.
+    """
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in artifacts:
+            if (out / name).is_dir():
+                raise UsageError(f"cannot write {out / name}: it is a directory")
+        with tempfile.TemporaryDirectory(dir=out) as stage:
+            for name, text in artifacts.items():
+                Path(stage, name).write_text(text, encoding="utf-8", newline="")
+            for name in artifacts:
+                os.replace(Path(stage, name), out / name)
+    except OSError as exc:
+        raise UsageError(f"cannot write the output files under {out}: {exc}") from None
 
 
 def cmd_split(args) -> int:
@@ -237,11 +247,12 @@ def cmd_split(args) -> int:
     result = stratified_split(ds, spec)
 
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    save_csv(result.private, out / "private.csv")
-    save_csv(result.public_pool, out / "public.csv")
-    save_csv(result.test, out / "test.csv")
-    write_split_manifest(result, spec, out / "split_manifest.json")
+    _write_all(out, {
+        "private.csv": csv_text(result.private),
+        "public.csv": csv_text(result.public_pool),
+        "test.csv": csv_text(result.test),
+        "split_manifest.json": split_manifest_json(result, spec),
+    })
     print(
         f"split {ds.n_rows} rows ({stats.n_imputed} cells imputed) into "
         f"private={result.private.n_rows} public={result.public_pool.n_rows} "

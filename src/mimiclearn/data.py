@@ -11,6 +11,7 @@ the schema's positive class is forced to index 1.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -152,7 +153,8 @@ class CsvSchema:
     """How to read a CSV: which column holds labels and how cells are coded.
 
     ``label_column`` is a header name or a 0-based column index (a negative
-    index counts from the end, so -1 is the last column); None loads every
+    index counts from the end, so -1 is the last column); a string of ASCII
+    digits that names no header column is read as an index. None loads every
     column as features. For binary data,
     ``positive_class`` names the label value that must become class index 1.
     """
@@ -194,7 +196,8 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
     """
     path = Path(path)
     if not path.is_file():
-        raise DataError(f"no such file: {path}")
+        problem = "not a regular file" if path.exists() else "no such file"
+        raise DataError(f"{problem}: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -288,17 +291,18 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
 def _resolve_label_column(label_column, header, n_cols, path):
     if label_column is None:
         return None
-    if isinstance(label_column, int):
-        index = label_column + n_cols if label_column < 0 else label_column
-        if not (0 <= index < n_cols):
-            raise DataError(f"{path}: label column index {label_column} out of range")
-        return index
-    try:
-        return header.index(label_column)
-    except ValueError:
-        raise DataError(
-            f"{path}: no column named {label_column!r} (have {header})"
-        ) from None
+    if isinstance(label_column, str):
+        if label_column in header:
+            return header.index(label_column)
+        if not (label_column.isascii() and label_column.isdigit()):
+            raise DataError(
+                f"{path}: no column named {label_column!r} (have {header})"
+            )
+        label_column = int(label_column)
+    index = label_column + n_cols if label_column < 0 else label_column
+    if not (0 <= index < n_cols):
+        raise DataError(f"{path}: label column index {label_column} out of range")
+    return index
 
 
 def _order_class_names(names, positive_class, path):
@@ -314,24 +318,31 @@ def _order_class_names(names, positive_class, path):
     return tuple(names)
 
 
-def save_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset back to CSV (header row, label column named 'label').
+def _csv_rows(ds: Dataset):
+    """The rows of :func:`csv_text`, header first."""
+    yield list(ds.feature_names) + ([] if ds.labels is None else ["label"])
+    for r, values in enumerate(ds.features):
+        row = list(map(repr, values.tolist()))
+        if ds.labels is not None:
+            row.append(ds.class_names[ds.labels[r]])
+        yield row
+
+
+def csv_text(ds: Dataset) -> str:
+    """A dataset as CSV text (header row, label column named 'label').
 
     Floats are written with repr's shortest round-trip form, so a reload
     reproduces the matrix exactly.
     """
-    path = Path(path)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(_csv_rows(ds))
+    return buf.getvalue()
+
+
+def save_csv(ds: Dataset, path: str | Path) -> None:
+    """Write the bytes of :func:`csv_text` to ``path``, streamed row by row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(ds.feature_names)
-        if ds.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for r in range(ds.n_rows):
-            row = [repr(float(v)) for v in ds.features[r]]
-            if ds.labels is not None:
-                row.append(ds.class_names[ds.labels[r]])
-            writer.writerow(row)
+        csv.writer(fh).writerows(_csv_rows(ds))
 
 
 def fit_scaler(ds: Dataset) -> ScalerParams:
@@ -349,8 +360,7 @@ def apply_scaler(ds: Dataset, scaler: ScalerParams) -> Dataset:
         raise DataError(
             f"scaler has {scaler.means.shape[0]} columns, dataset has {ds.n_features}"
         )
-    scaled = (ds.features - scaler.means) / scaler.std_devs
-    return Dataset(scaled, ds.feature_names, ds.labels, ds.class_names, ds.source_id)
+    return replace(ds, features=(ds.features - scaler.means) / scaler.std_devs)
 
 
 def _allocate_counts(count: int, fractions: tuple[float, ...]) -> list[int]:
@@ -438,7 +448,7 @@ def kfold(ds: Dataset, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(fold_of, k)
 
 
-def write_split_manifest(result: SplitResult, spec: SplitSpec, path: str | Path) -> None:
+def split_manifest_json(result: SplitResult, spec: SplitSpec) -> str:
     """JSON manifest listing the seed, fractions, and row ids per part."""
     manifest = {
         "seed": spec.seed,
@@ -446,6 +456,4 @@ def write_split_manifest(result: SplitResult, spec: SplitSpec, path: str | Path)
         "row_ids": {name: [int(i) for i in ids] for name, ids in result.row_ids.items()},
         "counts": {name: len(ids) for name, ids in result.row_ids.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"

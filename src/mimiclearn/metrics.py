@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -110,9 +109,6 @@ class RocCurve:
         for f, t, th in self.points():
             lines.append(f"{th!r},{f!r},{t!r}")
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text(), encoding="utf-8")
 
 
 def _check_pair(y_true, y_pred):

@@ -13,12 +13,13 @@ from mimiclearn.classifiers.forest import ForestModel, TreeNodes
 from mimiclearn.rng import STAGE_TREE, derive_seed, generator
 
 
-def knn_predict_bruteforce(train_X, train_y, query_X, k, n_classes):
+def knn_votes_bruteforce(train_X, train_y, query_X, k, n_classes):
     """Per-query loop: sort by (squared distance, training index), vote.
 
-    A tied vote falls back to the class of the single nearest neighbor.
+    Returns, per query, the vote count of each class and the label of the
+    single nearest neighbor.
     """
-    preds = []
+    all_votes, nearest = [], []
     for q in query_X:
         d2 = [(float(((q - x) ** 2).sum()), i) for i, x in enumerate(train_X)]
         d2.sort()
@@ -26,9 +27,23 @@ def knn_predict_bruteforce(train_X, train_y, query_X, k, n_classes):
         votes = [0] * n_classes
         for lab in neighbor_labels:
             votes[lab] += 1
+        all_votes.append(votes)
+        nearest.append(neighbor_labels[0])
+    return all_votes, nearest
+
+
+def knn_predict_bruteforce(train_X, train_y, query_X, k, n_classes):
+    """Majority vote of :func:`knn_votes_bruteforce`.
+
+    A tied vote falls back to the class of the single nearest neighbor.
+    """
+    preds = []
+    for votes, nearest in zip(*knn_votes_bruteforce(
+        train_X, train_y, query_X, k, n_classes
+    )):
         top = max(votes)
         tied = [c for c, v in enumerate(votes) if v == top]
-        preds.append(tied[0] if len(tied) == 1 else neighbor_labels[0])
+        preds.append(tied[0] if len(tied) == 1 else nearest)
     return np.array(preds, dtype=np.int64)
 
 

@@ -27,6 +27,7 @@ from oracles import (
     fit_forest_recursive,
     forest_predict_walk,
     knn_predict_bruteforce,
+    knn_votes_bruteforce,
     nb_log_posterior_direct,
 )
 
@@ -96,6 +97,13 @@ class TestKnnOracle:
                 t_scaled, train.labels, q_scaled, k, n_classes
             )
             np.testing.assert_array_equal(got, want)
+            if n_classes == 2:
+                votes, _ = knn_votes_bruteforce(
+                    t_scaled, train.labels, q_scaled, k, n_classes
+                )
+                np.testing.assert_array_equal(
+                    score_batch(model, queries), [v[1] / k for v in votes]
+                )
 
     def test_distance_ties_break_by_training_index(self):
         # two training points equidistant from the query with different labels

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,12 @@ from mimiclearn.cli import EXIT_DATA, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
 from mimiclearn.data import CsvSchema, load_csv, save_csv
 from mimiclearn.model_io import import_model
 from mimiclearn.classifiers import predict_batch
-from mimiclearn.synthetic import threshold_toy
+from mimiclearn.synthetic import (
+    breast_cancer_like,
+    cardio_like,
+    heart_disease_like,
+    threshold_toy,
+)
 
 
 @pytest.fixture()
@@ -79,6 +86,26 @@ class TestSplitCommand:
         code = main(["split", "--data", str(bom), "--label-column", "label",
                      "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_OK
+
+
+class TestNumericLabelColumn:
+    """A header name wins; otherwise a string of digits is an index."""
+
+    @pytest.mark.parametrize("header, flags, label, kept", [
+        ("a,3,b\n", [], "3", "a,b,label"),
+        ("", ["--no-header"], "1", "x0,x2,label"),
+    ], ids=["header-named-3", "no-header-index-1"])
+    def test_label_column(self, header, flags, label, kept, tmp_path):
+        data = tmp_path / "data.csv"
+        rows = "".join(f"{i},{'yes' if i % 2 else 'no'},{-i}\n" for i in range(12))
+        data.write_text(header + rows)
+        out = tmp_path / "o"
+        code = main(["split", "--data", str(data), "--label-column", label,
+                     "--out-dir", str(out), *flags])
+        assert code == EXIT_OK
+        private = (out / "private.csv").read_text().splitlines()
+        assert private[0] == kept
+        assert {line.rsplit(",", 1)[1] for line in private[1:]} == {"no", "yes"}
 
 
 class TestDefaultLabelColumn:
@@ -221,6 +248,50 @@ class TestRunCommand:
         assert (target / "run.json").exists()
 
 
+def _snapshot(root):
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
+
+
+class TestUnwritableOutput:
+    """Output that cannot be written exits 1 and changes nothing on disk."""
+
+    @pytest.mark.parametrize("command, case", [
+        ("split", "out-dir-is-a-file"),
+        ("run", "out-dir-is-a-file"),
+        ("split", "out-dir-under-a-file"),
+        ("run", "out-dir-under-a-file"),
+        ("split", "test.csv"),
+        ("run", "roc_student.csv"),
+    ])
+    def test_refused_and_nothing_written(self, command, case, toy_csv, tmp_path, capsys):
+        area = tmp_path / "area"
+        area.mkdir()
+        (area / "file").write_bytes(b"kept")
+        if case == "out-dir-is-a-file":
+            out = area / "file"
+        elif case == "out-dir-under-a-file":
+            out = area / "file" / "out"
+        else:  # an existing output directory where one target is a directory
+            out = area / "out"
+            out.mkdir()
+            (out / case).mkdir()
+            (out / ("run.json" if command == "run" else "private.csv")).write_bytes(b"old")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"specs": [{"kind": "nb"}], "cv_k": 4}))
+        extra = ["--config", str(config)] if command == "run" else []
+        before = _snapshot(area)
+        code = main([command, "--data", str(toy_csv), "--label-column", "label",
+                     "--out-dir", str(out), *extra])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("mimiclearn: error:") and err.count("\n") == 1
+        assert str(out) in err
+        assert _snapshot(area) == before
+
+
 class TestEvaluateCommand:
     @pytest.fixture()
     def exported(self, toy_csv, tmp_path):
@@ -345,7 +416,10 @@ class TestExitCodes:
         out = tmp_path / "o"
         code = main(["run", "--data", str(data), *label, "--out-dir", str(out)])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err.startswith("mimiclearn: data error:")
+        err = capsys.readouterr().err
+        assert err.startswith("mimiclearn: data error:")
+        if case.startswith("directory"):
+            assert f"not a regular file: {data}" in err
         assert not out.exists()
 
     def test_non_utf8_config(self, toy_csv, tmp_path, capsys):
@@ -367,3 +441,133 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "split" in capsys.readouterr().out
+
+
+GOLDEN_CONFIG = {
+    "specs": [
+        {"kind": "svm", "hyperparameters": {"epochs": 5}},
+        {"kind": "knn"},
+        {"kind": "rf", "hyperparameters": {"n_trees": 10}},
+        {"kind": "nb"},
+    ],
+    "cv_k": 4,
+}
+GOLDEN_GENERATORS = {
+    "breast": breast_cancer_like,
+    "heart": heart_disease_like,
+    "cardio": cardio_like,
+}
+
+
+def _golden_outputs(tmp_path, monkeypatch, name, seed, command):
+    """sha256 of every file `command` writes for a generator CSV and seed."""
+    monkeypatch.chdir(tmp_path)  # run.json and manifest.json name --data
+    save_csv(GOLDEN_GENERATORS[name](), f"{name}.csv")
+    Path("config.json").write_text(json.dumps(GOLDEN_CONFIG))
+    extra = ["--config", "config.json"] if command == "run" else []
+    args = [command, "--data", f"{name}.csv", "--seed", str(seed),
+            "--out-dir", "out", *extra]
+    assert main(args) == EXIT_OK
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path("out").iterdir())
+    }
+
+# sha256 of every output file; a change that alters any output byte must be
+# deliberate and record the new digests
+GOLDEN_OUTPUT_DIGESTS = {
+    ('breast', 1, 'split'): {
+        "private.csv": "92554715513651f7316ff1842a35b336165f7216ca8af763834cdf3413616ba8",
+        "public.csv": "28a8f90ce47273641b0060d5b41bb7776da98c5c3d5c9b469596c43406b1a565",
+        "split_manifest.json": "c27d902689d013e04d3b084a7145cf18144ec281963295bf163790dcd85011a5",
+        "test.csv": "a9fca055e95040a059b790c22bc1a4fac5d8682418e32ca92c63c8328adb34b6",
+    },
+    ('breast', 1, 'run'): {
+        "classifier_table.csv": "baf6fae5517edcc6fdef745d0f4278fd5ebccd323499a94a5ae409264d26a0b2",
+        "fidelity_table.csv": "d200542226da9e1fa2fcb146a8c3fe8fe1f97bef656f85d09384278fff055d60",
+        "manifest.json": "77967f7f62917c1344490a77b69fdd3817703e8b0f4bb05a6c2f76fc665b6bd1",
+        "roc_student.csv": "2c8bf370c78e9a4a6e42af84f3299ea812bf65e44e15092eccb748ab77d70b2c",
+        "roc_teacher.csv": "db55a046efecee5bb3995eb6a74bb43e3479642d803dff1cc79047eec8dd593d",
+        "run.json": "013264e0047ac97e70dd157a02fb139a2d83d4589d98b92af6f8d1d3d55c42da",
+        "student_model.json": "de81b323814be5b19f22505378a8ff7c218027aa20d79325924e7df9ca95a255",
+    },
+    ('breast', 2, 'split'): {
+        "private.csv": "22e33557a3b7ac90285f30c2f0095a82584973a19911001ca84ce665c745ed30",
+        "public.csv": "9467b0f4c8a58de2afd1d3264cdadd7cead773c7eef174ae46abd58f62464bba",
+        "split_manifest.json": "0a685cb99e2a1373713433be962dfb4571cfbe29098c17c45b519cc028cbdf42",
+        "test.csv": "c65269261ee1d1f5ebe7a848cfa80dbe976d89f9adbcb2a2ee808e646eb5313d",
+    },
+    ('breast', 2, 'run'): {
+        "classifier_table.csv": "4df8439058401a9fb3176342d59f4696df4271273864a9f61d19365f715bb4d7",
+        "fidelity_table.csv": "27bfd490bf9215c33badaa007b3ffb09375766b0714425b993b3d6d278ac4ae6",
+        "manifest.json": "0b08c16229a49b58736ee888cae36a5191c3f12c5208ac73dc5b0be52018849a",
+        "roc_student.csv": "8e9c3c0786627c9167be5b14573ebdd17b424e9d46ad45fb8d769aaaa045d9f3",
+        "roc_teacher.csv": "a7a0d95acda7abfb03aee7a4091a4b3497402fe2e3fcd059fd7a1caf4c3a5904",
+        "run.json": "b16b0911c063bd388baa18ba4cdf2393041de55c2aeb51b7c2758332bfc2e2ef",
+    },
+    ('heart', 1, 'split'): {
+        "private.csv": "efcedcf61943c84d219c17d394425cd8307f906e0699f32398cabfcfadf437cc",
+        "public.csv": "66e708047786209284b13a13144b97b142c2ec44cdceef85aa252b44a643f7c1",
+        "split_manifest.json": "14726a10731d439c8c99cbb5b7f2785d74cfada9b76654cddfd88037cdc7ec7b",
+        "test.csv": "38d18ec87c9b6bee997fdeb245d9d15d4ff77368b403c72e5c3d5d512c05bf65",
+    },
+    ('heart', 1, 'run'): {
+        "classifier_table.csv": "dd95a21f92f68f8a4335502d3dc0b3b7d38bedeb94dedef4d05ef4f8de816784",
+        "fidelity_table.csv": "6dccf51087aa073983b6fe1924d436151bf9a68608ec752cfce385839cb2705b",
+        "manifest.json": "839d2d9ebf7ed5832b425e077e575a18cbaba58906de06301574c45320ef22fd",
+        "roc_student.csv": "de172021853a683224b2d656e4e8871d458b1c51c43d54733ccec267b4ecf736",
+        "roc_teacher.csv": "14dbb49a473d99c688a3163cb2ff942c3c79795139906589028e2267b0bf7b24",
+        "run.json": "2046a949333120f2b675c00c47274307f09b256b99a07dc647b487612905d363",
+        "student_model.json": "5a9b1c11627762adcc75524cd741ba7f6f517d1ce4bd703125a6ff78243e45f5",
+    },
+    ('heart', 2, 'split'): {
+        "private.csv": "a39ac2ffba8a644e4606db788db936e5660ff7114472c0cb5b92a6a72567461d",
+        "public.csv": "e3cc6b4c7ed18492ba2c440de30ee37bf655d038d0308e447340232d7a988791",
+        "split_manifest.json": "b9bc87d6f67dc1528143b4a7628552b3f6ec3f2d7d62674a51f9813759c4e737",
+        "test.csv": "3fb109f162b164090ed94bcf549a310230e99e5a975c18e84fdf162a9e2c37c6",
+    },
+    ('heart', 2, 'run'): {
+        "classifier_table.csv": "3e99feacd7a39da5a51da510cb6083461ff96965208d80bfa00adbd6eb09e3f7",
+        "fidelity_table.csv": "18d5ce9b0ed1346f395c8ff3f0b0b1c15940a12c7b9c23bb4f94299a74a29a1c",
+        "manifest.json": "d70f356cdd164031c00c2dda02346569a49bc46bd8d3e6e0f9096b2e9f3f4f07",
+        "roc_student.csv": "3079a1ff58d6056e7c59b15370a625f8488c81c5469ddf658c003d90ae69900a",
+        "roc_teacher.csv": "d6ca193ef54822f4375831d8e24a7a12eb6938db116d95341f841ffdaaeacf35",
+        "run.json": "d52fcaf6dd5619c593fbd87d6387e9f66b80e50add8e99f2383bf055a2b4be3f",
+        "student_model.json": "62f2a3cfff6f949e1a5a803a773aeb3a90a7094bb40e47f94e895e86f400403d",
+    },
+    ('cardio', 1, 'split'): {
+        "private.csv": "88e723ca19dfeb9bbb6a8cfa5ffe4e58b2af84282f8e43c5b8ceef502ba1e12d",
+        "public.csv": "efa238139303e1dadfbc7eb2bceb43a554ee5907aa1c204d2998cf712c3bfa18",
+        "split_manifest.json": "e5dcbd0195755d66be10b6cefb0bb83be4fbba0f2c108667e4ecf70531d4ab1e",
+        "test.csv": "0a47c95edd5affa62e23cec38e9bee705153a0cd6f34a2172c93fcbb2e32f39c",
+    },
+    ('cardio', 1, 'run'): {
+        "classifier_table.csv": "bd898c7e5a8633906ae9bd8d349b06c828e6d29fc506e05200624e883f7a39a9",
+        "fidelity_table.csv": "ef77cd98a86d8c39b3f7611541800be68f320baf10f8cc2ebde704efdc27bf21",
+        "manifest.json": "e9f6b30d570a57179e5ad7637054e1ee083717071b17be08a182b88ae3c126bd",
+        "roc_student.csv": "292b1d6f5556a402bebd4ee5f8accf02ae9f98202099775695dea6fe9f1d73c0",
+        "roc_teacher.csv": "8b6a0def8e9e19fc2d53da71769a3e1b45b50b4553bca5cc3cb0c23bd762b0b3",
+        "run.json": "10c19a4870fe844e551487789b5e5e2a55e3a59fcc391af9bda5be1ddbd77556",
+    },
+    ('cardio', 2, 'split'): {
+        "private.csv": "c5949565790cac79111e96b3528d5748f2fc79ae7aeacb7c32a6e730bb65119b",
+        "public.csv": "76d3961ceb43bde4b806c5350be74db17d47ef4c5937b73e7ef79499933250e4",
+        "split_manifest.json": "16ea3905fcbe9feea1f727b3b620a202aef245b82190bc0934f5ae0a31f080da",
+        "test.csv": "7d04d7a9f88d7cef84cc65e7fb36f54a8463d1564d1bfe44f94159b024dfb631",
+    },
+    ('cardio', 2, 'run'): {
+        "classifier_table.csv": "f1072c6d34d09d1ca1ee2ccefe118c0ac62cf73458b71951fa8a9095a7140216",
+        "fidelity_table.csv": "e82c999ff4a79debe57b90572ec3c4358119e8f1132ec645547797e843fdd36d",
+        "manifest.json": "970ede12dc0d650a4c309f0edab5fbc5086c1d9a619ca4ddcf378b9e63e90d53",
+        "roc_student.csv": "31db04b4f5b393b50e0cd724fcd027f8953e5d028b13feecb367fa153c9555bc",
+        "roc_teacher.csv": "dae452e20d44d3e4c923a1de50aa26d4db17c5c2e22e1bc07e7b88182084cdd3",
+        "run.json": "2231ac704c9bc9886fa5b64f9c2da108b1a14a40b388fc13e297ea96875c4e72",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(GOLDEN_OUTPUT_DIGESTS), ids=lambda key: "-".join(map(str, key))
+)
+def test_output_files_match_golden_digests(key, tmp_path, monkeypatch):
+    assert _golden_outputs(tmp_path, monkeypatch, *key) == GOLDEN_OUTPUT_DIGESTS[key]

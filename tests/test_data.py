@@ -6,13 +6,14 @@ from mimiclearn.data import (
     Dataset,
     SplitSpec,
     apply_scaler,
+    csv_text,
     fit_scaler,
     ingest_csv,
     kfold,
     load_csv,
     save_csv,
+    split_manifest_json,
     stratified_split,
-    write_split_manifest,
 )
 from mimiclearn.errors import DataError
 from mimiclearn.rng import generator
@@ -126,6 +127,7 @@ class TestIngest:
         np.testing.assert_array_equal(back.labels, toy.labels)
         assert back.class_names == toy.class_names
         assert back.feature_names == toy.feature_names
+        assert path.read_bytes() == csv_text(toy).encode("utf-8")
 
 
 class TestScaler:
@@ -214,14 +216,12 @@ class TestStratifiedSplit:
         with pytest.raises(DataError):
             SplitSpec(1.0, 0.0, 0.0)
 
-    def test_manifest_lists_row_ids(self, tmp_path, toy):
+    def test_manifest_lists_row_ids(self, toy):
         import json
 
         spec = SplitSpec(seed=5)
         split = stratified_split(toy, spec)
-        path = tmp_path / "manifest.json"
-        write_split_manifest(split, spec, path)
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(split_manifest_json(split, spec))
         assert manifest["seed"] == 5
         assert manifest["counts"]["private"] == split.private.n_rows
         assert manifest["row_ids"]["test"] == [int(i) for i in split.row_ids["test"]]

@@ -211,11 +211,9 @@ class TestRoc:
         with pytest.raises(ValueError):
             roc(np.array([0.1, 0.2]), np.array([1, 1]))
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         curve = roc(np.array([0.9, 0.4, 0.6, 0.1]), np.array([1, 0, 1, 0]))
-        path = tmp_path / "roc.csv"
-        curve.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        lines = curve.to_csv_text().strip().splitlines()
         assert lines[0] == "threshold,fpr,tpr"
         assert len(lines) == 1 + len(curve.fpr)
         got = np.array(
