@@ -1,13 +1,14 @@
-"""Four tabular classifier families behind one fit/predict/score interface.
+"""Four tabular classifier families behind one fit/decide interface.
 
 Families: linear SVM ("svm"), k-nearest neighbors ("knn"), random forest
 ("rf"), Gaussian naive Bayes ("nb"). Distance- and margin-based families
 (knn, svm) are fit on standardized features and carry their scaler inside
-the trained model; rf and nb work on raw features. ``score`` returns a
-positive-class score (class index 1): signed margin for svm, neighbor
-fraction for knn, tree-vote fraction for rf, posterior probability for nb.
-Prediction never re-thresholds the score; each family applies its own vote,
-sign, or argmax rule.
+the trained model; rf and nb work on raw features. One raw output per batch
+(svm margin, knn or rf vote counts, nb log posterior) yields both the
+prediction and the positive-class score (class index 1): signed margin for
+svm, neighbor or tree-vote fraction for knn and rf, posterior probability
+for nb. Prediction never re-thresholds the score; each family applies its
+own vote, sign, or argmax rule.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "score",
     "predict_batch",
     "score_batch",
+    "decide_batch",
     "SvmModel",
     "KnnModel",
     "ForestModel",
@@ -59,16 +61,17 @@ class Family:
     lower bound: an int may equal it, a float must be finite and exceed it.
     ``scaled`` families are fit on standardized features. ``fit`` takes
     ``(X, y, n_classes, hyperparameters, seed)`` and returns the family's
-    parameters; ``predict`` and ``score`` take ``(params, X,
-    hyperparameters)``; ``n_features`` reads the feature count off params.
+    parameters; ``raw`` takes ``(params, X, hyperparameters)``, and ``decide``
+    turns ``(params, raw output, hyperparameters)`` into (predictions,
+    scores); ``n_features`` reads the feature count off params.
     """
 
     defaults: dict
     minimums: dict
     scaled: bool
     fit: Callable
-    predict: Callable
-    score: Callable
+    raw: Callable
+    decide: Callable
     n_features: Callable
 
 
@@ -80,8 +83,8 @@ REGISTRY = {
         fit=lambda X, y, n_classes, hp, seed: fit_svm(
             X, y, n_classes, hp["reg_lambda"], hp["epochs"], seed
         )[0],
-        predict=lambda p, X, hp: (svm_margin(p, X) > 0).astype(np.int64),
-        score=lambda p, X, hp: svm_margin(p, X),
+        raw=lambda p, X, hp: svm_margin(p, X),
+        decide=lambda p, r, hp: ((r > 0).astype(np.int64), r),
         n_features=lambda p: p.weights.shape[0],
     ),
     "knn": Family(
@@ -89,10 +92,8 @@ REGISTRY = {
         minimums={"n_neighbors": 1},
         scaled=True,
         fit=lambda X, y, n_classes, hp, seed: fit_knn(X, y, n_classes, hp["n_neighbors"]),
-        predict=lambda p, X, hp: knn_vote(p, X, hp["n_neighbors"])[0],
-        score=lambda p, X, hp: (
-            knn_vote(p, X, hp["n_neighbors"])[1][:, 1] / float(hp["n_neighbors"])
-        ),
+        raw=lambda p, X, hp: knn_vote(p, X, hp["n_neighbors"]),
+        decide=lambda p, r, hp: (r[0], r[1][:, 1] / float(hp["n_neighbors"])),
         n_features=lambda p: p.points.shape[1],
     ),
     "rf": Family(
@@ -102,8 +103,8 @@ REGISTRY = {
         fit=lambda X, y, n_classes, hp, seed: fit_forest(
             X, y, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"], seed
         ),
-        predict=lambda p, X, hp: np.argmax(forest_votes(p, X), axis=1),
-        score=lambda p, X, hp: forest_votes(p, X)[:, 1] / float(len(p.trees)),
+        raw=lambda p, X, hp: forest_votes(p, X),
+        decide=lambda p, r, hp: (np.argmax(r, axis=1), r[:, 1] / float(len(p.trees))),
         n_features=lambda p: p.n_features,
     ),
     "nb": Family(
@@ -111,8 +112,8 @@ REGISTRY = {
         minimums={"var_smoothing": 0.0},
         scaled=False,
         fit=lambda X, y, n_classes, hp, seed: fit_nb(X, y, n_classes, hp["var_smoothing"]),
-        predict=lambda p, X, hp: np.argmax(nb_log_posterior(p, X), axis=1),
-        score=lambda p, X, hp: nb_posterior(p, X)[:, 1],
+        raw=lambda p, X, hp: nb_log_posterior(p, X),
+        decide=lambda p, r, hp: (np.argmax(r, axis=1), nb_posterior(r)[:, 1]),
         n_features=lambda p: p.means.shape[1],
     ),
 }
@@ -241,20 +242,21 @@ def _prepare_rows(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def decide_batch(model: TrainedModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(predict_batch, score_batch)`` from one evaluation of the raw output."""
+    X = _prepare_rows(model, rows)
+    family, hp = REGISTRY[model.spec.kind], model.spec.hyperparameters
+    return family.decide(model.params, family.raw(model.params, X, hp), hp)
+
+
 def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     """Class index per row; output order equals input order."""
-    X = _prepare_rows(model, rows)
-    if X.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return REGISTRY[model.spec.kind].predict(model.params, X, model.spec.hyperparameters)
+    return decide_batch(model, rows)[0]
 
 
 def score_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     """Positive-class (index 1) score per row, monotone toward class 1."""
-    X = _prepare_rows(model, rows)
-    if X.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    return REGISTRY[model.spec.kind].score(model.params, X, model.spec.hyperparameters)
+    return decide_batch(model, rows)[1]
 
 
 def predict(model: TrainedModel, row: np.ndarray) -> int:

@@ -54,9 +54,8 @@ def nb_log_posterior(model: NbModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def nb_posterior(model: NbModel, X: np.ndarray) -> np.ndarray:
-    """Normalized class posteriors via log-sum-exp."""
-    lp = nb_log_posterior(model, X)
+def nb_posterior(lp: np.ndarray) -> np.ndarray:
+    """Class posteriors from :func:`nb_log_posterior` via log-sum-exp."""
     peak = lp.max(axis=1, keepdims=True)
     expd = np.exp(lp - peak)
     return expd / expd.sum(axis=1, keepdims=True)

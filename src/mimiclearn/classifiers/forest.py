@@ -1,15 +1,15 @@
 """Random forest of CART trees: Gini impurity, bootstrap per tree.
 
 Trees are stored as flat, index-linked node arrays (children always come
-after their parent), which keeps them cheap to walk vectorized and trivially
-serializable. Each split considers ceil(sqrt(n_features)) candidate features
-drawn from the tree's own generator; candidate thresholds are the midpoints
-between consecutive distinct sorted values. Equal-impurity splits resolve to
-the lower feature index, then the lower threshold, so training is fully
-deterministic. Per-tree seeds derive from the spec seed and tree index, and
-each split node draws its candidates in preorder (node, left subtree, right
-subtree), so node ids and draws follow the tree alone. Training is
-single-threaded.
+after their parent), which are trivially serializable; prediction walks all
+trees of a forest at once, one branch-free step per level. Each split
+considers ceil(sqrt(n_features)) candidate features drawn from the tree's
+own generator; candidate thresholds are the midpoints between consecutive
+distinct sorted values. Equal-impurity splits resolve to the lower feature
+index, then the lower threshold, so training is fully deterministic.
+Per-tree seeds derive from the spec seed and tree index, and each split node
+draws its candidates in preorder (node, left subtree, right subtree), so
+node ids and draws follow the tree alone. Training is single-threaded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import STAGE_TREE, derive_seed, generator
+
+WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) ids
 
 
 @dataclass(frozen=True)
@@ -135,27 +137,36 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     return ForestModel(trees=tuple(trees), n_features=X.shape[1], n_classes=n_classes)
 
 
-def tree_leaf_ids(tree: TreeNodes, X: np.ndarray) -> np.ndarray:
-    """Vectorized root-to-leaf walk; returns the leaf node id per row."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        active = np.nonzero(tree.feature[node] >= 0)[0]
-        if active.size == 0:
-            return node
-        cur = node[active]
-        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-
-
-def tree_predict(tree: TreeNodes, X: np.ndarray) -> np.ndarray:
-    leaves = tree_leaf_ids(tree, X)
-    return np.argmax(tree.counts[leaves], axis=1)
-
-
 def forest_votes(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Per-row vote counts, shape (n_rows, n_classes)."""
-    votes = np.zeros((X.shape[0], model.n_classes), dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    for tree in model.trees:
-        votes[rows, tree_predict(tree, X)] += 1
+    """Per-row vote counts, shape (n_rows, n_classes), walking all trees at once.
+
+    In one node table of all trees, node i's (right, left) children sit at
+    ``child[2i : 2i + 2]`` and a leaf is its own child. Per block of rows,
+    all (row, tree) ids step together, branch-free (predication, Asadi, Lin &
+    de Vries, IEEE TKDE 2014): ``node = child[2 * node + (x <= threshold)]``,
+    so NaN goes right. When no id moves, one bincount counts the leaf votes.
+    """
+    trees, sizes = model.trees, [tree.n_nodes for tree in model.trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    child = np.concatenate([np.stack([tree.right, tree.left], axis=1) for tree in trees])
+    child += np.repeat(roots, sizes)[:, None]
+    leaf = feature < 0
+    feature[leaf], child[leaf] = 0, np.nonzero(leaf)[0][:, None]
+    child = child.ravel()
+    vote = np.argmax(np.concatenate([tree.counts for tree in trees]), axis=1)
+    n_rows, n_features = X.shape
+    k = model.n_classes
+    votes = np.empty((n_rows, k), dtype=np.int64)
+    for start in range(0, n_rows, WALK_ROWS):
+        cells = np.append(X[start : start + WALK_ROWS], 0.0)  # spare cell if 0 features
+        r = min(WALK_ROWS, n_rows - start)
+        row_start = np.arange(r)[:, None] * n_features
+        node, prev = np.tile(roots, (r, 1)), None
+        while not np.array_equal(node, prev):
+            x = cells.take(row_start + feature.take(node))
+            node, prev = child.take(2 * node + (x <= threshold.take(node))), node
+        ids = np.arange(r)[:, None] * k + vote.take(node)
+        votes[start : start + r] = np.bincount(ids.ravel(), minlength=r * k).reshape(r, k)
     return votes

@@ -20,7 +20,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .classifiers import ClassifierSpec, default_specs, predict_batch, score_batch
+# predict_batch and score_batch stay bound here: perfbench/spans.py wraps them
+from .classifiers import ClassifierSpec, decide_batch, default_specs, predict_batch, score_batch
 from .data import (
     CsvSchema,
     SplitSpec,
@@ -337,7 +338,7 @@ def cmd_evaluate(args) -> int:
             f"classes {list(model.class_names)}; check --positive-class and "
             "--label-column"
         )
-    pred = predict_batch(model, ds.features)
+    pred, scores = decide_batch(model, ds.features)
     result = {
         "n": ds.n_rows,
         "model_kind": model.spec.kind,
@@ -345,7 +346,7 @@ def cmd_evaluate(args) -> int:
         "macro": macro_metrics(ds.labels, pred, model.n_classes).to_json_dict(),
     }
     if model.n_classes == 2:
-        result["auc"] = roc(score_batch(model, ds.features), ds.labels).auc
+        result["auc"] = roc(scores, ds.labels).auc
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 

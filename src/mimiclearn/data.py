@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -200,77 +202,27 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
         raise DataError(f"{problem}: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            rows = filter(None, csv.reader(fh))
+            try:
+                raw, feature_names, label_values = _parse_rows(rows, schema, path)
+            except DataError:
+                for _ in rows:  # a read error further on is reported first
+                    pass
+                raise
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
-    if not rows:
-        raise DataError(f"empty file: {path}")
 
-    if schema.has_header:
-        header = [c.strip() for c in rows[0]]
-        body = rows[1:]
-        first_line = 2
-        if not body:
-            raise DataError(f"{path}: header only, no data rows")
-    else:
-        header = [f"x{i}" for i in range(len(rows[0]))]
-        body = rows
-        first_line = 1
-
-    n_cols = len(header)
-    label_idx = _resolve_label_column(schema.label_column, header, n_cols, path)
-    feature_names = tuple(
-        name for i, name in enumerate(header) if i != label_idx
-    )
-
-    raw = np.empty((len(body), len(feature_names)), dtype=np.float64)
-    missing = np.zeros_like(raw, dtype=bool)
-    label_values: list[str] = []
-    for r, row in enumerate(body):
-        line = first_line + r
-        if len(row) != n_cols:
-            raise DataError(
-                f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
-            )
-        c = 0
-        for i, cell in enumerate(row):
-            cell = cell.strip()
-            if i == label_idx:
-                if cell == schema.missing_token or cell == "":
-                    raise DataError(f"{path} line {line}: missing label value")
-                label_values.append(cell)
-                continue
-            if cell == schema.missing_token or cell == "":
-                raw[r, c] = np.nan
-                missing[r, c] = True
-            else:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = None
-                if value is None or not math.isfinite(value):
-                    kind = "non-numeric" if value is None else "non-finite"
-                    raise DataError(
-                        f"{path} line {line}: {kind} value {cell!r} "
-                        f"in column {header[i]!r}"
-                    )
-                raw[r, c] = value
-            c += 1
-
+    missing = np.isnan(raw)  # parsed cells are finite, so NaN marks a missing cell
     n_imputed = int(missing.sum())
-    if n_imputed:
-        for c in range(raw.shape[1]):
-            col_missing = missing[:, c]
-            if not col_missing.any():
-                continue
-            known = raw[~col_missing, c]
-            if known.size == 0:
-                raise DataError(
-                    f"{path}: column {feature_names[c]!r} has no known values to impute from"
-                )
-            raw[col_missing, c] = float(np.median(known))
+    for c in np.nonzero(missing.any(axis=0))[0]:
+        known = raw[~missing[:, c], c]
+        if known.size == 0:
+            raise DataError(
+                f"{path}: column {feature_names[c]!r} has no known values to impute from"
+            )
+        raw[missing[:, c], c] = float(np.median(known))
 
-    if label_idx is None:
+    if label_values is None:
         labels = None
         class_names: tuple[str, ...] = ()
     else:
@@ -282,6 +234,57 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
 
     ds = Dataset(raw, feature_names, labels, class_names, str(path))
     return ds, IngestStats(n_rows=ds.n_rows, n_imputed=n_imputed)
+
+
+def _parse_rows(rows, schema: CsvSchema, path: Path):
+    """Parse rows as read: features (NaN where missing), names, labels or None."""
+    head = list(itertools.islice(rows, 2))
+    if not head:
+        raise DataError(f"empty file: {path}")
+    if schema.has_header:
+        header = [c.strip() for c in head.pop(0)]
+        if not head:
+            raise DataError(f"{path}: header only, no data rows")
+    else:
+        header = [f"x{i}" for i in range(len(head[0]))]
+    first_line = 2 if schema.has_header else 1
+
+    n_cols = len(header)
+    label_idx = _resolve_label_column(schema.label_column, header, n_cols, path)
+    feature_names = tuple(
+        name for i, name in enumerate(header) if i != label_idx
+    )
+
+    values = array("d")
+    label_values: list[str] | None = None if label_idx is None else []
+    distinct: dict[str, str] = {}  # one string object per label value
+    for line, row in enumerate(itertools.chain(head, rows), first_line):
+        if len(row) != n_cols:
+            raise DataError(
+                f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
+            )
+        for i, cell in enumerate(row):
+            cell = cell.strip()
+            if i == label_idx:
+                if cell == schema.missing_token or cell == "":
+                    raise DataError(f"{path} line {line}: missing label value")
+                label_values.append(distinct.setdefault(cell, cell))
+            elif cell == schema.missing_token or cell == "":
+                values.append(math.nan)
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
+                    raise DataError(
+                        f"{path} line {line}: {kind} value {cell!r} "
+                        f"in column {header[i]!r}"
+                    )
+                values.append(value)
+    raw = np.frombuffer(values).reshape(line + 1 - first_line, len(feature_names))
+    return raw, feature_names, label_values
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:

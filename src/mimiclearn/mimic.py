@@ -26,9 +26,10 @@ from .classifiers import (
     ORIGIN_TEACHER,
     ClassifierSpec,
     TrainedModel,
+    decide_batch,
     fit,
     predict_batch,
-    score_batch,
+    score_batch,  # noqa: F401 -- kept bound: perfbench/spans.py wraps it by name
 )
 from .data import Dataset, SplitSpec, kfold, stratified_split
 from .errors import DataError, PipelineError
@@ -344,10 +345,8 @@ def evaluate_fidelity(
     if teacher.n_classes != 2 or student.n_classes != 2:
         raise PipelineError("fidelity evaluation is defined for binary models")
     y = test.labels
-    t_pred = predict_batch(teacher, test.features)
-    s_pred = predict_batch(student, test.features)
-    t_scores = score_batch(teacher, test.features)
-    s_scores = score_batch(student, test.features)
+    t_pred, t_scores = decide_batch(teacher, test.features)
+    s_pred, s_scores = decide_batch(student, test.features)
 
     t_pos = positive_metrics(y, t_pred)
     s_pos = positive_metrics(y, s_pred)

@@ -153,13 +153,21 @@ def tree_predict_walk(tree, row):
     return best
 
 
-def forest_predict_walk(forest, X):
-    """Majority over per-tree walks; vote ties resolve to the lower class."""
-    preds = []
+def forest_votes_walk(forest, X):
+    """Per-row class vote counts from one walk per (row, tree)."""
+    all_votes = []
     for row in X:
         votes = [0] * forest.n_classes
         for tree in forest.trees:
             votes[tree_predict_walk(tree, row)] += 1
+        all_votes.append(votes)
+    return all_votes
+
+
+def forest_predict_walk(forest, X):
+    """Majority over per-tree walks; vote ties resolve to the lower class."""
+    preds = []
+    for votes in forest_votes_walk(forest, X):
         best = 0
         for c in range(1, forest.n_classes):
             if votes[c] > votes[best]:

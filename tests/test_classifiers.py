@@ -10,6 +10,7 @@ from mimiclearn.classifiers import (
     ORIGIN_TEACHER,
     ClassifierSpec,
     TrainedModel,
+    decide_batch,
     default_specs,
     fit,
     predict,
@@ -17,7 +18,9 @@ from mimiclearn.classifiers import (
     score_batch,
 )
 from mimiclearn.classifiers.bayes import nb_log_posterior
-from mimiclearn.classifiers.forest import fit_forest
+from mimiclearn.classifiers.forest import WALK_ROWS, fit_forest, forest_votes
+from mimiclearn.classifiers.knn import knn_vote
+from mimiclearn.classifiers.svm import svm_margin
 from mimiclearn.data import Dataset
 from mimiclearn.errors import PipelineError
 from mimiclearn.rng import generator
@@ -26,6 +29,7 @@ from mimiclearn.synthetic import linearly_separable, threshold_toy
 from oracles import (
     fit_forest_recursive,
     forest_predict_walk,
+    forest_votes_walk,
     knn_predict_bruteforce,
     knn_votes_bruteforce,
     nb_log_posterior_direct,
@@ -216,6 +220,49 @@ class TestForestOracle:
             depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
         assert depth.max() == 78
 
+    def test_walk_matches_per_tree_walk_on_edge_values(self):
+        # each feature draws from its own split thresholds, NaN, +-inf and
+        # random values, so rows land exactly on thresholds
+        rng = generator(12)
+        train = _random_dataset(rng, 150, 5, n_classes=3)
+        spec = ClassifierSpec("rf", {"n_trees": 12, "max_depth": 8}, seed=4)
+        model = fit(spec, train, ORIGIN_TEACHER)
+        forest = model.params
+        columns = []
+        for f in range(5):
+            thresholds = [t.threshold[t.feature == f] for t in forest.trees]
+            pool = np.concatenate(
+                thresholds + [[np.nan, np.inf, -np.inf], rng.normal(size=20)]
+            )
+            columns.append(rng.choice(pool, size=300))
+        X = np.column_stack(columns)
+        want = np.array(forest_votes_walk(forest, X))
+        np.testing.assert_array_equal(forest_votes(forest, X), want)
+        pred, scores = decide_batch(model, X)
+        np.testing.assert_array_equal(pred, forest_predict_walk(forest, X))
+        np.testing.assert_array_equal(scores, want[:, 1] / 12.0)
+
+    @pytest.mark.parametrize("hp", [
+        {"n_trees": 4, "max_depth": 0}, {"n_trees": 1}, {"n_trees": 6, "max_depth": 5},
+    ], ids=["depth-0", "one-tree", "six-trees"])
+    @pytest.mark.parametrize("n_rows", [WALK_ROWS - 1, WALK_ROWS, WALK_ROWS + 1])
+    def test_walk_shapes_and_block_edges(self, heart_ds, hp, n_rows):
+        model = fit(ClassifierSpec("rf", hp, seed=6), heart_ds, ORIGIN_TEACHER)
+        X = heart_ds.features[np.arange(n_rows) % heart_ds.n_rows]
+        X = X * generator(n_rows).uniform(0.9, 1.1, size=X.shape)
+        np.testing.assert_array_equal(
+            forest_votes(model.params, X), forest_votes_walk(model.params, X)
+        )
+
+    def test_forest_without_features_votes_its_root_leaves(self):
+        train = Dataset(np.zeros((6, 0)), (), np.arange(6) % 2, ("a", "b"), "empty")
+        spec = ClassifierSpec("rf", {"n_trees": 3, "max_depth": 0}, seed=1)
+        model = fit(spec, train, ORIGIN_TEACHER)
+        X = np.zeros((WALK_ROWS + 1, 0))
+        np.testing.assert_array_equal(
+            forest_votes(model.params, X), forest_votes_walk(model.params, X)
+        )
+
     def test_vote_fraction_score_matches_votes(self, heart_ds):
         spec = ClassifierSpec("rf", {"n_trees": 9, "max_depth": 4}, seed=3)
         model = fit(spec, heart_ds, ORIGIN_TEACHER)
@@ -315,3 +362,50 @@ class TestFitContract:
         assert isinstance(model, TrainedModel)
         assert model.n_features == toy.n_features
         assert model.n_classes == 2
+
+
+def _nb_posterior_reference(lp):
+    peak = lp.max(axis=1, keepdims=True)
+    expd = np.exp(lp - peak)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
+class TestDecideBatch:
+    @pytest.mark.parametrize("kind,n_classes", [
+        (kind, c) for kind in FAMILIES for c in (2, 3) if (kind, c) != ("svm", 3)
+    ])
+    @pytest.mark.parametrize("n_rows", [0, 1, 40])
+    def test_equals_predict_and_score(self, kind, n_classes, n_rows):
+        rng = generator(70 + n_classes)
+        train = _random_dataset(rng, 60, 4, n_classes)
+        hp = {"rf": {"n_trees": 7}, "svm": {"epochs": 3}}.get(kind, {})
+        model = fit(ClassifierSpec(kind, hp, seed=3), train, ORIGIN_STUDENT)
+        rows = rng.normal(size=(n_rows, 4))
+        pred, scores = decide_batch(model, rows)
+        for got, want in ((pred, predict_batch(model, rows)),
+                          (scores, score_batch(model, rows))):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert (pred.dtype, scores.dtype) == (np.int64, np.float64)
+        if n_rows == 0:
+            return
+        # the expressions each family applied before sharing one raw output
+        p = model.params
+        X = rows if model.scaler is None else (
+            (rows - model.scaler.means) / model.scaler.std_devs
+        )
+        if kind == "svm":
+            want_pred = (svm_margin(p, X) > 0).astype(np.int64)
+            want_score = svm_margin(p, X)
+        elif kind == "knn":
+            want_pred = knn_vote(p, X, 8)[0]
+            want_score = knn_vote(p, X, 8)[1][:, 1] / 8.0
+        elif kind == "rf":
+            votes = np.array(forest_votes_walk(p, X))
+            want_pred = forest_predict_walk(p, X)
+            want_score = votes[:, 1] / 7.0
+        else:
+            want_pred = np.argmax(nb_log_posterior(p, X), axis=1)
+            want_score = _nb_posterior_reference(nb_log_posterior(p, X))[:, 1]
+        assert pred.tobytes() == want_pred.astype(np.int64).tobytes()
+        assert scores.tobytes() == want_score.tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,48 @@ class TestIngest:
         assert back.class_names == toy.class_names
         assert back.feature_names == toy.feature_names
         assert path.read_bytes() == csv_text(toy).encode("utf-8")
+
+    def test_missing_cells_in_several_columns(self, tmp_path):
+        path = _write(tmp_path, "a,b,label\n?,1,x\n2,?,y\n4,3,x\n?,?,y\n8,5,x\n")
+        ds, stats = ingest_csv(path, CsvSchema(label_column="label"))
+        assert stats.n_imputed == 4
+        np.testing.assert_array_equal(
+            ds.features, [[4, 1], [2, 3], [4, 3], [4, 3], [8, 5]]
+        )
+        path = _write(tmp_path, "a,b,label\n1,?,x\n2,?,y\n", "empty_column.csv")
+        with pytest.raises(DataError, match="column 'b' has no known values"):
+            ingest_csv(path, CsvSchema(label_column="label"))
+
+    def test_read_error_later_in_the_file_is_reported_first(self, tmp_path):
+        # the undecodable byte lies past the first read buffers
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,label\n1,0\nx,1\n" + b"2,1\n" * 20_000 + b"\xff,0\n")
+        with pytest.raises(DataError, match="cannot read as a UTF-8 CSV"):
+            ingest_csv(path, CsvSchema(label_column="label"))
+
+    def test_peak_allocation_stays_near_the_matrix(self, tmp_path):
+        # 20,000 x 11 float64 is 1.8 MB; holding every cell as a string
+        # before parsing any of them peaks above 20 MB
+        rng = generator(7)
+        n, d = 20_000, 11
+        src = Dataset(
+            features=rng.normal(size=(n, d)),
+            feature_names=tuple(f"x{i}" for i in range(d)),
+            labels=np.arange(n) % 2,
+            class_names=("negative", "positive"),
+            source_id="big",
+        )
+        path = tmp_path / "big.csv"
+        save_csv(src, path)
+        tracemalloc.start()
+        try:
+            ds, _ = ingest_csv(path, CsvSchema(label_column="label"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.features, src.features)
+        np.testing.assert_array_equal(ds.labels, src.labels)
+        assert peak < 10_000_000, f"ingest peaked at {peak / 1e6:.1f} MB"
 
 
 class TestScaler:
