@@ -41,6 +41,7 @@ __all__ = [
     "predict_batch",
     "score_batch",
     "decide_batch",
+    "specs_from_config",
     "SvmModel",
     "KnnModel",
     "ForestModel",
@@ -82,7 +83,7 @@ REGISTRY = {
         scaled=True,
         fit=lambda X, y, n_classes, hp, seed: fit_svm(
             X, y, n_classes, hp["reg_lambda"], hp["epochs"], seed
-        )[0],
+        ),
         raw=lambda p, X, hp: svm_margin(p, X),
         decide=lambda p, r, hp: ((r > 0).astype(np.int64), r),
         n_features=lambda p: p.weights.shape[0],
@@ -161,13 +162,36 @@ class ClassifierSpec:
                 raise PipelineError(f"{self.kind}: {name} must be finite and > {low}")
         object.__setattr__(self, "hyperparameters", merged)
 
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, "hyperparameters": dict(self.hyperparameters),
+                "seed": self.seed}
+
+
+def specs_from_config(entries, seed: int = 0) -> tuple[ClassifierSpec, ...]:
+    """Specs from config entries ``{kind, hyperparameters?, seed?}``; entry
+    ``i`` without a seed gets ``derive_seed(seed, STAGE_SPEC, i)``."""
+    if not isinstance(entries, list) or not entries:
+        raise PipelineError("config 'specs' must be a non-empty list")
+    specs = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "kind" not in entry:
+            raise PipelineError(f"config specs[{i}] needs at least a 'kind'")
+        unknown = set(entry) - {"kind", "hyperparameters", "seed"}
+        if unknown:
+            raise PipelineError(f"config specs[{i}] has unknown keys {sorted(unknown)}")
+        entry_seed = entry.get("seed", derive_seed(seed, STAGE_SPEC, i))
+        try:
+            specs.append(ClassifierSpec(
+                entry["kind"], entry.get("hyperparameters", {}), seed=entry_seed
+            ))
+        except PipelineError as exc:
+            raise PipelineError(f"config specs[{i}]: {exc}") from exc
+    return tuple(specs)
+
 
 def default_specs(seed: int = 0) -> tuple[ClassifierSpec, ...]:
     """Every family with default hyperparameters and derived seeds."""
-    return tuple(
-        ClassifierSpec(kind, {}, seed=derive_seed(seed, STAGE_SPEC, i))
-        for i, kind in enumerate(FAMILIES)
-    )
+    return specs_from_config([{"kind": kind} for kind in FAMILIES], seed)
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,8 @@ class SvmModel:
     bias: float
 
 
-def svm_objective(weights, bias, X, y_signed, reg_lambda) -> float:
-    """Mean hinge loss plus (lambda/2)*||w||^2 over the augmented weights."""
-    margins = y_signed * (X @ weights + bias)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return float(hinge + 0.5 * reg_lambda * (weights @ weights + bias * bias))
-
-
-def fit_svm(X, y, n_classes, reg_lambda, epochs, seed, track_objective=False):
-    """Fit on rows X with 0/1 labels y; returns (SvmModel, per-epoch losses)."""
+def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
+    """Fit on rows X with 0/1 labels y."""
     if n_classes != 2:
         raise PipelineError(
             f"linear svm supports exactly 2 classes, got {n_classes}"
@@ -45,7 +38,6 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed, track_objective=False):
     radius = 1.0 / math.sqrt(reg_lambda)
     rng = generator(derive_seed(seed, STAGE_SGD))
     t = 0
-    history = []
     for _ in range(epochs):
         for i in rng.permutation(n):
             t += 1
@@ -62,9 +54,7 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed, track_objective=False):
                 scale = radius / norm
                 w *= scale
                 b *= scale
-        if track_objective:
-            history.append(svm_objective(w, b, X, y_signed, reg_lambda))
-    return SvmModel(weights=w, bias=b), history
+    return SvmModel(weights=w, bias=b)
 
 
 def svm_margin(model: SvmModel, X: np.ndarray) -> np.ndarray:

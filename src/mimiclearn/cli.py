@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 # predict_batch and score_batch stay bound here: perfbench/spans.py wraps them
-from .classifiers import ClassifierSpec, decide_batch, default_specs, predict_batch, score_batch
+from .classifiers import decide_batch, predict_batch, score_batch
 from .data import (
     CsvSchema,
     SplitSpec,
@@ -30,11 +30,11 @@ from .data import (
     split_manifest_json,
     stratified_split,
 )
-from .errors import DataError, PipelineError, PrivacyError
+from .errors import DataError, PipelineError
 from .metrics import macro_metrics, positive_metrics, roc
 from .mimic import SELECTION_METRICS, PipelineConfig, run_json, run_pipeline
-from .model_io import file_json, import_model, model_to_file
-from .rng import STAGE_SPEC, STAGE_SPLIT, derive_seed
+from .model_io import file_json, has_codec, import_model, model_to_file
+from .rng import STAGE_SPLIT, derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,81 +105,24 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
         raise UsageError(f"--fractions could not be parsed: {text!r}") from None
 
 
-def _load_config_file(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError("config file must hold a JSON object")
-    allowed = {"specs", "cv_k", "selection_metric", "fractions"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise UsageError(
-            f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    return raw
-
-
-def _specs_from_config(raw_specs, seed) -> tuple[ClassifierSpec, ...]:
-    if not isinstance(raw_specs, list) or not raw_specs:
-        raise UsageError("config 'specs' must be a non-empty list")
-    specs = []
-    for i, entry in enumerate(raw_specs):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise UsageError(f"config specs[{i}] needs at least a 'kind'")
-        unknown = set(entry) - {"kind", "hyperparameters", "seed"}
-        if unknown:
-            raise UsageError(f"config specs[{i}] has unknown keys {sorted(unknown)}")
-        entry_seed = entry.get("seed", derive_seed(seed, STAGE_SPEC, i))
-        try:
-            specs.append(
-                ClassifierSpec(
-                    entry["kind"], entry.get("hyperparameters", {}), seed=entry_seed
-                )
-            )
-        except PipelineError as exc:
-            raise UsageError(f"config specs[{i}]: {exc}") from exc
-    return tuple(specs)
-
-
 def _build_config(args) -> PipelineConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    seed = args.seed
-    if "specs" in file_cfg:
-        specs = _specs_from_config(file_cfg["specs"], seed)
-    else:
-        specs = default_specs(seed)
-    cv_k = args.cv_k if args.cv_k is not None else file_cfg.get("cv_k", 10)
-    if isinstance(cv_k, bool) or not isinstance(cv_k, int):
-        raise UsageError("config 'cv_k' must be an integer")
-    selection = (
-        args.selection_metric
-        if args.selection_metric is not None
-        else file_cfg.get("selection_metric", "accuracy")
-    )
-    if args.fractions is not None:
-        fractions = _parse_fractions(args.fractions)
-    elif "fractions" in file_cfg:
-        f = file_cfg["fractions"]
-        # a valid fraction lies in (0, 1), so it is never a JSON integer
-        if not (isinstance(f, list) and len(f) == 3
-                and all(isinstance(x, float) for x in f)):
-            raise UsageError("config 'fractions' must be a list of three fractions")
-        fractions = tuple(f)
-    else:
-        fractions = (0.5, 0.3, 0.2)
+    """The ``--config`` file's object with every flag that is set written over it."""
+    raw = {}
+    if args.config:
+        path = Path(args.config)
+        if not path.is_file():
+            raise UsageError(f"config file not found: {path}")
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+            raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise UsageError("config file must hold a JSON object")
+    for key in ("fractions", "cv_k", "selection_metric"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     try:
-        return PipelineConfig(
-            specs=specs,
-            seed=seed,
-            fractions=fractions,
-            cv_k=cv_k,
-            selection_metric=selection,
-        )
+        return PipelineConfig.from_json_dict(raw, args.seed)
     except (PipelineError, DataError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -241,10 +184,7 @@ def _write_all(out: Path, artifacts: dict) -> None:
 def cmd_split(args) -> int:
     schema = _schema_from_args(args)
     ds, stats = ingest_csv(args.data, schema)
-    spec = SplitSpec(
-        *_parse_fractions(args.fractions),
-        seed=derive_seed(args.seed, STAGE_SPLIT),
-    )
+    spec = SplitSpec(*(args.fractions or ()), seed=derive_seed(args.seed, STAGE_SPLIT))
     result = stratified_split(ds, spec)
 
     out = _out_dir(args)
@@ -278,12 +218,11 @@ def cmd_run(args) -> int:
         "roc_teacher.csv": run.fidelity.teacher_roc.to_csv_text(),
         "roc_student.csv": run.fidelity.student_roc.to_csv_text(),
     }
-    student_file = "student_model.json"
-    student_note = None
-    try:
+    student_file = student_note = None
+    if has_codec(run.student.spec.kind):
+        student_file = "student_model.json"
         artifacts[student_file] = file_json(model_to_file(run.student))
-    except PrivacyError:  # a family without a codec: knn, whose params are rows
-        student_file = None
+    else:  # knn, whose params are rows
         student_note = (
             "student is a nearest-neighbor model; no shareable file is "
             "written because its parameters would be raw training rows"
@@ -360,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fractions = ",".join(map(str, SplitSpec().fractions))
 
     p_split = sub.add_parser(
         "split", help="three-way stratified split of a labeled CSV",
@@ -369,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_split)
     p_split.add_argument("--seed", type=int, default=0)
     p_split.add_argument(
-        "--fractions", default="0.5,0.3,0.2", metavar="PRIV,PUB,TEST",
-        help="private/public/test fractions, summing to 1 (default 0.5,0.3,0.2)",
+        "--fractions", type=_parse_fractions, default=None, metavar="PRIV,PUB,TEST",
+        help=f"private/public/test fractions, summing to 1 (default {fractions})",
     )
     p_split.add_argument(
         "--out-dir", default=None,
@@ -387,16 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_run)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
-        "--fractions", default=None, metavar="PRIV,PUB,TEST",
-        help="private/public/test fractions (default 0.5,0.3,0.2)",
+        "--fractions", type=_parse_fractions, default=None, metavar="PRIV,PUB,TEST",
+        help=f"private/public/test fractions (default {fractions})",
     )
     p_run.add_argument(
         "--cv-k", type=int, default=None, metavar="K",
-        help="cross-validation folds for model selection (default 10)",
+        help=f"cross-validation folds for selection (default {PipelineConfig.cv_k})",
     )
     p_run.add_argument(
         "--selection-metric", choices=SELECTION_METRICS, default=None,
-        help="metric the model race optimizes (default accuracy)",
+        help="metric the model race optimizes "
+             f"(default {PipelineConfig.selection_metric})",
     )
     p_run.add_argument(
         "--config", default=None, metavar="JSON",

@@ -17,7 +17,7 @@ runs are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,9 +27,11 @@ from .classifiers import (
     ClassifierSpec,
     TrainedModel,
     decide_batch,
+    default_specs,
     fit,
     predict_batch,
     score_batch,  # noqa: F401 -- kept bound: perfbench/spans.py wraps it by name
+    specs_from_config,
 )
 from .data import Dataset, SplitSpec, kfold, stratified_split
 from .errors import DataError, PipelineError
@@ -41,11 +43,16 @@ SELECTION_METRICS = ("accuracy", "macro_f1")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs besides the data itself."""
+    """Everything a run needs besides the data itself.
+
+    ``specs`` are ClassifierSpecs, ``seed`` and ``cv_k`` ints (never bools)
+    and ``fractions`` three floats; a wrongly typed value raises
+    PipelineError.
+    """
 
     specs: tuple[ClassifierSpec, ...]
     seed: int = 0
-    fractions: tuple[float, float, float] = (0.5, 0.3, 0.2)
+    fractions: tuple[float, float, float] = SplitSpec().fractions
     cv_k: int = 10
     selection_metric: str = "accuracy"
 
@@ -53,7 +60,18 @@ class PipelineConfig:
         if not self.specs:
             raise PipelineError("config needs at least one classifier spec")
         object.__setattr__(self, "specs", tuple(self.specs))
-        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
+        if not all(isinstance(s, ClassifierSpec) for s in self.specs):
+            raise PipelineError("specs must be ClassifierSpec objects")
+        for name in ("seed", "cv_k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PipelineError(f"{name} must be an integer")
+        # a valid fraction lies in (0, 1), so it is never an int
+        f = self.fractions
+        if not (isinstance(f, (list, tuple)) and len(f) == 3
+                and all(isinstance(x, float) for x in f)):
+            raise PipelineError("fractions must be a list of three floats")
+        object.__setattr__(self, "fractions", tuple(f))
         SplitSpec(*self.fractions)  # validates the fractions
         if self.cv_k < 2:
             raise PipelineError("cv_k must be at least 2")
@@ -62,20 +80,28 @@ class PipelineConfig:
                 f"selection_metric must be one of {SELECTION_METRICS}"
             )
 
+    @classmethod
+    def from_json_dict(cls, raw: dict, seed: int = 0) -> PipelineConfig:
+        """The config a config-file object describes: any of ``specs``,
+        ``cv_k``, ``selection_metric`` and ``fractions``, absent keys taking
+        the defaults. ``to_json_dict`` without ``seed`` reads back equal."""
+        allowed = {f.name for f in fields(cls)} - {"seed"}
+        unknown = set(raw) - allowed
+        if unknown:
+            raise PipelineError(
+                f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}"
+            )
+        specs = (specs_from_config(raw["specs"], seed) if "specs" in raw
+                 else default_specs(seed))
+        return cls(**{**raw, "specs": specs, "seed": seed})
+
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
             "fractions": list(self.fractions),
             "cv_k": self.cv_k,
             "selection_metric": self.selection_metric,
-            "specs": [
-                {
-                    "kind": s.kind,
-                    "hyperparameters": s.hyperparameters,
-                    "seed": s.seed,
-                }
-                for s in self.specs
-            ],
+            "specs": [s.to_json_dict() for s in self.specs],
         }
 
 
@@ -101,9 +127,7 @@ class CvReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.spec.kind,
-            "hyperparameters": self.spec.hyperparameters,
-            "seed": self.spec.seed,
+            **self.spec.to_json_dict(),
             "fold_accuracies": list(self.fold_accuracies),
             "mean_accuracy": self.mean_accuracy,
             "fold_macro_f1": list(self.fold_macro_f1),
@@ -254,8 +278,9 @@ def _cross_validate(spec, train_set, assignment):
         eval_part = train_set.select(assignment.test_indices(fold))
         model = fit(spec, fit_part, ORIGIN_TEACHER)
         pred = predict_batch(model, eval_part.features)
-        accs.append(float(np.mean(pred == eval_part.labels)))
-        f1s.append(macro_metrics(eval_part.labels, pred, n_classes).f1)
+        report = macro_metrics(eval_part.labels, pred, n_classes)
+        accs.append(report.accuracy)
+        f1s.append(report.f1)
     return CvReport(spec=spec, fold_accuracies=tuple(accs), fold_macro_f1=tuple(f1s))
 
 

@@ -189,6 +189,11 @@ _CODECS = {
 }
 
 
+def has_codec(kind: str) -> bool:
+    """Whether models of ``kind`` can be written to a model file at all."""
+    return kind in _CODECS
+
+
 def _raw_rows_refusal(kind: str, action: str) -> PrivacyError:
     return PrivacyError(
         f"refusing to {action} a {kind} model: its parameters are raw training "
@@ -277,9 +282,7 @@ def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
         }
     record = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": kind,
-        "hyperparameters": dict(model.spec.hyperparameters),
-        "seed": model.spec.seed,
+        **model.spec.to_json_dict(),
         "origin": model.origin,
         "class_names": list(model.class_names),
         "n_features": model.n_features,

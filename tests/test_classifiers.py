@@ -16,6 +16,7 @@ from mimiclearn.classifiers import (
     predict,
     predict_batch,
     score_batch,
+    specs_from_config,
 )
 from mimiclearn.classifiers.bayes import nb_log_posterior
 from mimiclearn.classifiers.forest import WALK_ROWS, fit_forest, forest_votes
@@ -79,6 +80,15 @@ class TestSpecs:
         specs = default_specs(seed=3)
         assert tuple(s.kind for s in specs) == FAMILIES
         assert len({s.seed for s in specs}) == len(specs)
+
+    def test_config_entry_without_seed_gets_the_default_specs_seed(self):
+        entries = [{"kind": kind} for kind in reversed(FAMILIES)]
+        entries[1]["seed"] = 99
+        specs = specs_from_config(entries, seed=3)
+        assert [s.kind for s in specs] == [e["kind"] for e in entries]
+        assert [s.seed for s in specs] == [
+            99 if i == 1 else d.seed for i, d in enumerate(default_specs(seed=3))
+        ]
 
 
 class TestKnnOracle:

@@ -571,3 +571,17 @@ GOLDEN_OUTPUT_DIGESTS = {
 )
 def test_output_files_match_golden_digests(key, tmp_path, monkeypatch):
     assert _golden_outputs(tmp_path, monkeypatch, *key) == GOLDEN_OUTPUT_DIGESTS[key]
+
+
+def test_run_json_config_echo_reproduces_the_run(tmp_path, monkeypatch):
+    """The config echo of run.json, without its seed, given back as --config
+    at the same --seed rewrites run.json byte for byte."""
+    _golden_outputs(tmp_path, monkeypatch, "heart", 2, "run")
+    first = Path("out/run.json").read_bytes()
+    echo = json.loads(first)["config"]
+    del echo["seed"]
+    Path("echo.json").write_text(json.dumps(echo))
+    args = ["run", "--data", "heart.csv", "--seed", "2", "--config", "echo.json",
+            "--out-dir", "again"]
+    assert main(args) == EXIT_OK
+    assert Path("again/run.json").read_bytes() == first

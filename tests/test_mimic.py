@@ -77,6 +77,25 @@ class TestConfig:
         with pytest.raises(DataError):
             PipelineConfig(specs=SMALL_SPECS, fractions=(0.7, 0.2, 0.2))
 
+    @pytest.mark.parametrize("field, value", [
+        ("cv_k", 3.0), ("cv_k", True), ("seed", 1.5), ("seed", "7"),
+        ("seed", True), ("fractions", (0.5, 0.5, 0)), ("fractions", [1, 0.0, 0.0]),
+        ("specs", ("nb",)),
+    ], ids=repr)
+    def test_wrongly_typed_value_is_a_pipeline_error(self, field, value):
+        message = f"{field} must be (an integer|a list of three floats|ClassifierSpec)"
+        with pytest.raises(PipelineError, match=message):
+            PipelineConfig(**{"specs": SMALL_SPECS, field: value})
+
+    def test_json_dict_reads_back(self):
+        config = PipelineConfig(specs=SMALL_SPECS, seed=7, cv_k=4,
+                                selection_metric="macro_f1")
+        raw = config.to_json_dict()
+        del raw["seed"]
+        assert PipelineConfig.from_json_dict(raw, 7) == config
+        assert PipelineConfig.from_json_dict({}, 7) == PipelineConfig(
+            specs=default_specs(7), seed=7)
+
 
 class TestRace:
     def test_winner_maximizes_selection_metric(self, heart_ds):
