@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mimiclearn.classifiers import (
     score_batch,
     specs_from_config,
 )
+from mimiclearn.classifiers import forest
 from mimiclearn.classifiers.bayes import nb_log_posterior
 from mimiclearn.classifiers.forest import WALK_ROWS, fit_forest, forest_votes
 from mimiclearn.classifiers.knn import knn_vote
@@ -25,7 +27,7 @@ from mimiclearn.classifiers.svm import svm_margin
 from mimiclearn.data import Dataset
 from mimiclearn.errors import PipelineError
 from mimiclearn.rng import generator
-from mimiclearn.synthetic import linearly_separable, threshold_toy
+from mimiclearn.synthetic import cardio_like, linearly_separable, threshold_toy
 
 from oracles import (
     fit_forest_recursive,
@@ -196,6 +198,45 @@ class TestForestOracle:
             for a, b in zip(fast.trees, slow.trees, strict=True):
                 for name in ("feature", "threshold", "left", "right", "counts"):
                     np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 9])
+    def test_trees_equal_the_recursive_reference_past_both_limits(
+        self, n_classes, monkeypatch
+    ):
+        # 7 trees through 3 slots, and roots larger than a step's row budget,
+        # so slots are reused and big nodes run alone; the tie-heavy data of
+        # the test above; 9 classes also cover numpy's pairwise class sum
+        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", 3)
+        monkeypatch.setattr(forest, "STEP_ROWS", 40)
+        rng = generator(70 + n_classes)
+        eps = np.finfo(np.float64).eps
+        for trial in range(8):
+            n_rows = int(rng.integers(41, 120))
+            n_features = int(rng.integers(1, 7))
+            X = rng.integers(0, int(rng.integers(2, 6)), size=(n_rows, n_features))
+            X = 1.0 + eps * X if trial % 2 else X.astype(np.float64)
+            y = rng.integers(0, n_classes, size=n_rows)
+            args = (X, y, n_classes, 7, 16, 2, int(rng.integers(0, 1000)))
+            fast, slow = fit_forest(*args), fit_forest_recursive(*args)
+            for a, b in zip(fast.trees, slow.trees, strict=True):
+                for name in ("feature", "threshold", "left", "right", "counts"):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_fit_peak_allocation_stays_bounded(self):
+        # a default forest on 700 rows, the size of a run's teacher refit;
+        # growing all its trees at once without a row budget peaks near 47 MB
+        ds = cardio_like()
+        hp = DEFAULT_HYPERPARAMETERS["rf"]
+        args = (ds.features[:700], ds.labels[:700], 2, hp["n_trees"], hp["max_depth"],
+                hp["min_split"], 1)
+        fit_forest(*args[:3], 2, *args[4:])  # warm-up: lazy imports and first calls
+        tracemalloc.start()
+        try:
+            fit_forest(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, f"forest fit peaked at {peak / 1e6:.1f} MB"
 
     def test_deep_chain_grows_without_recursion(self):
         # one feature, alternating labels: no split separates the classes
