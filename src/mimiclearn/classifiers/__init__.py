@@ -61,10 +61,12 @@ class Family:
     type accepted (a bool is never an int). ``minimums`` gives each one's
     lower bound: an int may equal it, a float must be finite and exceed it.
     ``scaled`` families are fit on standardized features. ``fit`` takes
-    ``(X, y, n_classes, hyperparameters, seed)`` and returns the family's
-    parameters; ``raw`` takes ``(params, X, hyperparameters)``, and ``decide``
-    turns ``(params, raw output, hyperparameters)`` into (predictions,
-    scores); ``n_features`` reads the feature count off params.
+    ``(X, y, n_classes, hyperparameters, seed, draws)`` and returns the
+    family's parameters (``draws`` is the dict of seeded draws that ``fit``
+    documents; only rf reads it); ``raw`` takes ``(params, X,
+    hyperparameters)``, and ``decide`` turns ``(params, raw output,
+    hyperparameters)`` into (predictions, scores); ``n_features`` reads the
+    feature count off params.
     """
 
     defaults: dict
@@ -81,7 +83,7 @@ REGISTRY = {
         defaults={"reg_lambda": 1e-4, "epochs": 50},
         minimums={"reg_lambda": 0.0, "epochs": 1},
         scaled=True,
-        fit=lambda X, y, n_classes, hp, seed: fit_svm(
+        fit=lambda X, y, n_classes, hp, seed, draws: fit_svm(
             X, y, n_classes, hp["reg_lambda"], hp["epochs"], seed
         ),
         raw=lambda p, X, hp: svm_margin(p, X),
@@ -92,7 +94,7 @@ REGISTRY = {
         defaults={"n_neighbors": 8},
         minimums={"n_neighbors": 1},
         scaled=True,
-        fit=lambda X, y, n_classes, hp, seed: fit_knn(X, y, n_classes, hp["n_neighbors"]),
+        fit=lambda X, y, n_classes, hp, seed, draws: fit_knn(X, y, n_classes, hp["n_neighbors"]),
         raw=lambda p, X, hp: knn_vote(p, X, hp["n_neighbors"]),
         decide=lambda p, r, hp: (r[0], r[1][:, 1] / float(hp["n_neighbors"])),
         n_features=lambda p: p.points.shape[1],
@@ -101,8 +103,8 @@ REGISTRY = {
         defaults={"n_trees": 100, "max_depth": 16, "min_split": 2},
         minimums={"n_trees": 1, "max_depth": 0, "min_split": 2},
         scaled=False,
-        fit=lambda X, y, n_classes, hp, seed: fit_forest(
-            X, y, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"], seed
+        fit=lambda X, y, n_classes, hp, seed, draws: fit_forest(
+            X, y, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"], seed, draws
         ),
         raw=lambda p, X, hp: forest_votes(p, X),
         decide=lambda p, r, hp: (np.argmax(r, axis=1), r[:, 1] / float(len(p.trees))),
@@ -112,7 +114,7 @@ REGISTRY = {
         defaults={"var_smoothing": 1e-9},
         minimums={"var_smoothing": 0.0},
         scaled=False,
-        fit=lambda X, y, n_classes, hp, seed: fit_nb(X, y, n_classes, hp["var_smoothing"]),
+        fit=lambda X, y, n_classes, hp, seed, draws: fit_nb(X, y, n_classes, hp["var_smoothing"]),
         raw=lambda p, X, hp: nb_log_posterior(p, X),
         decide=lambda p, r, hp: (np.argmax(r, axis=1), nb_posterior(r)[:, 1]),
         n_features=lambda p: p.means.shape[1],
@@ -221,8 +223,14 @@ class TrainedModel:
         return len(self.class_names)
 
 
-def fit(spec: ClassifierSpec, train: Dataset, origin: str) -> TrainedModel:
+def fit(spec: ClassifierSpec, train: Dataset, origin: str, *,
+        draws: dict | None = None) -> TrainedModel:
     """Train one classifier; deterministic for a fixed spec seed.
+
+    ``draws`` may be one dict passed to several fits, such as the folds of a
+    race: rf trees of equal row and feature counts then share their seeded
+    bootstrap and candidate draws instead of drawing them again (see
+    ``forest.fit_forest``). The model is the same with or without it.
 
     Raises PipelineError when the training set holds a single class, and for
     knn when it holds fewer than k samples.
@@ -241,7 +249,7 @@ def fit(spec: ClassifierSpec, train: Dataset, origin: str) -> TrainedModel:
         fit_data = apply_scaler(train, scaler)
     params = family.fit(
         fit_data.features, fit_data.labels, len(train.class_names),
-        spec.hyperparameters, spec.seed,
+        spec.hyperparameters, spec.seed, draws,
     )
     return TrainedModel(
         spec=spec,

@@ -9,7 +9,8 @@ distinct sorted values. Equal-impurity splits resolve to the lower feature
 index, then the lower threshold, so training is fully deterministic.
 Per-tree seeds derive from the spec seed and tree index, and each split node
 draws its candidates in preorder (node, left subtree, right subtree), so
-node ids and draws follow the tree alone.
+node ids and draws follow the tree alone, and fits of equal shape, such as
+the folds of a race, can share each tree's draws (``fit_forest``'s ``draws``).
 
 Training is single-threaded and grows trees in lockstep: each step takes the
 next split node of every tree in flight and scores and partitions them all
@@ -112,7 +113,11 @@ def _split_step(table, XT, y, lo, m, feats, node_counts):
     split = best < np.inf
     nodes, c, cut, lo, m = np.nonzero(split)[0], c[split], cut[split], lo[split], m[split]
     f = feats[nodes, c]
-    thr = (values[c, cut] + values[c, cut + 1]) / 2.0
+    a, b = values[c, cut], values[c, cut + 1]
+    with np.errstate(over="ignore"):
+        thr = (a + b) / 2.0
+    far = np.isinf(thr)  # a + b overflowed: halve first
+    thr[far] = a[far] / 2 + b[far] / 2
     block = table.take(_ranges(lo, m), axis=1)
     mask = XT.take(np.repeat(f * XT.shape[1], m) + block) <= np.repeat(thr, m)
     m_left = np.add.reduceat(mask[0], np.cumsum(m) - m, dtype=np.intp)
@@ -121,18 +126,21 @@ def _split_step(table, XT, y, lo, m, feats, node_counts):
     to_right = block.compress(~mask).reshape(len(table), -1)
     table[:, _ranges(lo + m_left, m - m_left)] = to_right
     # the midpoint can round up onto the larger value, so the left child is the
-    # first m_left rows by f, not always cut + 1 (none if it overflows to -inf)
-    at = start[nodes] + (m_left - 1) % m
+    # first m_left rows by f, not always cut + 1
+    at = start[nodes] + m_left - 1
     return split, f, thr, m_left, prefix[:, c, at] - base[:, c, nodes]
 
 
 class _Tree:
-    """A tree in flight: index, table slot, generator, preorder stack of
-    ``(lo, hi, class counts, depth, parent if a right child)`` and the
-    ``[feature, threshold, left, right, counts]`` rows of its nodes."""
+    """A tree in flight: index, table slot, seeded draws ``(generator,
+    bootstrap, candidate draws)``, preorder stack of ``(lo, hi, class counts,
+    depth, parent if a right child)`` and the ``[feature, threshold, left,
+    right, counts]`` rows of its nodes."""
 
-    def __init__(self, index, slot, rng, root):
-        self.index, self.slot, self.rng = index, slot, rng
+    def __init__(self, index, slot, draws, root):
+        self.index, self.slot = index, slot
+        self.rng, self.sample, self.known = draws
+        self.drawn, self.fresh = 0, []
         self.stack, self.nodes = [root], []
 
     def add(self, counts, right_of):
@@ -152,13 +160,41 @@ class _Tree:
             self.add(counts, right_of)
         return None
 
+    def draw(self, n_features, n_candidates):
+        """The next split node's candidate features: a stored draw while there
+        is one, then new ones from the generator."""
+        self.drawn += 1
+        if self.drawn <= len(self.known):
+            return self.known[self.drawn - 1]
+        self.fresh.append(self.rng.choice(n_features, n_candidates, replace=False))
+        return self.fresh[-1]
+
+    def draws(self):
+        """``(generator, bootstrap, candidate draws)`` with every draw made so far."""
+        if self.fresh:
+            self.known = np.concatenate([self.known, np.array(self.fresh, np.int32)])
+            self.fresh = []
+        return self.rng, self.sample, self.known
+
     def finish(self) -> TreeNodes:
         columns = zip(*self.nodes)  # feature, threshold, left, right, counts
         return TreeNodes(*(np.array(v, np.float64 if i == 1 else np.int64)
                            for i, v in enumerate(columns)))
 
 
-def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestModel:
+def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed,
+               draws=None) -> ForestModel:
+    """Grow ``n_trees`` trees on ``X`` (rows, features) and class ids ``y``.
+
+    A tree's bootstrap and candidate draws follow from the spec seed, the
+    tree index, the row count and the feature count alone, never from the
+    row values. ``draws``, a dict that any number of fits may share, keeps
+    them under ``(seed, tree index, n_rows, n_features)`` as ``(generator
+    after the bootstrap and the stored draws, int32 bootstrap, int32
+    (n_draws, n_candidates) draws in preorder)``; a tree reads its stored
+    draws and extends them from the generator, so every tree is the one
+    grown without the dict.
+    """
     n, n_features = X.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
     XT = np.ascontiguousarray(X.T)
@@ -170,13 +206,19 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     def start_tree(slot):
         if (index := next(pending, None)) is None:
             return None
-        rng = generator(derive_seed(seed, STAGE_TREE, index))
-        sample = rng.integers(0, n, size=n)
+        # popped while the tree grows, as its generator runs ahead of the
+        # stored draws: a fit stopped part-way leaves no entry, never a wrong one
+        entry = None if draws is None else draws.pop((seed, index, n, n_features), None)
+        if entry is None:
+            rng = generator(derive_seed(seed, STAGE_TREE, index))
+            entry = (rng, rng.integers(0, n, size=n).astype(np.int32),
+                     np.empty((0, n_candidates), np.int32))
+        sample = entry[1]
         # the bootstrap in each feature's order; equal values score and split alike
         table[:, slot * n : (slot + 1) * n] = np.repeat(
             order, np.bincount(sample, minlength=n)[order]).reshape(n_features, n)
         counts = tuple(np.bincount(y[sample], minlength=n_classes).tolist())
-        return _Tree(index, slot, rng, (slot * n, (slot + 1) * n, counts, 0, -1))
+        return _Tree(index, slot, entry, (slot * n, (slot + 1) * n, counts, 0, -1))
 
     growing = [start_tree(slot) for slot in range(n_slots)]
     while growing:
@@ -184,19 +226,23 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         for i, tree in enumerate(growing):
             while tree and not (top := tree.next_split(max_depth, min_split)):
                 trees[tree.index] = tree.finish()
+                if draws is not None:
+                    draws[seed, tree.index, n, n_features] = tree.draws()
                 tree = growing[i] = start_tree(tree.slot)
             if tree is None or (batch and batch_rows + top[1] - top[0] > STEP_ROWS):
                 continue  # done, or waits for a later step
             lo, hi, counts, depth, right_of = tree.stack.pop()
             nid, batch_rows = tree.add(counts, right_of), batch_rows + hi - lo
-            feats = tree.rng.choice(n_features, n_candidates, replace=False)
+            feats = tree.draw(n_features, n_candidates)
             batch.append((tree, nid, lo, hi - lo, counts, depth, feats))
         growing = [tree for tree in growing[1:] + growing[:1] if tree is not None]
         if not batch:
             continue
         _, _, lo, m, counts, _, feats = zip(*batch)
+        feats = np.array(feats, np.intp)  # stored draws are int32; offsets need intp
+        feats.sort()
         split, f, thr, m_left, left_counts = _split_step(
-            table, XT, y, np.array(lo), np.array(m), np.sort(feats), np.array(counts).T)
+            table, XT, y, np.array(lo), np.array(m), feats, np.array(counts).T)
         for (tree, nid, lo, m, counts, depth, _), f, thr, m_left, left in zip(
                 itertools.compress(batch, split), f.tolist(), thr.tolist(),
                 m_left.tolist(), left_counts.T.tolist()):

@@ -50,6 +50,8 @@ class Dataset:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise DataError("features must be a 2-D matrix")
+        if feats.shape[1] == 0:
+            raise DataError("dataset has no feature columns")
         if not np.isfinite(feats).all():
             raise DataError("features contain NaN or non-finite values")
         if len(self.feature_names) != feats.shape[1]:

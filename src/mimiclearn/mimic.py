@@ -272,11 +272,11 @@ def run_json(run: PipelineRun) -> str:
 
 def _cross_validate(spec, train_set, assignment):
     n_classes = len(train_set.class_names)
-    accs, f1s = [], []
+    accs, f1s, draws = [], [], {}  # folds of equal size share their seeded draws
     for fold in range(assignment.k):
         fit_part = train_set.select(assignment.train_indices(fold))
         eval_part = train_set.select(assignment.test_indices(fold))
-        model = fit(spec, fit_part, ORIGIN_TEACHER)
+        model = fit(spec, fit_part, ORIGIN_TEACHER, draws=draws)
         pred = predict_batch(model, eval_part.features)
         report = macro_metrics(eval_part.labels, pred, n_classes)
         accs.append(report.accuracy)

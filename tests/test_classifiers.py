@@ -1,5 +1,7 @@
+import copy
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +240,18 @@ class TestForestOracle:
             tracemalloc.stop()
         assert peak < 10_000_000, f"forest fit peaked at {peak / 1e6:.1f} MB"
 
+    def test_midpoint_of_adjacent_huge_values_is_finite(self):
+        # (a + b) / 2 overflows to -inf here; the classes split at the root
+        X = np.repeat([-1.5e308, -1e308], 8)[:, None]
+        y = np.repeat([0, 1], 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_forest(X, y, 2, 5, 16, 2, 1)
+        for tree in model.trees:
+            assert tree.feature.tolist() == [0, -1, -1]
+            assert tree.threshold[0] == -1.25e308
+            assert tree.counts[1:].min(axis=1).tolist() == [0, 0]  # pure children
+
     def test_deep_chain_grows_without_recursion(self):
         # one feature, alternating labels: no split separates the classes
         # well, so the tree grows 78 levels deep
@@ -306,13 +320,10 @@ class TestForestOracle:
         )
 
     def test_forest_without_features_votes_its_root_leaves(self):
-        train = Dataset(np.zeros((6, 0)), (), np.arange(6) % 2, ("a", "b"), "empty")
-        spec = ClassifierSpec("rf", {"n_trees": 3, "max_depth": 0}, seed=1)
-        model = fit(spec, train, ORIGIN_TEACHER)
+        # a Dataset refuses zero feature columns, so fit the forest directly
+        model = fit_forest(np.zeros((6, 0)), np.arange(6) % 2, 2, 3, 0, 2, 1)
         X = np.zeros((WALK_ROWS + 1, 0))
-        np.testing.assert_array_equal(
-            forest_votes(model.params, X), forest_votes_walk(model.params, X)
-        )
+        np.testing.assert_array_equal(forest_votes(model, X), forest_votes_walk(model, X))
 
     def test_vote_fraction_score_matches_votes(self, heart_ds):
         spec = ClassifierSpec("rf", {"n_trees": 9, "max_depth": 4}, seed=3)
@@ -320,6 +331,64 @@ class TestForestOracle:
         scores = score_batch(model, heart_ds.features[:30])
         assert np.all((scores * 9) % 1 == 0)  # integer vote counts
         assert scores.min() >= 0 and scores.max() <= 1
+
+
+def _assert_same_trees(a, b):
+    for ta, tb in zip(a.trees, b.trees, strict=True):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name))
+
+
+class TestSharedDraws:
+    def test_fits_through_one_dict_equal_fits_without_it(self):
+        # equal folds, then unequal ones, then another seed and feature
+        # count: each fit reads draws others stored and extends them
+        rng = generator(17)
+        X = rng.integers(0, 5, size=(100, 6)).astype(np.float64)
+        y = rng.integers(0, 3, size=100)
+        fits = [(np.arange(100) % 10 != k, 6, 3) for k in range(10)]
+        fits += [(np.arange(100) % 3 != k, 6, 3) for k in range(3)]
+        fits += [(np.arange(100) % 10 != k, n_features, 8)
+                 for k in (0, 1) for n_features in (6, 2)]
+        draws = {}
+        for keep, n_features, seed in fits:
+            args = (X[keep, :n_features], y[keep], 3, 6, 16, 2, seed)
+            _assert_same_trees(fit_forest(*args, draws=draws), fit_forest(*args))
+        # one entry per (seed, tree, n_rows, n_features): rows 90, 67 and 66
+        assert sorted({(s, n, f) for s, _, n, f in draws}) == [
+            (3, 66, 6), (3, 67, 6), (3, 90, 6), (8, 90, 2), (8, 90, 6)]
+        assert len(draws) == 5 * 6
+
+    def test_race_folds_share_draws_through_fit(self, cardio_ds):
+        spec = ClassifierSpec("rf", {"n_trees": 5}, seed=4)
+        draws = {}
+        for k in range(3):
+            part = cardio_ds.select(np.nonzero(np.arange(cardio_ds.n_rows) % 3 != k)[0])
+            shared = fit(spec, part, ORIGIN_TEACHER, draws=draws)
+            _assert_same_trees(shared.params, fit(spec, part, ORIGIN_TEACHER).params)
+        assert len(draws) == 5 * len({n for _, _, n, _ in draws})
+
+    def test_dict_of_a_default_race_stays_small(self):
+        # ten 630-row folds of a default rf spec, as in a run's teacher race
+        ds = cardio_like()
+        X, y = ds.features[:700], ds.labels[:700]
+        hp = DEFAULT_HYPERPARAMETERS["rf"]
+        draws = {}
+        for k in range(10):
+            keep = np.arange(700) % 10 != k
+            fit_forest(X[keep], y[keep], 2, hp["n_trees"], hp["max_depth"],
+                       hp["min_split"], 1, draws=draws)
+        assert len(draws) == hp["n_trees"]
+        # tracing the fits themselves takes half a minute: measure a deep copy
+        copy.deepcopy(draws)  # warm-up
+        tracemalloc.start()
+        try:
+            held_copy = copy.deepcopy(draws)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(held_copy) == len(draws)
+        assert held < 1_000_000, f"the draws dict holds {held / 1e6:.2f} MB"
 
 
 class TestNaiveBayesOracle:

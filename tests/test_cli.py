@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,28 @@ class TestRunCommand:
         assert (target / "run.json").exists()
 
 
+def test_run_splits_adjacent_huge_values(tmp_path):
+    # 80% of each class sits at its own value; (a + b) / 2 of the two
+    # overflows, which once sent every pool row to one class (exit 3)
+    label = np.arange(200) % 2
+    x = np.where(label ^ (np.arange(200) % 10 < 2), -1e308, -1.5e308)
+    data = tmp_path / "huge.csv"
+    rows = "".join(f"{v!r},{c}\n" for v, c in zip(x.tolist(), label))
+    data.write_text("x,label\n" + rows)
+    config = tmp_path / "config.json"
+    spec = {"kind": "rf", "hyperparameters": {"n_trees": 5}}
+    config.write_text(json.dumps({"specs": [spec]}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--data", str(data), "--label-column", "label",
+                     "--positive-class", "1", "--config", str(config),
+                     "--out-dir", str(out)])
+    assert code == EXIT_OK
+    fidelity = json.loads((out / "run.json").read_text())["fidelity"]
+    assert fidelity["agreement"] > 0.5
+
+
 def _snapshot(root):
     return {
         path: path.read_bytes() if path.is_file() else None
@@ -421,6 +444,28 @@ class TestExitCodes:
         if case.startswith("directory"):
             assert f"not a regular file: {data}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["split", "run", "evaluate"])
+    def test_csv_without_feature_columns_is_a_data_error(
+        self, command, toy_csv, tmp_path, capsys
+    ):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n" + "low\nhigh\n" * 100)
+        args = [command, "--data", str(data), "--label-column", "label",
+                "--positive-class", "high"]
+        if command == "evaluate":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"specs": [{"kind": "nb"}], "cv_k": 4}))
+            model = tmp_path / "m"
+            assert main(_run_args(toy_csv, model, "--config", str(config))) == EXIT_OK
+            args += ["--model", str(model / "student_model.json")]
+        else:
+            args += ["--out-dir", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "mimiclearn: data error: dataset has no feature columns\n")
+        assert not (tmp_path / "o").exists()
 
     def test_non_utf8_config(self, toy_csv, tmp_path, capsys):
         config = tmp_path / "bad.json"
