@@ -9,8 +9,8 @@ distinct sorted values. Equal-impurity splits resolve to the lower feature
 index, then the lower threshold, so training is fully deterministic.
 Per-tree seeds derive from the spec seed and tree index, and each split node
 draws its candidates in preorder (node, left subtree, right subtree), so
-node ids and draws follow the tree alone, and fits of equal shape, such as
-the folds of a race, can share each tree's draws (``fit_forest``'s ``draws``).
+node ids and draws follow the tree alone, and consecutive fits of one shape,
+such as the folds of a race, share each tree's draws (see ``fit_forest``).
 
 Training is single-threaded and grows trees in lockstep: each step takes the
 next split node of every tree in flight and scores and partitions them all
@@ -35,6 +35,8 @@ from ..rng import STAGE_TREE, derive_seed, generator
 WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) ids
 TREES_IN_FLIGHT = 32  # trees grown at once; their rows share one int32 table
 STEP_ROWS = 4096  # node rows scored per growth step; one larger node runs alone
+
+_shared_draws = {}  # latest fit shape only: {(seed, n_rows, n_features): {tree: (rng, draws)}}
 
 
 @dataclass(frozen=True)
@@ -132,16 +134,15 @@ def _split_step(table, XT, y, lo, m, feats, node_counts):
 
 
 class _Tree:
-    """A tree in flight: index, table slot, seeded draws ``(generator,
-    bootstrap, candidate draws)``, preorder stack of ``(lo, hi, class counts,
-    depth, parent if a right child)`` and the ``[feature, threshold, left,
-    right, counts]`` rows of its nodes."""
+    """A tree in flight: index, table slot, seeded draws ``(generator, flat
+    list of candidate draws in preorder)``, preorder stack of ``(lo, hi, class
+    counts, depth, parent if a right child)`` and the ``[feature, threshold,
+    left, right, counts]`` rows of its nodes."""
 
     def __init__(self, index, slot, draws, root):
         self.index, self.slot = index, slot
-        self.rng, self.sample, self.known = draws
-        self.drawn, self.fresh = 0, []
-        self.stack, self.nodes = [root], []
+        self.rng, self.known = draws
+        self.stack, self.nodes, self.drawn = [root], [], 0
 
     def add(self, counts, right_of):
         if right_of >= 0:
@@ -162,19 +163,11 @@ class _Tree:
 
     def draw(self, n_features, n_candidates):
         """The next split node's candidate features: a stored draw while there
-        is one, then new ones from the generator."""
-        self.drawn += 1
-        if self.drawn <= len(self.known):
-            return self.known[self.drawn - 1]
-        self.fresh.append(self.rng.choice(n_features, n_candidates, replace=False))
-        return self.fresh[-1]
-
-    def draws(self):
-        """``(generator, bootstrap, candidate draws)`` with every draw made so far."""
-        if self.fresh:
-            self.known = np.concatenate([self.known, np.array(self.fresh, np.int32)])
-            self.fresh = []
-        return self.rng, self.sample, self.known
+        is one, then a new one from the generator, stored as it is made."""
+        self.drawn += n_candidates
+        if self.drawn > len(self.known):
+            self.known += self.rng.choice(n_features, n_candidates, replace=False).tolist()
+        return self.known[self.drawn - n_candidates : self.drawn]
 
     def finish(self) -> TreeNodes:
         columns = zip(*self.nodes)  # feature, threshold, left, right, counts
@@ -182,18 +175,16 @@ class _Tree:
                            for i, v in enumerate(columns)))
 
 
-def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed,
-               draws=None) -> ForestModel:
+def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestModel:
     """Grow ``n_trees`` trees on ``X`` (rows, features) and class ids ``y``.
 
     A tree's bootstrap and candidate draws follow from the spec seed, the
     tree index, the row count and the feature count alone, never from the
-    row values. ``draws``, a dict that any number of fits may share, keeps
-    them under ``(seed, tree index, n_rows, n_features)`` as ``(generator
-    after the bootstrap and the stored draws, int32 bootstrap, int32
-    (n_draws, n_candidates) draws in preorder)``; a tree reads its stored
-    draws and extends them from the generator, so every tree is the one
-    grown without the dict.
+    row values. The draws of the latest fit shape ``(seed, n_rows,
+    n_features)`` stay in a module memo: per tree, its candidate draws in
+    preorder and the generator standing just past them. A fit of that shape
+    reads them and extends them from the generator; a fit of another shape
+    replaces the memo. Every tree is the one grown without the memo.
     """
     n, n_features = X.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
@@ -202,23 +193,23 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed,
     n_slots = min(n_trees, TREES_IN_FLIGHT)
     table = np.empty((n_features, n_slots * n), dtype=np.int32)
     pending, trees = iter(range(n_trees)), [None] * n_trees
+    if (seed, n, n_features) not in _shared_draws:
+        _shared_draws.clear()
+    memo = _shared_draws.setdefault((seed, n, n_features), {})
 
     def start_tree(slot):
         if (index := next(pending, None)) is None:
             return None
-        # popped while the tree grows, as its generator runs ahead of the
-        # stored draws: a fit stopped part-way leaves no entry, never a wrong one
-        entry = None if draws is None else draws.pop((seed, index, n, n_features), None)
-        if entry is None:
-            rng = generator(derive_seed(seed, STAGE_TREE, index))
-            entry = (rng, rng.integers(0, n, size=n).astype(np.int32),
-                     np.empty((0, n_candidates), np.int32))
-        sample = entry[1]
+        rng = generator(derive_seed(seed, STAGE_TREE, index))
+        sample = rng.integers(0, n, size=n)
+        # popped while the tree grows and put back when it is done: a fit
+        # stopped part-way leaves no entry, never a wrong one
+        draws = memo.pop(index, None) or (rng, [])
         # the bootstrap in each feature's order; equal values score and split alike
         table[:, slot * n : (slot + 1) * n] = np.repeat(
             order, np.bincount(sample, minlength=n)[order]).reshape(n_features, n)
         counts = tuple(np.bincount(y[sample], minlength=n_classes).tolist())
-        return _Tree(index, slot, entry, (slot * n, (slot + 1) * n, counts, 0, -1))
+        return _Tree(index, slot, draws, (slot * n, (slot + 1) * n, counts, 0, -1))
 
     growing = [start_tree(slot) for slot in range(n_slots)]
     while growing:
@@ -226,8 +217,7 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed,
         for i, tree in enumerate(growing):
             while tree and not (top := tree.next_split(max_depth, min_split)):
                 trees[tree.index] = tree.finish()
-                if draws is not None:
-                    draws[seed, tree.index, n, n_features] = tree.draws()
+                memo[tree.index] = tree.rng, tree.known
                 tree = growing[i] = start_tree(tree.slot)
             if tree is None or (batch and batch_rows + top[1] - top[0] > STEP_ROWS):
                 continue  # done, or waits for a later step
@@ -239,7 +229,7 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed,
         if not batch:
             continue
         _, _, lo, m, counts, _, feats = zip(*batch)
-        feats = np.array(feats, np.intp)  # stored draws are int32; offsets need intp
+        feats = np.array(feats, np.intp)
         feats.sort()
         split, f, thr, m_left, left_counts = _split_step(
             table, XT, y, np.array(lo), np.array(m), feats, np.array(counts).T)

@@ -100,9 +100,9 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise UsageError("--fractions needs three comma-separated numbers")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise UsageError(f"--fractions could not be parsed: {text!r}") from None
+        return SplitSpec(*map(float, parts)).fractions
+    except (ValueError, DataError) as exc:
+        raise UsageError(f"--fractions {text}: {exc}") from None
 
 
 def _build_config(args) -> PipelineConfig:

@@ -108,6 +108,15 @@ class ScalerParams:
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "std_devs", _frozen(stds))
 
+    def standardize(self, X: np.ndarray) -> np.ndarray:
+        """``(X - means) / std_devs``; where x - mean overflows, both are halved first."""
+        with np.errstate(over="ignore"):
+            z = (X - self.means) / self.std_devs
+            far = ~np.isfinite(z)
+            if far.any():
+                z[far] = ((X / 2 - self.means / 2) / self.std_devs * 2)[far]
+        return z
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -354,8 +363,15 @@ def fit_scaler(ds: Dataset) -> ScalerParams:
     """Per-column mean and population std; zero-variance columns get std 1."""
     if ds.n_rows == 0:
         raise DataError("cannot fit a scaler on an empty dataset")
-    means = ds.features.mean(axis=0)
-    stds = ds.features.std(axis=0)
+    X = ds.features
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, stds = X.mean(axis=0), X.std(axis=0)
+    far = ~(np.isfinite(means) & np.isfinite(stds))
+    if far.any():  # the sums overflowed: take them on a copy scaled by a power of two
+        exp = np.frexp(np.abs(X[:, far]).max(axis=0))[1]
+        scaled = np.ldexp(X[:, far], -exp)
+        means[far] = np.ldexp(scaled.mean(axis=0), exp)
+        stds[far] = np.ldexp(scaled.std(axis=0), exp)
     stds = np.where(stds == 0.0, 1.0, stds)
     return ScalerParams(means, stds)
 
@@ -365,7 +381,7 @@ def apply_scaler(ds: Dataset, scaler: ScalerParams) -> Dataset:
         raise DataError(
             f"scaler has {scaler.means.shape[0]} columns, dataset has {ds.n_features}"
         )
-    return replace(ds, features=(ds.features - scaler.means) / scaler.std_devs)
+    return replace(ds, features=scaler.standardize(ds.features))
 
 
 def _allocate_counts(count: int, fractions: tuple[float, ...]) -> list[int]:

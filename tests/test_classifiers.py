@@ -26,8 +26,9 @@ from mimiclearn.classifiers.bayes import nb_log_posterior
 from mimiclearn.classifiers.forest import WALK_ROWS, fit_forest, forest_votes
 from mimiclearn.classifiers.knn import knn_vote
 from mimiclearn.classifiers.svm import svm_margin
-from mimiclearn.data import Dataset
+from mimiclearn.data import Dataset, kfold
 from mimiclearn.errors import PipelineError
+from mimiclearn.mimic import _cross_validate
 from mimiclearn.rng import generator
 from mimiclearn.synthetic import cardio_like, linearly_separable, threshold_toy
 
@@ -339,56 +340,95 @@ def _assert_same_trees(a, b):
             np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name))
 
 
+def _small_forest_data():
+    rng = generator(17)
+    X = rng.integers(0, 5, size=(100, 6)).astype(np.float64)
+    return X, rng.integers(0, 3, size=100)
+
+
 class TestSharedDraws:
-    def test_fits_through_one_dict_equal_fits_without_it(self):
-        # equal folds, then unequal ones, then another seed and feature
-        # count: each fit reads draws others stored and extends them
-        rng = generator(17)
-        X = rng.integers(0, 5, size=(100, 6)).astype(np.float64)
-        y = rng.integers(0, 3, size=100)
-        fits = [(np.arange(100) % 10 != k, 6, 3) for k in range(10)]
-        fits += [(np.arange(100) % 3 != k, 6, 3) for k in range(3)]
-        fits += [(np.arange(100) % 10 != k, n_features, 8)
-                 for k in (0, 1) for n_features in (6, 2)]
-        draws = {}
-        for keep, n_features, seed in fits:
-            args = (X[keep, :n_features], y[keep], 3, 6, 16, 2, seed)
-            _assert_same_trees(fit_forest(*args, draws=draws), fit_forest(*args))
-        # one entry per (seed, tree, n_rows, n_features): rows 90, 67 and 66
-        assert sorted({(s, n, f) for s, _, n, f in draws}) == [
-            (3, 66, 6), (3, 67, 6), (3, 90, 6), (8, 90, 2), (8, 90, 6)]
-        assert len(draws) == 5 * 6
+    # fit_forest keeps the draws of its latest fit shape; every fit must still
+    # equal the recursive oracle, which draws everything afresh
+    @pytest.mark.parametrize("other", [
+        {"keep": 3}, {"n_features": 2}, {"seed": 8},
+    ], ids=["rows", "features", "seed"])
+    def test_interleaved_shapes_equal_the_oracle(self, other):
+        X, y = _small_forest_data()
+
+        def fit_args(fold, keep=10, n_features=6, seed=3):
+            rows = np.arange(100) % keep != fold
+            return X[rows, :n_features], y[rows], 3, 6, 16, 2, seed
+
+        # shapes A, A, B, A: B replaces the memo and A draws afresh after it
+        for args in (fit_args(0), fit_args(1), fit_args(0, **other), fit_args(2)):
+            _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
+            n, n_features = args[0].shape
+            assert list(forest._shared_draws) == [(args[-1], n, n_features)]
+            assert len(forest._shared_draws[args[-1], n, n_features]) == 6
+
+    def test_other_depths_extend_the_stored_draws(self):
+        X, y = _small_forest_data()
+        rows = np.arange(100) % 10 != 0
+        stored = []
+        for max_depth, min_split in ((2, 2), (16, 2), (3, 10), (16, 5)):
+            args = (X[rows], y[rows], 3, 6, max_depth, min_split, 5)
+            _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
+            memo = forest._shared_draws[5, 90, 6]
+            stored.append(sum(len(draws) for _, draws in memo.values()))
+        # the deep fit extends the shallow fit's draws; later fits read them
+        assert stored[0] < stored[1] == stored[2] == stored[3]
+
+    def test_interrupted_fit_leaves_no_wrong_entry(self, monkeypatch):
+        X, y = _small_forest_data()
+        rows = np.arange(100) % 10 != 0
+        shallow = (X[rows], y[rows], 3, 40, 2, 2, 7)  # 40 trees: 8 wait to start
+        deep = (X[rows], y[rows], 3, 40, 16, 2, 7)
+        fit_forest(*shallow)
+        split_step, calls = forest._split_step, []
+
+        def stop_at_fifth_step(*args):
+            calls.append(len(calls))
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return split_step(*args)
+
+        monkeypatch.setattr(forest, "_split_step", stop_at_fifth_step)
+        with pytest.raises(KeyboardInterrupt):
+            fit_forest(*deep)
+        monkeypatch.undo()
+        # the trees in flight had drawn past their stored draws: no entry
+        assert len(forest._shared_draws[7, 90, 6]) == 40 - forest.TREES_IN_FLIGHT
+        _assert_same_trees(fit_forest(*deep), fit_forest_recursive(*deep))
+        assert len(forest._shared_draws[7, 90, 6]) == 40
 
     def test_race_folds_share_draws_through_fit(self, cardio_ds):
-        spec = ClassifierSpec("rf", {"n_trees": 5}, seed=4)
-        draws = {}
+        spec = ClassifierSpec("rf", {"n_trees": 5, "max_depth": 8}, seed=4)
         for k in range(3):
-            part = cardio_ds.select(np.nonzero(np.arange(cardio_ds.n_rows) % 3 != k)[0])
-            shared = fit(spec, part, ORIGIN_TEACHER, draws=draws)
-            _assert_same_trees(shared.params, fit(spec, part, ORIGIN_TEACHER).params)
-        assert len(draws) == 5 * len({n for _, _, n, _ in draws})
+            part = cardio_ds.select(np.nonzero(np.arange(cardio_ds.n_rows) % 4 != k)[0])
+            model = fit(spec, part, ORIGIN_TEACHER)
+            _assert_same_trees(model.params, fit_forest_recursive(
+                part.features, part.labels, 2, 5, 8, 2, 4))
+        assert list(forest._shared_draws) == [(4, part.n_rows, part.n_features)]
+        assert len(forest._shared_draws[4, part.n_rows, part.n_features]) == 5
 
-    def test_dict_of_a_default_race_stays_small(self):
-        # ten 630-row folds of a default rf spec, as in a run's teacher race
-        ds = cardio_like()
-        X, y = ds.features[:700], ds.labels[:700]
-        hp = DEFAULT_HYPERPARAMETERS["rf"]
-        draws = {}
-        for k in range(10):
-            keep = np.arange(700) % 10 != k
-            fit_forest(X[keep], y[keep], 2, hp["n_trees"], hp["max_depth"],
-                       hp["min_split"], 1, draws=draws)
-        assert len(draws) == hp["n_trees"]
+    def test_memo_of_a_default_race_stays_small(self):
+        # the ten 630-row folds of a default rf spec, as in a run's teacher race
+        ds = cardio_like().select(np.arange(700))
+        spec = ClassifierSpec("rf", {}, seed=1)
+        _cross_validate(spec, ds, kfold(ds, 10, 5))
+        assert list(forest._shared_draws) == [(1, 630, ds.n_features)]
+        memo = forest._shared_draws[1, 630, ds.n_features]
+        assert len(memo) == DEFAULT_HYPERPARAMETERS["rf"]["n_trees"]
         # tracing the fits themselves takes half a minute: measure a deep copy
-        copy.deepcopy(draws)  # warm-up
+        copy.deepcopy(memo)  # warm-up
         tracemalloc.start()
         try:
-            held_copy = copy.deepcopy(draws)
+            held_copy = copy.deepcopy(memo)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(held_copy) == len(draws)
-        assert held < 1_000_000, f"the draws dict holds {held / 1e6:.2f} MB"
+        assert len(held_copy) == len(memo)
+        assert held < 1_000_000, f"the draws memo holds {held / 1e6:.2f} MB"
 
 
 class TestNaiveBayesOracle:

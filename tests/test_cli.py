@@ -271,6 +271,28 @@ def test_run_splits_adjacent_huge_values(tmp_path):
     assert fidelity["agreement"] > 0.5
 
 
+def test_run_standardizes_columns_near_the_float_limit(tmp_path):
+    # the sums of columns y and z overflow, and so does x - mean for z's
+    # smaller value; svm and knn fit and predict on standardized features
+    n = np.arange(60)
+    label = (n % 2) ^ (n % 5 == 0)
+    x = (n * 7) % 11 + 0.5 * label
+    y = np.where(n % 2, 1e308, -1e308)
+    z = np.where(n % 4 == 3, -1.7e308, 1.7e308)
+    data = tmp_path / "huge.csv"
+    rows = "".join(f"{a!r},{b!r},{c!r},{d}\n"
+                   for a, b, c, d in zip(x.tolist(), y.tolist(), z.tolist(), label))
+    data.write_text("x,y,z,label\n" + rows)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"specs": [{"kind": "svm"}, {"kind": "knn"}], "cv_k": 3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--data", str(data), "--label-column", "label",
+                     "--positive-class", "1", "--config", str(config),
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_OK
+
+
 def _snapshot(root):
     return {
         path: path.read_bytes() if path.is_file() else None
@@ -367,13 +389,16 @@ class TestExitCodes:
         assert code == EXIT_DATA
 
     def test_bad_fractions(self, toy_csv, tmp_path):
-        code = main(
-            [
-                "split", "--data", str(toy_csv), "--label-column", "label",
-                "--fractions", "0.5,0.5", "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == EXIT_USAGE
+        # both commands refuse them while parsing flags: usage, nothing written
+        for command in ("split", "run"):
+            for fractions in ("0.5,0.5", "0.9,0.9,0.9", "0,0.5,0.5", "nan,0.5,0.5"):
+                out = tmp_path / f"{command}-{fractions}"
+                code = main([
+                    command, "--data", str(toy_csv), "--label-column", "label",
+                    "--fractions", fractions, "--out-dir", str(out),
+                ])
+                assert code == EXIT_USAGE, (command, fractions)
+                assert not out.exists()
 
     def test_unknown_flag(self, toy_csv):
         assert main(["run", "--data", str(toy_csv), "--turbo"]) == EXIT_USAGE

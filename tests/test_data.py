@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,28 @@ class TestScaler:
         )
         scaled = apply_scaler(ds, fit_scaler(ds))
         np.testing.assert_allclose(scaled.features[:, 1], 0.0)
+
+    def test_columns_near_the_float_limit_stay_finite(self):
+        # the sums of the first two columns overflow; the third keeps its bytes
+        n = np.arange(60)
+        X = np.column_stack([
+            np.where(n % 2, 1e308, -1e308),  # alternating
+            np.where(n < 45, 1.7e308, -1.7e308),  # unbalanced
+            n * 0.1,
+        ])
+        ds = Dataset(features=X, feature_names=("a", "b", "c"), labels=n % 2,
+                     class_names=("n", "p"), source_id="t")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaler = fit_scaler(ds)
+            scaled = apply_scaler(ds, scaler).features
+        np.testing.assert_allclose(scaler.means[:2], [0.0, 0.85e308], rtol=1e-15)
+        np.testing.assert_allclose(scaler.std_devs[:2], [1e308, 1.7e308 * 0.75 ** 0.5],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-12)
+        c = X[:, 2]
+        np.testing.assert_array_equal(scaled[:, 2], (c - c.mean()) / c.std())
 
     def test_column_count_mismatch(self, toy):
         scaler = fit_scaler(toy)
