@@ -6,12 +6,24 @@ algorithm (it tames the huge early steps at small lambda). The bias rides
 along as an implicit constant-one feature, so it is regularized with the
 rest of the weight vector. Epoch shuffles come from one seeded generator,
 making training deterministic. Binary only.
+
+The weights are the same bytes on every IEEE-754 host. Training runs on
+Python floats: each dot product and the squared norm are ``math.fsum`` of
+the rounded products, which is correctly rounded (Shewchuk's exact
+summation), and every update is a plain product or sum, which CPython never
+fuses. BLAS is not used: ``ddot``/``dgemv`` pick a kernel by CPU, and the
+kernels sum in different orders, some with fused multiply-adds. The builtin
+``sum()`` is not used either: from Python 3.12 it compensates float sums, so
+its bytes depend on the interpreter version. ``svm_margin`` adds the columns
+one at a time in a fixed order with numpy elementwise operations, which do
+not fuse, starting from +0.0 so that no margin is a negative zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -32,30 +44,36 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
             f"linear svm supports exactly 2 classes, got {n_classes}"
         )
     n, d = X.shape
-    y_signed = (2 * y - 1).astype(np.float64)
-    w = np.zeros(d)
+    rows = X.tolist()
+    signs = (2 * y - 1).astype(np.float64).tolist()
+    w = [0.0] * d
     b = 0.0
     radius = 1.0 / math.sqrt(reg_lambda)
     rng = generator(derive_seed(seed, STAGE_SGD))
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
-            eta = 1.0 / (reg_lambda * t)
-            margin = y_signed[i] * (X[i] @ w + b)
+            x, s = rows[i], signs[i]
+            margin = s * (math.fsum(map(mul, x, w)) + b)
             shrink = 1.0 - 1.0 / t  # == 1 - eta*reg_lambda
-            w *= shrink
-            b *= shrink
             if margin < 1.0:
-                w += (eta * y_signed[i]) * X[i]
-                b += eta * y_signed[i]
-            norm = math.sqrt(w @ w + b * b)
+                c = (1.0 / (reg_lambda * t)) * s  # eta * y_i
+                w = [a * shrink + c * xj for a, xj in zip(w, x)]
+                b = b * shrink + c
+            else:
+                w = [a * shrink for a in w]
+                b *= shrink
+            norm = math.sqrt(math.fsum(map(mul, w, w)) + b * b)
             if norm > radius:
                 scale = radius / norm
-                w *= scale
+                w = [a * scale for a in w]
                 b *= scale
-    return SvmModel(weights=w, bias=b)
+    return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
 
 
 def svm_margin(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    return X @ model.weights + model.bias
+    out = np.zeros(X.shape[0])
+    for j, wj in enumerate(model.weights.tolist()):
+        out += X[:, j] * wj
+    return out + model.bias

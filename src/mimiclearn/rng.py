@@ -5,7 +5,10 @@ shuffles) draws from a PCG64 generator seeded by the run seed XOR a stage
 constant. The constants live here so the derivation is auditable in one
 place; indexed stages (per-tree, per-spec) add the index to their base
 constant before the XOR. PCG64 streams are platform-independent, so equal
-seeds give byte-equal results everywhere.
+seeds draw the same numbers everywhere. The arithmetic on those draws is a
+separate matter: the svm's is the same on every IEEE host (see
+``classifiers.svm``), but naive Bayes calls ``np.exp``/``np.log``, whose
+last bits vary with the CPU features numpy dispatches on.
 """
 
 from __future__ import annotations

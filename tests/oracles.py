@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the dumb way -- per-row Python
 loops, explicit formulas -- so that agreement with the vectorized library
-code is meaningful evidence rather than the same code run twice.
+code is meaningful evidence rather than the same code run twice. The two
+seeded toy datasets at the end (a linearly separable set and a perfectly
+learnable threshold) give tests inputs whose right answer is known.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 
 from mimiclearn.classifiers.forest import ForestModel, TreeNodes
+from mimiclearn.data import Dataset
 from mimiclearn.rng import STAGE_TREE, derive_seed, generator
 
 
@@ -233,3 +236,58 @@ def auc_mann_whitney(scores, y_true, positive=1):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def linearly_separable(
+    n_rows: int = 60,
+    n_features: int = 5,
+    margin: float = 0.8,
+    seed: int = 0,
+) -> Dataset:
+    """Binary dataset separable by a random hyperplane with the given margin.
+
+    Points are drawn standard normal and pushed away from the plane until
+    every row satisfies ``|w . x| >= margin`` with ``w`` a random unit vector.
+    """
+    rng = generator(seed)
+    w = rng.normal(size=n_features)
+    w = w / np.sqrt(w @ w)
+    X = rng.normal(size=(n_rows, n_features))
+    proj = X @ w
+    side = np.where(proj >= 0.0, 1.0, -1.0)
+    need = np.maximum(margin - np.abs(proj), 0.0)
+    X = X + (need * side)[:, None] * w[None, :]
+    y = (side > 0).astype(np.int64)
+    if y.min() == y.max():  # degenerate draw; force one row to the other side
+        X[0] = X[0] - (np.abs(X[0] @ w) + margin) * side[0] * w
+        y[0] = 1 - y[0]
+    names = tuple(f"x{i}" for i in range(n_features))
+    return Dataset(
+        features=X,
+        feature_names=names,
+        labels=y,
+        class_names=("neg", "pos"),
+        source_id=f"synthetic:linearly_separable:{seed}",
+    )
+
+
+def threshold_toy(n_rows: int = 120, seed: int = 0) -> Dataset:
+    """Exactly learnable: the label is 1 iff the first feature exceeds 0.
+
+    A wide dead zone around the boundary keeps every family at 100% accuracy,
+    which makes the generator handy for tests that need a perfect model.
+    """
+    rng = generator(seed)
+    half = rng.random(n_rows) < 0.5
+    first = np.where(half, rng.uniform(1.0, 3.0, n_rows),
+                     rng.uniform(-3.0, -1.0, n_rows))
+    rest = rng.normal(size=(n_rows, 2))
+    X = np.column_stack([first, rest])
+    y = (first > 0.0).astype(np.int64)
+    return Dataset(
+        features=X,
+        feature_names=("signal", "noise_a", "noise_b"),
+        labels=y,
+        class_names=("low", "high"),
+        source_id=f"synthetic:threshold_toy:{seed}",
+    )

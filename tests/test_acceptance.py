@@ -35,14 +35,15 @@ from mimiclearn.mimic import (
 )
 from mimiclearn.model_io import export_model, file_json, model_to_file
 from mimiclearn.rng import STAGE_SPLIT, derive_seed, generator
-from mimiclearn.synthetic import linearly_separable, threshold_toy
 
 from oracles import (
     confusion_counts_loop,
     forest_predict_walk,
     knn_predict_bruteforce,
+    linearly_separable,
     nb_log_posterior_direct,
     prf_from_counts,
+    threshold_toy,
 )
 
 SEEDS = (1, 2, 3, 4, 5)

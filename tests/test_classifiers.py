@@ -25,12 +25,13 @@ from mimiclearn.classifiers import forest
 from mimiclearn.classifiers.bayes import nb_log_posterior
 from mimiclearn.classifiers.forest import WALK_ROWS, fit_forest, forest_votes
 from mimiclearn.classifiers.knn import knn_vote
-from mimiclearn.classifiers.svm import svm_margin
+from mimiclearn.classifiers.svm import SvmModel, svm_margin
 from mimiclearn.data import Dataset, kfold
 from mimiclearn.errors import PipelineError
+from mimiclearn.metrics import roc
 from mimiclearn.mimic import _cross_validate
 from mimiclearn.rng import generator
-from mimiclearn.synthetic import cardio_like, linearly_separable, threshold_toy
+from mimiclearn.synthetic import cardio_like
 
 from oracles import (
     fit_forest_recursive,
@@ -38,7 +39,9 @@ from oracles import (
     forest_votes_walk,
     knn_predict_bruteforce,
     knn_votes_bruteforce,
+    linearly_separable,
     nb_log_posterior_direct,
+    threshold_toy,
 )
 
 
@@ -473,6 +476,16 @@ class TestSvm:
         scores = score_batch(model, toy.features)
         preds = predict_batch(model, toy.features)
         np.testing.assert_array_equal(preds, (scores > 0).astype(np.int64))
+
+    @pytest.mark.parametrize("weights", [[-0.0, -0.0, -0.0], [-0.0, -0.0, 1.0]])
+    def test_no_margin_is_negative_zero(self, weights):
+        X = np.array([[1.0, -2.0, 0.0], [0.0, 0.0, -0.0], [-3.0, 0.0, 2.0],
+                      [-0.0, 5.0, -0.0], [2.0, -0.0, -2.0], [0.0, -1.0, 0.0]])
+        model = SvmModel(weights=np.array(weights), bias=-0.0)
+        margins = svm_margin(model, X)
+        assert not np.any(np.signbit(margins) & (margins == 0))
+        text = roc(margins, np.array([0, 1, 0, 1, 0, 1])).to_csv_text()
+        assert "-0.0" not in text
 
 
 class TestFitContract:

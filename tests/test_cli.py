@@ -14,8 +14,9 @@ from mimiclearn.synthetic import (
     breast_cancer_like,
     cardio_like,
     heart_disease_like,
-    threshold_toy,
 )
+
+from oracles import threshold_toy
 
 
 @pytest.fixture()

@@ -23,7 +23,8 @@ from mimiclearn.mimic import (
     train_teacher,
 )
 from mimiclearn.rng import STAGE_SPLIT, derive_seed
-from mimiclearn.synthetic import threshold_toy
+
+from oracles import threshold_toy
 
 
 def _assert_same_model(a, b):

@@ -2,10 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mimiclearn
 from mimiclearn.classifiers import (
     ORIGIN_STUDENT,
     ORIGIN_TEACHER,
@@ -302,3 +307,98 @@ def test_rf_student_file_matches_golden_digest(key):
     model = fit(spec, GOLDEN_DATASETS[name](), ORIGIN_STUDENT)
     digest = hashlib.sha256(file_json(model_to_file(model)).encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_RF_DIGESTS[key]
+
+
+# (sha256 of file_json(model_to_file(...)), sha256 of the score_batch bytes on
+# the generator's rows) for default svm students fit on the bundled
+# generators; the svm sums with math.fsum and never calls BLAS, so these hold
+# under every BLAS kernel (the child-process test below checks two more)
+GOLDEN_SVM_DIGESTS = {
+    ("breast", 1): (
+        "ba78b291a952c42000d230eb997d6b3492af833652f8c4012666cd415188978a",
+        "8d55f19a7252c79bf9a2ed81da0de2a5274521ee145818bff58fe7f9962b6502",
+    ),
+    ("breast", 2): (
+        "8e89e086a5beb7af01236d3677b95e2c1d8d63042cf62d98738c81c320bc6ebc",
+        "3fd1a48f50559068689ffd150af29c9850a5ed7a00ac4d934d0e8aaedb857f82",
+    ),
+    ("heart", 1): (
+        "68cdba13847f154ca1ab943ab2c1d60be992118f0b6ccc0a40082fddb4c2a085",
+        "318950919da6f9dea34e358c934922ea96aa6c3b8e22608fc1386c5dabe04786",
+    ),
+    ("heart", 2): (
+        "d0a360663aa98163de9f26f7f5150b34ef001085cf62961c3fd40a28aba8fb03",
+        "6d1924c86492bfd2b05f3d4b4b290cb2d4d8bda1d3818f72431704f720d551e2",
+    ),
+    ("cardio", 1): (
+        "d316bae5ba12876beb8f287dbc176cbb65820790a2b63b7bcbed6b6dc442f94c",
+        "d23043d285bad0eaf3a5dbf04bfe8952feb5deaa7a827b57752dbe4245889e1c",
+    ),
+    ("cardio", 2): (
+        "d6c0969407b0f1c78e5bfb07eee9a2c459183366ce6091c7b801190162eaa4c6",
+        "af95871b706e8a233307562dca1b5d430fd803ce14291f5f9f4b029760cb9c0a",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(GOLDEN_SVM_DIGESTS), ids=lambda key: "-".join(map(str, key))
+)
+def test_svm_student_file_matches_golden_digest(key):
+    name, seed = key
+    spec = default_specs(seed)[0]
+    assert spec.kind == "svm"
+    ds = GOLDEN_DATASETS[name]()
+    model = fit(spec, ds, ORIGIN_STUDENT)
+    file_digest = hashlib.sha256(file_json(model_to_file(model)).encode("utf-8"))
+    score_digest = hashlib.sha256(score_batch(model, ds.features).tobytes())
+    assert (file_digest.hexdigest(), score_digest.hexdigest()) == GOLDEN_SVM_DIGESTS[key]
+
+
+# prints the name of the OpenBLAS kernel numpy runs on, or nothing when
+# numpy's BLAS is not an OpenBLAS that can report it
+_OPENBLAS_CORE_PROBE = """
+import ctypes, glob, os, numpy
+blas = numpy.__config__.CONFIG["Build Dependencies"]["blas"]
+dirs = [os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs"),
+        blas.get("lib directory") or ""]
+for path in sorted(p for d in dirs for p in glob.glob(os.path.join(d, "*openblas*.so*"))):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                   "openblas_get_corename64_", "openblas_get_corename"):
+        if hasattr(lib, symbol):
+            getattr(lib, symbol).restype = ctypes.c_char_p
+            print(getattr(lib, symbol)().decode())
+            raise SystemExit
+"""
+
+
+@pytest.mark.parametrize("core", ["Sandybridge", "Haswell"])
+def test_svm_golden_digests_hold_under_another_blas_kernel(core):
+    """The svm digests again, in a child process on another OpenBLAS kernel.
+
+    Only the child's environment names the kernel. Where OpenBLAS cannot run
+    that kernel here (another CPU family, or another BLAS), the child would
+    not test what this test claims, so it is skipped.
+    """
+    package_root = str(Path(mimiclearn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    root = Path(__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", _OPENBLAS_CORE_PROBE],
+        env=env, cwd=root, capture_output=True, text=True, timeout=60,
+    )
+    active = probe.stdout.strip()
+    if probe.returncode != 0 or active != core:
+        pytest.skip(f"OpenBLAS kernel {core} is not available here "
+                    f"(active kernel: {active or 'unknown'})")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_svm_student_file_matches_golden_digest"],
+        env=env, cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert f"{len(GOLDEN_SVM_DIGESTS)} passed" in child.stdout, child.stdout
