@@ -17,8 +17,10 @@ next split node of every tree in flight and scores and partitions them all
 in one set of numpy calls, as a median split node has about 18 rows and
 per-node calls cost mostly dispatch. Rows sit in presorted attribute lists
 (SLIQ, Mehta et al. 1996); many trees share each call (CudaTree, Liao et al.
-2013). The two constants below bound the temporaries: a default forest on
-700 rows peaked at 47 MB without them and 5 MB with them (tracemalloc).
+2013). Nodes in flight live in compact array columns, so a default forest
+grows all 100 trees in one wave; the step row budget below bounds the
+temporaries: on 700 rows the fit peaked at 47 MB without it and 7.2 MB with
+it (tracemalloc), 3.1 MB of which is the row table.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,9 @@ import numpy as np
 from ..rng import STAGE_TREE, derive_seed, generator
 
 WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) ids
-TREES_IN_FLIGHT = 32  # trees grown at once; their rows share one int32 table
+# trees grown at once; their rows share one int32 table of 4 * n_features *
+# min(n_trees, 100) * n_rows bytes: 3.1 MB at 700 rows of 11 features, 6.2 at 1,400
+TREES_IN_FLIGHT = 100
 STEP_ROWS = 4096  # node rows scored per growth step; one larger node runs alone
 
 _shared_draws = {}  # latest fit shape only: {(seed, n_rows, n_features): {tree: (rng, draws)}}
@@ -136,19 +141,26 @@ def _split_step(table, XT, y, lo, m, feats, node_counts):
 class _Tree:
     """A tree in flight: index, table slot, seeded draws ``(generator, flat
     list of candidate draws in preorder)``, preorder stack of ``(lo, hi, class
-    counts, depth, parent if a right child)`` and the ``[feature, threshold,
-    left, right, counts]`` rows of its nodes."""
+    counts, depth, parent if a right child)`` and its nodes in four columns:
+    feature, threshold, right child and class counts, flat. Preorder puts a
+    split node's left child right after it, so no left column is kept."""
 
     def __init__(self, index, slot, draws, root):
         self.index, self.slot = index, slot
         self.rng, self.known = draws
-        self.stack, self.nodes, self.drawn = [root], [], 0
+        self.stack, self.drawn = [root], 0
+        self.feature, self.threshold = array("q"), array("d")
+        self.right, self.counts = array("q"), array("q")
 
     def add(self, counts, right_of):
+        nid = len(self.feature)
         if right_of >= 0:
-            self.nodes[right_of][3] = len(self.nodes)
-        self.nodes.append([-1, 0.0, -1, -1, counts])  # 0.0 keeps the JSON export finite
-        return len(self.nodes) - 1
+            self.right[right_of] = nid
+        self.feature.append(-1)
+        self.threshold.append(0.0)  # 0.0 keeps the JSON export finite
+        self.right.append(-1)
+        self.counts.extend(counts)
+        return nid
 
     def next_split(self, max_depth, min_split):
         """Add the leaves on top of the stack; the split node left on top, if any."""
@@ -170,9 +182,11 @@ class _Tree:
         return self.known[self.drawn - n_candidates : self.drawn]
 
     def finish(self) -> TreeNodes:
-        columns = zip(*self.nodes)  # feature, threshold, left, right, counts
-        return TreeNodes(*(np.array(v, np.float64 if i == 1 else np.int64)
-                           for i, v in enumerate(columns)))
+        feature = np.array(self.feature, np.int64)
+        left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
+        return TreeNodes(feature, np.array(self.threshold, np.float64), left,
+                         np.array(self.right, np.int64),
+                         np.array(self.counts, np.int64).reshape(feature.size, -1))
 
 
 def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestModel:
@@ -208,7 +222,7 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         # the bootstrap in each feature's order; equal values score and split alike
         table[:, slot * n : (slot + 1) * n] = np.repeat(
             order, np.bincount(sample, minlength=n)[order]).reshape(n_features, n)
-        counts = tuple(np.bincount(y[sample], minlength=n_classes).tolist())
+        counts = np.bincount(y[sample], minlength=n_classes).tolist()
         return _Tree(index, slot, draws, (slot * n, (slot + 1) * n, counts, 0, -1))
 
     growing = [start_tree(slot) for slot in range(n_slots)]
@@ -231,15 +245,16 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         _, _, lo, m, counts, _, feats = zip(*batch)
         feats = np.array(feats, np.intp)
         feats.sort()
+        counts = np.array(counts).T
         split, f, thr, m_left, left_counts = _split_step(
-            table, XT, y, np.array(lo), np.array(m), feats, np.array(counts).T)
-        for (tree, nid, lo, m, counts, depth, _), f, thr, m_left, left in zip(
+            table, XT, y, np.array(lo), np.array(m), feats, counts)
+        for (tree, nid, lo, m, _, depth, _), f, thr, m_left, left, right in zip(
                 itertools.compress(batch, split), f.tolist(), thr.tolist(),
-                m_left.tolist(), left_counts.T.tolist()):
-            tree.nodes[nid][:3] = f, thr, nid + 1  # preorder: the left child is next
-            right = tuple(a - b for a, b in zip(counts, left))
+                m_left.tolist(), left_counts.T.tolist(),
+                (counts[:, split] - left_counts).T.tolist()):
+            tree.feature[nid], tree.threshold[nid] = f, thr
             tree.stack.append((lo + m_left, lo + m, right, depth + 1, nid))
-            tree.stack.append((lo, lo + m_left, tuple(left), depth + 1, -1))
+            tree.stack.append((lo, lo + m_left, left, depth + 1, -1))
     return ForestModel(trees=tuple(trees), n_features=n_features, n_classes=n_classes)
 
 

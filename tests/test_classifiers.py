@@ -181,6 +181,18 @@ class TestForestOracle:
                     assert tree.left[i] == -1 and tree.right[i] == -1
                     assert tree.counts[i].sum() > 0
 
+    def test_default_forest_layout(self, heart_ds):
+        # preorder puts a split node's left child right after it
+        model = fit(ClassifierSpec("rf", {}, seed=3), heart_ds, ORIGIN_TEACHER)
+        for tree in model.params.trees:
+            ids, split = np.arange(tree.n_nodes), tree.feature >= 0
+            np.testing.assert_array_equal(tree.left[split], ids[split] + 1)
+            assert np.all(tree.right[split] > ids[split] + 1)
+            leaf = ~split
+            assert np.all(tree.feature[leaf] == -1)
+            assert tree.threshold[leaf].tobytes() == bytes(8 * leaf.sum())  # +0.0
+            assert np.all(tree.left[leaf] == -1) and np.all(tree.right[leaf] == -1)
+
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_trees_equal_the_recursive_reference(self, n_classes):
         # small integer ranges make ties the rule; scaling half the trials
@@ -200,10 +212,7 @@ class TestForestOracle:
                 int(rng.choice([2, 5, 20])),  # min_split
                 int(rng.integers(0, 1000)),  # seed
             )
-            fast, slow = fit_forest(*args), fit_forest_recursive(*args)
-            for a, b in zip(fast.trees, slow.trees, strict=True):
-                for name in ("feature", "threshold", "left", "right", "counts"):
-                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
 
     @pytest.mark.parametrize("n_classes", [2, 3, 4, 9])
     def test_trees_equal_the_recursive_reference_past_both_limits(
@@ -223,10 +232,7 @@ class TestForestOracle:
             X = 1.0 + eps * X if trial % 2 else X.astype(np.float64)
             y = rng.integers(0, n_classes, size=n_rows)
             args = (X, y, n_classes, 7, 16, 2, int(rng.integers(0, 1000)))
-            fast, slow = fit_forest(*args), fit_forest_recursive(*args)
-            for a, b in zip(fast.trees, slow.trees, strict=True):
-                for name in ("feature", "threshold", "left", "right", "counts"):
-                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
 
     def test_fit_peak_allocation_stays_bounded(self):
         # a default forest on 700 rows, the size of a run's teacher refit;
@@ -338,9 +344,12 @@ class TestForestOracle:
 
 
 def _assert_same_trees(a, b):
+    # assert_array_equal alone would accept an int32 array against an int64 one
     for ta, tb in zip(a.trees, b.trees, strict=True):
         for name in ("feature", "threshold", "left", "right", "counts"):
-            np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name))
+            xa, xb = getattr(ta, name), getattr(tb, name)
+            assert (name, xa.dtype, xa.shape) == (name, xb.dtype, xb.shape)
+            np.testing.assert_array_equal(xa, xb)
 
 
 def _small_forest_data():
@@ -384,6 +393,7 @@ class TestSharedDraws:
     def test_interrupted_fit_leaves_no_wrong_entry(self, monkeypatch):
         X, y = _small_forest_data()
         rows = np.arange(100) % 10 != 0
+        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", 32)
         shallow = (X[rows], y[rows], 3, 40, 2, 2, 7)  # 40 trees: 8 wait to start
         deep = (X[rows], y[rows], 3, 40, 16, 2, 7)
         fit_forest(*shallow)
@@ -398,11 +408,27 @@ class TestSharedDraws:
         monkeypatch.setattr(forest, "_split_step", stop_at_fifth_step)
         with pytest.raises(KeyboardInterrupt):
             fit_forest(*deep)
-        monkeypatch.undo()
+        monkeypatch.setattr(forest, "_split_step", split_step)
         # the trees in flight had drawn past their stored draws: no entry
         assert len(forest._shared_draws[7, 90, 6]) == 40 - forest.TREES_IN_FLIGHT
         _assert_same_trees(fit_forest(*deep), fit_forest_recursive(*deep))
         assert len(forest._shared_draws[7, 90, 6]) == 40
+
+    def test_default_forest_grows_in_one_wave(self, monkeypatch):
+        # every tree of a default-size forest starts before the first step, so
+        # a fit stopped there has taken every stored draw of its shape
+        X, y = _small_forest_data()
+        n_trees = DEFAULT_HYPERPARAMETERS["rf"]["n_trees"]
+        fit_forest(X, y, 3, n_trees, 2, 2, 9)
+        assert len(forest._shared_draws[9, 100, 6]) == n_trees
+
+        def stop_at_first_step(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(forest, "_split_step", stop_at_first_step)
+        with pytest.raises(KeyboardInterrupt):
+            fit_forest(X, y, 3, n_trees, 16, 2, 9)
+        assert len(forest._shared_draws[9, 100, 6]) == 0
 
     def test_race_folds_share_draws_through_fit(self, cardio_ds):
         spec = ClassifierSpec("rf", {"n_trees": 5, "max_depth": 8}, seed=4)
