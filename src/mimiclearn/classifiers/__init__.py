@@ -14,7 +14,7 @@ own vote, sign, or argmax rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -163,8 +163,7 @@ class ClassifierSpec:
         object.__setattr__(self, "hyperparameters", merged)
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "hyperparameters": dict(self.hyperparameters),
-                "seed": self.seed}
+        return asdict(self)
 
 
 def specs_from_config(entries, seed: int = 0) -> tuple[ClassifierSpec, ...]:

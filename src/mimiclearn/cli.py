@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 # predict_batch and score_batch stay bound here: perfbench/spans.py wraps them
@@ -231,7 +232,7 @@ def cmd_run(args) -> int:
     manifest = {
         "command": "run",
         "data_path": str(args.data),
-        "ingest": {"n_rows": stats.n_rows, "n_imputed": stats.n_imputed},
+        "ingest": asdict(stats),
         "config": config.to_json_dict(),
         "artifacts": {
             name: hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -299,22 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fractions = ",".join(map(str, SplitSpec().fractions))
 
     p_split = sub.add_parser(
         "split", help="three-way stratified split of a labeled CSV",
         description="Writes private.csv, public.csv (labels stripped), "
                     "test.csv and split_manifest.json.",
-    )
-    _add_data_flags(p_split)
-    p_split.add_argument("--seed", type=int, default=0)
-    p_split.add_argument(
-        "--fractions", type=_parse_fractions, default=None, metavar="PRIV,PUB,TEST",
-        help=f"private/public/test fractions, summing to 1 (default {fractions})",
-    )
-    p_split.add_argument(
-        "--out-dir", default=None,
-        help=f"output directory (default: ${OUT_DIR_ENV} or '.')",
     )
     p_split.set_defaults(func=cmd_split)
 
@@ -324,12 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "roc_teacher.csv, roc_student.csv, student_model.json "
                     "(unless the student is nearest-neighbor) and manifest.json.",
     )
-    _add_data_flags(p_run)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
-        "--fractions", type=_parse_fractions, default=None, metavar="PRIV,PUB,TEST",
-        help=f"private/public/test fractions (default {fractions})",
-    )
+    p_run.set_defaults(func=cmd_run)
+    fractions = ",".join(map(str, SplitSpec().fractions))
+    for p in (p_split, p_run):
+        _add_data_flags(p)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--fractions", type=_parse_fractions, default=None, metavar="PRIV,PUB,TEST",
+            help=f"private/public/test fractions, summing to 1 (default {fractions})",
+        )
+        p.add_argument(
+            "--out-dir", default=None,
+            help=f"output directory (default: ${OUT_DIR_ENV} or '.')",
+        )
+
     p_run.add_argument(
         "--cv-k", type=int, default=None, metavar="K",
         help=f"cross-validation folds for selection (default {PipelineConfig.cv_k})",
@@ -349,11 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility (must be >= 1); training is "
              "single-threaded and --jobs never changes results",
     )
-    p_run.add_argument(
-        "--out-dir", default=None,
-        help=f"output directory (default: ${OUT_DIR_ENV} or '.')",
-    )
-    p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser(
         "evaluate", help="score a shared student model file on a labeled CSV",
@@ -367,17 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"mimiclearn: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else EXIT_USAGE
-
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"mimiclearn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,7 @@ AUC equals the pairwise ranking statistic with half credit for ties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,27 +58,11 @@ class MetricsReport:
     zero_denominator: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "averaging": self.averaging,
-            "zero_denominator": list(self.zero_denominator),
-        }
-        if self.per_class is not None:
-            out["per_class"] = [
-                {
-                    "class_index": c.class_index,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                    "support": c.support,
-                }
-                for c in self.per_class
-            ]
-        return out
+        """Every field, tuples as lists; a positive report has no ``per_class``."""
+        return asdict(self, dict_factory=lambda items: {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in items if value is not None
+        })
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +75,11 @@ def _array(raw, shape, integral: bool, name: str) -> np.ndarray:
     return arr.astype(np.int64 if integral else np.float64)
 
 
-def _encode_svm(p: SvmModel) -> dict:
-    return {"weights": p.weights.tolist(), "bias": p.bias}
+def _encode_fields(params) -> dict:
+    """A parameters dataclass as a JSON object, field by field; arrays as lists."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v
+            for name, v in values.items()}
 
 
 def _decode_svm(raw: dict, n_features: int, n_classes: int) -> SvmModel:
@@ -87,19 +91,8 @@ def _decode_svm(raw: dict, n_features: int, n_classes: int) -> SvmModel:
 
 
 def _encode_forest(p: ForestModel) -> dict:
-    return {
-        "n_classes": p.n_classes,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "counts": t.counts.tolist(),
-            }
-            for t in p.trees
-        ],
-    }
+    # n_features is a top-level field of the file, not a parameter
+    return {"n_classes": p.n_classes, "trees": [_encode_fields(t) for t in p.trees]}
 
 
 def _decode_tree(raw, index: int, n_features: int, n_classes: int) -> TreeNodes:
@@ -154,15 +147,6 @@ def _decode_forest(raw: dict, n_features: int, n_classes: int) -> ForestModel:
     return ForestModel(trees=trees, n_features=n_features, n_classes=n_classes)
 
 
-def _encode_nb(p: NbModel) -> dict:
-    return {
-        "priors": p.priors.tolist(),
-        "means": p.means.tolist(),
-        "variances": p.variances.tolist(),
-        "epsilon": p.epsilon,
-    }
-
-
 def _decode_nb(raw: dict, n_features: int, n_classes: int) -> NbModel:
     priors = _array(_need(raw, "priors", list, "parameters."), (n_classes,),
                     False, "parameters.priors")
@@ -183,9 +167,9 @@ def _decode_nb(raw: dict, n_features: int, n_classes: int) -> NbModel:
 # kind -> (encode, decode) of the family's parameters; a family without an
 # entry is never exported or imported
 _CODECS = {
-    "svm": (_encode_svm, _decode_svm),
+    "svm": (_encode_fields, _decode_svm),
     "rf": (_encode_forest, _decode_forest),
-    "nb": (_encode_nb, _decode_nb),
+    "nb": (_encode_fields, _decode_nb),
 }
 
 
@@ -274,12 +258,7 @@ def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
     kind = model.spec.kind
     if kind not in _CODECS:
         raise _raw_rows_refusal(kind, "export")
-    scaler = None
-    if model.scaler is not None:
-        scaler = {
-            "means": model.scaler.means.tolist(),
-            "std_devs": model.scaler.std_devs.tolist(),
-        }
+    scaler = None if model.scaler is None else _encode_fields(model.scaler)
     record = {
         "format_version": MODEL_FORMAT_VERSION,
         **model.spec.to_json_dict(),

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimiclearn.cli import EXIT_DATA, EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
+from mimiclearn.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_PIPELINE,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from mimiclearn.data import CsvSchema, load_csv, save_csv
 from mimiclearn.model_io import import_model
 from mimiclearn.classifiers import predict_batch
@@ -417,9 +424,15 @@ class TestExitCodes:
         assert main(_run_args(toy_csv, out, "--config", str(config))) == EXIT_USAGE
         assert not out.exists()
 
-    def test_jobs_must_be_positive(self, toy_csv, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        ("--jobs", "0"),  # refused by the command
+        ("--fractions", "1,2"),  # refused while parsing flags
+    ], ids=lambda flags: "-".join(flags))
+    def test_usage_error_prints_one_line(self, flags, toy_csv, tmp_path, capsys):
         out = tmp_path / "o"
-        assert main(_run_args(toy_csv, out, "--jobs", "0")) == EXIT_USAGE
+        assert main(_run_args(toy_csv, out, *flags)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("mimiclearn: error:") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [
@@ -512,6 +525,20 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "split" in capsys.readouterr().out
+
+
+def test_split_and_run_share_their_flags(capsys):
+    shared = ("seed", "fractions", "out_dir", "label_column", "no_header",
+              "positive_class", "missing_token")
+    split, run = (vars(build_parser().parse_args([command, "--data", "d.csv"]))
+                  for command in ("split", "run"))
+    assert {k: split[k] for k in shared} == {k: run[k] for k in shared}
+    for command in ("split", "run"):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for flag in ("--data", "--seed", "--fractions", "--out-dir", "--label-column",
+                     "--no-header", "--positive-class", "--missing-token"):
+            assert flag in out, (command, flag)
 
 
 GOLDEN_CONFIG = {

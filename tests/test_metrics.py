@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimiclearn.classifiers import ClassifierSpec
 from mimiclearn.metrics import (
     ConfusionMatrix,
     accuracy,
@@ -232,6 +233,34 @@ class TestReportShape:
         macro = macro_metrics(np.array([0, 1]), np.array([0, 1]), 2).to_json_dict()
         assert macro["averaging"] == "macro"
         assert len(macro["per_class"]) == 2
+
+    def test_positive_json_dict_is_literal(self):
+        report = positive_metrics(np.array([0, 0, 1, 1]), np.array([0, 0, 0, 0]))
+        assert report.to_json_dict() == {
+            "n": 4, "accuracy": 0.5, "precision": 0.0, "recall": 0.0, "f1": 0.0,
+            "averaging": "positive", "zero_denominator": ["precision", "f1"],
+        }
+
+    def test_macro_json_dict_is_literal(self):
+        report = macro_metrics(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]), 4)
+        half = {"precision": 0.5, "recall": 0.5, "f1": 0.5, "support": 2}
+        empty = {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0}
+        assert report.to_json_dict() == {
+            "n": 4, "accuracy": 0.5, "precision": 0.25, "recall": 0.25, "f1": 0.25,
+            "averaging": "macro",
+            "zero_denominator": ["f1", "precision", "recall"],
+            "per_class": [
+                {"class_index": 0, **half}, {"class_index": 1, **half},
+                {"class_index": 2, **empty}, {"class_index": 3, **empty},
+            ],
+        }
+
+    def test_spec_json_dict_is_literal(self):
+        spec = ClassifierSpec("rf", {"n_trees": 3}, seed=7)
+        d = spec.to_json_dict()
+        assert d == {"kind": "rf", "seed": 7, "hyperparameters": {
+            "n_trees": 3, "max_depth": 16, "min_split": 2}}
+        assert d["hyperparameters"] is not spec.hyperparameters
 
     def test_accuracy_of_empty_confusion_rejected(self):
         with pytest.raises(ValueError):

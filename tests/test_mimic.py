@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mimiclearn
 from mimiclearn.classifiers import (
     ORIGIN_STUDENT,
     ORIGIN_TEACHER,
@@ -256,3 +257,28 @@ class TestRunPipeline:
         )
         with pytest.raises(PipelineError):
             run_pipeline(relabeled, PipelineConfig(specs=SMALL_SPECS))
+
+
+# the package's public names; adding or removing one is a deliberate API change
+PUBLIC_API = [
+    "AnnotatedDataset", "ClassMetrics", "ClassifierSpec", "ConfusionMatrix",
+    "CsvSchema", "CvReport", "DEFAULT_HYPERPARAMETERS", "DataError", "Dataset",
+    "FAMILIES", "FidelityReport", "FoldAssignment", "IngestStats",
+    "MODEL_FORMAT_VERSION", "MetricsReport", "ModelFormatError", "ORIGIN_STUDENT",
+    "ORIGIN_TEACHER", "PipelineConfig", "PipelineError", "PipelineRun",
+    "PrivacyError", "RaceResult", "RocCurve", "ScalerParams", "SplitResult",
+    "SplitSpec", "TrainedModel", "accuracy", "annotate", "apply_scaler",
+    "confusion", "default_specs", "evaluate_fidelity", "export_model", "f1", "fit",
+    "fit_scaler", "import_model", "ingest_csv", "kfold", "load_csv",
+    "macro_metrics", "model_to_file", "parse_model_file", "positive_metrics",
+    "precision", "predict", "predict_batch", "recall", "roc", "run_json",
+    "run_pipeline", "save_csv", "score", "score_batch", "split_manifest_json",
+    "stratified_split", "train_student", "train_teacher",
+]
+
+
+def test_public_api_is_pinned():
+    assert len(PUBLIC_API) == 60
+    assert sorted(mimiclearn.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        getattr(mimiclearn, name)

@@ -15,12 +15,17 @@ from mimiclearn.classifiers import (
     ORIGIN_STUDENT,
     ORIGIN_TEACHER,
     ClassifierSpec,
+    ForestModel,
+    NbModel,
+    TrainedModel,
+    TreeNodes,
     default_specs,
     fit,
     predict_batch,
     score_batch,
 )
 from mimiclearn.classifiers.svm import SvmModel
+from mimiclearn.data import ScalerParams
 from mimiclearn.errors import DataError, ModelFormatError, PipelineError, PrivacyError
 from mimiclearn.model_io import (
     MODEL_FORMAT_VERSION,
@@ -271,6 +276,77 @@ class TestHandBuiltFile:
             log_high = -0.5 * (math.log(2 * math.pi) + (x - 4.0) ** 2)
             expected = int(log_high > log_low)
             assert predict_batch(model, np.array([[x]]))[0] == expected
+
+
+def _hand_built(kind):
+    """A student of ``kind`` built without a fit, and its model file object."""
+    params, scaler, parameters, scaler_json = {
+        "svm": (
+            SvmModel(weights=np.array([0.5, -1.25]), bias=0.75),
+            ScalerParams(means=np.array([1.0, 2.0]), std_devs=np.array([0.5, 4.0])),
+            {"weights": [0.5, -1.25], "bias": 0.75},
+            {"means": [1.0, 2.0], "std_devs": [0.5, 4.0]},
+        ),
+        "nb": (
+            NbModel(priors=np.array([0.25, 0.75]),
+                    means=np.array([[0.0, 1.0], [2.0, 3.0]]),
+                    variances=np.array([[1.0, 0.5], [2.0, 0.25]]), epsilon=1e-9),
+            None,
+            {"priors": [0.25, 0.75], "means": [[0.0, 1.0], [2.0, 3.0]],
+             "variances": [[1.0, 0.5], [2.0, 0.25]], "epsilon": 1e-9},
+            None,
+        ),
+        "rf": (
+            ForestModel(trees=(TreeNodes(
+                feature=np.array([1, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+                left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                counts=np.array([[3, 2], [3, 0], [0, 2]]),
+            ),), n_features=2, n_classes=2),
+            None,
+            {"n_classes": 2, "trees": [{
+                "feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                "left": [1, -1, -1], "right": [2, -1, -1],
+                "counts": [[3, 2], [3, 0], [0, 2]],
+            }]},
+            None,
+        ),
+    }[kind]
+    spec = ClassifierSpec(kind, seed=5)
+    model = TrainedModel(spec=spec, params=params, class_names=("no", "yes"),
+                         scaler=scaler, origin=ORIGIN_STUDENT)
+    record = {
+        "format_version": 1,
+        "kind": kind,
+        "hyperparameters": dict(spec.hyperparameters),
+        "seed": 5,
+        "origin": ORIGIN_STUDENT,
+        "class_names": ["no", "yes"],
+        "n_features": 2,
+        "scaler": scaler_json,
+        "parameters": parameters,
+        "created_at": None,
+    }
+    return model, record
+
+
+@pytest.mark.parametrize("kind", EXPORTABLE)
+def test_hand_built_model_writes_the_literal_layout(kind):
+    """The file layout of each family, pinned without host arithmetic: key
+    names, list nesting, and which numbers are written as ints."""
+    model, expected = _hand_built(kind)
+    record = model_to_file(model)
+    assert record == expected
+    params = record["parameters"]
+    if kind == "rf":
+        tree = params["trees"][0]
+        ints = tree["feature"] + tree["left"] + tree["right"] + sum(tree["counts"], [])
+        assert all(type(v) is int for v in ints)
+        assert all(type(v) is float for v in tree["threshold"])
+    else:
+        assert type(params["bias" if kind == "svm" else "epsilon"]) is float
+    text = file_json(record)
+    assert model_to_file(parse_model_file(text)) == expected
+    assert file_json(model_to_file(parse_model_file(text))) == text
 
 
 # sha256 of file_json(model_to_file(...)) for rf students fit on the bundled
