@@ -8,15 +8,23 @@ rest of the weight vector. Epoch shuffles come from one seeded generator,
 making training deterministic. Binary only.
 
 The weights are the same bytes on every IEEE-754 host. Training runs on
-Python floats: each dot product and the squared norm are ``math.fsum`` of
-the rounded products, which is correctly rounded (Shewchuk's exact
-summation), and every update is a plain product or sum, which CPython never
-fuses. BLAS is not used: ``ddot``/``dgemv`` pick a kernel by CPU, and the
-kernels sum in different orders, some with fused multiply-adds. The builtin
-``sum()`` is not used either: from Python 3.12 it compensates float sums, so
-its bytes depend on the interpreter version. ``svm_margin`` adds the columns
-one at a time in a fixed order with numpy elementwise operations, which do
-not fuse, starting from +0.0 so that no margin is a negative zero.
+Python floats with plain products and sums, which CPython never fuses, and
+``math.fsum`` dot products, which are correctly rounded (Shewchuk's exact
+summation). So is the squared norm, computed only when a running bound on
+``||(w, b)||`` cannot rule the projection out. Neither BLAS, whose kernels
+sum in CPU-dependent orders, some with fused multiply-adds, nor the builtin
+``sum()``, which compensates float sums from Python 3.12 on, is used.
+``svm_margin`` adds the columns one at a time in a fixed order with numpy
+elementwise operations, which do not fuse, starting from +0.0 so that no
+margin is a negative zero.
+
+A skipped norm could not have fired, so no byte changes: each hinge step
+adds ``|c| * length[i] >= |c| * ||(x_i, 1)||`` to the bound, and a skip
+needs it below the radius with margins (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 2-3). ``_SLACK`` covers a dozen roundings of
+2**-53 per step and per norm, ``_TINY`` subnormal products, ``_FLOOR``
+subnormal squares (at most sqrt((d + 1) * 2**-1075) on a norm), and
+``_CAP`` the overflow, which raises, of a skipped ``fsum`` of squares.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ import numpy as np
 
 from ..errors import PipelineError
 from ..rng import STAGE_SGD, derive_seed, generator
+
+_SLACK = 1.0 + 1e-12
+_TINY = 1e-300
+_FLOOR = 1e-150
+_CAP = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,9 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
     w = [0.0] * d
     b = 0.0
     radius = 1.0 / math.sqrt(reg_lambda)
+    limit = min(radius, _CAP)
+    lengths = [math.hypot(*x, 1.0) * _SLACK for x in rows]
+    bound = 0.0  # >= ||(w, b)||
     rng = generator(derive_seed(seed, STAGE_SGD))
     t = 0
     for _ in range(epochs):
@@ -61,14 +77,18 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
                 c = (1.0 / (reg_lambda * t)) * s  # eta * y_i
                 w = [a * shrink + c * xj for a, xj in zip(w, x)]
                 b = b * shrink + c
+                bound = (bound * shrink + abs(c) * lengths[i]) * _SLACK + _TINY
             else:
                 w = [a * shrink for a in w]
                 b *= shrink
-            norm = math.sqrt(math.fsum(map(mul, w, w)) + b * b)
-            if norm > radius:
-                scale = radius / norm
-                w = [a * scale for a in w]
-                b *= scale
+                bound = bound * shrink * _SLACK + _TINY
+            if not bound * _SLACK + _FLOOR <= limit:
+                norm = math.sqrt(math.fsum(map(mul, w, w)) + b * b)
+                if norm > radius:
+                    scale = radius / norm
+                    w = [a * scale for a in w]
+                    b *= scale
+                bound = min(norm, radius) * _SLACK + _TINY
     return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
 
 

@@ -8,12 +8,15 @@ learnable threshold) give tests inputs whose right answer is known.
 """
 
 import math
+from operator import mul
 
 import numpy as np
 
 from mimiclearn.classifiers.forest import ForestModel, TreeNodes
+from mimiclearn.classifiers.svm import SvmModel
 from mimiclearn.data import Dataset
-from mimiclearn.rng import STAGE_TREE, derive_seed, generator
+from mimiclearn.errors import PipelineError
+from mimiclearn.rng import STAGE_SGD, STAGE_TREE, derive_seed, generator
 
 
 def knn_votes_bruteforce(train_X, train_y, query_X, k, n_classes):
@@ -193,6 +196,43 @@ def nb_log_posterior_direct(model, X):
                 total += -0.5 * (math.log(2.0 * math.pi * v) + (x - m) ** 2 / v)
             out[r, c] = total
     return out
+
+
+def fit_svm_stepwise(X, y, n_classes, reg_lambda, epochs, seed):
+    """``fit_svm`` computing ``||(w, b)||`` at every step rather than only
+    where its running bound allows a projection: same draws, same float
+    operations on ``w`` and ``b`` in the same order."""
+    if n_classes != 2:
+        raise PipelineError(
+            f"linear svm supports exactly 2 classes, got {n_classes}"
+        )
+    n, d = X.shape
+    rows = X.tolist()
+    signs = (2 * y - 1).astype(np.float64).tolist()
+    w = [0.0] * d
+    b = 0.0
+    radius = 1.0 / math.sqrt(reg_lambda)
+    rng = generator(derive_seed(seed, STAGE_SGD))
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            x, s = rows[i], signs[i]
+            margin = s * (math.fsum(map(mul, x, w)) + b)
+            shrink = 1.0 - 1.0 / t  # == 1 - eta*reg_lambda
+            if margin < 1.0:
+                c = (1.0 / (reg_lambda * t)) * s  # eta * y_i
+                w = [a * shrink + c * xj for a, xj in zip(w, x)]
+                b = b * shrink + c
+            else:
+                w = [a * shrink for a in w]
+                b *= shrink
+            norm = math.sqrt(math.fsum(map(mul, w, w)) + b * b)
+            if norm > radius:
+                scale = radius / norm
+                w = [a * scale for a in w]
+                b *= scale
+    return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
 
 
 def confusion_counts_loop(y_true, y_pred, positive):

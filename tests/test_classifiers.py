@@ -1,10 +1,13 @@
 import copy
+import math
 import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimiclearn.classifiers import (
     DEFAULT_HYPERPARAMETERS,
@@ -21,12 +24,12 @@ from mimiclearn.classifiers import (
     score_batch,
     specs_from_config,
 )
-from mimiclearn.classifiers import forest
+from mimiclearn.classifiers import forest, svm
 from mimiclearn.classifiers.bayes import nb_log_posterior
 from mimiclearn.classifiers.forest import WALK_ROWS, fit_forest, forest_votes
 from mimiclearn.classifiers.knn import knn_vote
-from mimiclearn.classifiers.svm import SvmModel, svm_margin
-from mimiclearn.data import Dataset, kfold
+from mimiclearn.classifiers.svm import SvmModel, fit_svm, svm_margin
+from mimiclearn.data import Dataset, apply_scaler, fit_scaler, kfold
 from mimiclearn.errors import PipelineError
 from mimiclearn.metrics import roc
 from mimiclearn.mimic import _cross_validate
@@ -35,6 +38,7 @@ from mimiclearn.synthetic import cardio_like
 
 from oracles import (
     fit_forest_recursive,
+    fit_svm_stepwise,
     forest_predict_walk,
     forest_votes_walk,
     knn_predict_bruteforce,
@@ -483,6 +487,39 @@ class TestNaiveBayesOracle:
         assert preds.shape == (4,)
 
 
+def _svm_bytes(model):
+    return model.weights.tobytes(), np.float64(model.bias).tobytes()
+
+
+def _svm_outcome(fit_fn, *args):
+    """Weight and bias bytes of a fit, or the type of what it raised."""
+    try:
+        return _svm_bytes(fit_fn(*args))
+    except Exception as exc:  # compared by type against the oracle's
+        return type(exc)
+
+
+# log-uniform over the positive doubles from 5e-324 to 1.7e308, plus both ends
+_LAMBDAS = st.one_of(
+    st.sampled_from([5e-324, 1.7e308]),
+    st.floats(-323.3, 308.2).map(lambda e: min(max(10.0**e, 5e-324), 1.7e308)),
+)
+
+
+class _CountingMath:
+    """Stands in for ``math`` inside ``svm`` and counts ``fsum`` calls."""
+
+    def __init__(self):
+        self.fsum_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, values):
+        self.fsum_calls += 1
+        return math.fsum(values)
+
+
 class TestSvm:
     def test_separates_linearly_separable_data(self):
         for seed in range(10):
@@ -512,6 +549,42 @@ class TestSvm:
         assert not np.any(np.signbit(margins) & (margins == 0))
         text = roc(margins, np.array([0, 1, 0, 1, 0, 1])).to_csv_text()
         assert "-0.0" not in text
+
+    @given(
+        reg_lambda=_LAMBDAS,
+        n_rows=st.integers(1, 40),
+        log_scales=st.lists(st.floats(-310.0, 300.0), max_size=12),
+        zero_rows=st.sets(st.integers(0, 39), max_size=5),
+        epochs=st.integers(1, 3),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fit_matches_stepwise_norm_oracle(
+        self, reg_lambda, n_rows, log_scales, zero_rows, epochs, data_seed, seed
+    ):
+        # columns scaled by 1e-310 to 1e300, some rows all zero
+        rng = generator(data_seed)
+        X = rng.normal(size=(n_rows, len(log_scales))) * 10.0 ** np.array(log_scales)
+        X[[r for r in zero_rows if r < n_rows]] = 0.0
+        y = rng.integers(0, 2, size=n_rows)
+        args = (X, y, 2, reg_lambda, epochs, seed)
+        assert _svm_outcome(fit_svm, *args) == _svm_outcome(fit_svm_stepwise, *args)
+
+    def test_default_fold_fit_rarely_computes_the_norm(self, monkeypatch):
+        # rows i % 10 != 0 of the first 700 cardio_like rows, as one fold
+        # of a default race, standardized as fit does for svm
+        ds = cardio_like().select(np.arange(700))
+        part = ds.select(np.nonzero(np.arange(700) % 10 != 0)[0])
+        X = apply_scaler(part, fit_scaler(part)).features
+        args = (X, part.labels, 2, 1e-4, 50, 1)
+        counting = _CountingMath()
+        monkeypatch.setattr(svm, "math", counting)
+        model = fit_svm(*args)
+        steps = 50 * part.n_rows  # one dot-product fsum each
+        norms = counting.fsum_calls - steps
+        assert 0 < norms < steps // 10, f"{norms} of {steps} steps took the norm"
+        assert _svm_bytes(model) == _svm_bytes(fit_svm_stepwise(*args))
 
 
 class TestFitContract:
