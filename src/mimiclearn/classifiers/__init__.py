@@ -14,6 +14,7 @@ own vote, sign, or argmax rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -59,7 +60,8 @@ class Family:
 
     ``defaults`` gives each hyperparameter's default, whose type is the only
     type accepted (a bool is never an int). ``minimums`` gives each one's
-    lower bound: an int may equal it, a float must be finite and exceed it.
+    lower bound: an int may equal it (and is at most ``sys.maxsize``), a float
+    must be finite and exceed it.
     ``scaled`` families are fit on standardized features. ``fit`` takes
     ``(X, y, n_classes, hyperparameters, seed)`` and returns the family's
     parameters; ``raw`` takes ``(params, X, hyperparameters)``, and
@@ -79,7 +81,8 @@ class Family:
 REGISTRY = {
     "svm": Family(
         defaults={"reg_lambda": 1e-4, "epochs": 50},
-        minimums={"reg_lambda": 0.0, "epochs": 1},
+        # a smaller lambda makes Pegasos' first step size 1 / lambda infinite
+        minimums={"reg_lambda": 1 / sys.float_info.max, "epochs": 1},
         scaled=True,
         fit=lambda X, y, n_classes, hp, seed: fit_svm(
             X, y, n_classes, hp["reg_lambda"], hp["epochs"], seed
@@ -158,6 +161,8 @@ class ClassifierSpec:
                 raise PipelineError(f"{self.kind}: {name} must be {expected.__name__}")
             if expected is int and value < low:
                 raise PipelineError(f"{self.kind}: {name} must be >= {low}")
+            if expected is int and value > sys.maxsize:
+                raise PipelineError(f"{self.kind}: {name} must be <= {sys.maxsize}")
             if expected is float and not (math.isfinite(value) and value > low):
                 raise PipelineError(f"{self.kind}: {name} must be finite and > {low}")
         object.__setattr__(self, "hyperparameters", merged)

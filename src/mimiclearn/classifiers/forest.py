@@ -206,7 +206,7 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     order = np.argsort(XT, axis=1, kind="stable").ravel()
     n_slots = min(n_trees, TREES_IN_FLIGHT)
     table = np.empty((n_features, n_slots * n), dtype=np.int32)
-    pending, trees = iter(range(n_trees)), [None] * n_trees
+    pending, trees = iter(range(n_trees)), {}
     if (seed, n, n_features) not in _shared_draws:
         _shared_draws.clear()
     memo = _shared_draws.setdefault((seed, n, n_features), {})
@@ -255,7 +255,8 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
             tree.feature[nid], tree.threshold[nid] = f, thr
             tree.stack.append((lo + m_left, lo + m, right, depth + 1, nid))
             tree.stack.append((lo, lo + m_left, left, depth + 1, -1))
-    return ForestModel(trees=tuple(trees), n_features=n_features, n_classes=n_classes)
+    return ForestModel(trees=tuple(trees[i] for i in range(n_trees)),
+                       n_features=n_features, n_classes=n_classes)
 
 
 def forest_votes(model: ForestModel, X: np.ndarray) -> np.ndarray:

@@ -270,8 +270,6 @@ def cmd_evaluate(args) -> int:
     model = import_model(args.model)
     schema = _schema_from_args(args)
     ds, _ = ingest_csv(args.data, schema)
-    if ds.labels is None:
-        raise DataError("evaluate requires a labeled CSV")
     if tuple(ds.class_names) != model.class_names:
         raise DataError(
             f"label values {list(ds.class_names)} do not match the model's "

@@ -17,7 +17,7 @@ runs are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -154,33 +154,6 @@ class RaceResult:
             "winner_kind": self.winner.spec.kind,
             "entries": [r.to_json_dict() for r in self.reports],
         }
-
-
-@dataclass(frozen=True)
-class AnnotatedDataset:
-    """A public pool plus the labels a teacher assigned to it."""
-
-    pool: Dataset
-    labels: np.ndarray
-    class_names: tuple[str, ...]
-    teacher_kind: str
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.shape != (self.pool.n_rows,):
-            raise PipelineError("annotation count does not match pool size")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-
-    @property
-    def label_counts(self) -> tuple[int, ...]:
-        return tuple(
-            int(c) for c in np.bincount(self.labels, minlength=len(self.class_names))
-        )
-
-    def to_dataset(self) -> Dataset:
-        return self.pool.with_labels(self.labels)
 
 
 @dataclass(frozen=True)
@@ -322,8 +295,8 @@ def train_teacher(
     return _select(private, config, ORIGIN_TEACHER)
 
 
-def annotate(teacher: TrainedModel, pool: Dataset) -> AnnotatedDataset:
-    """Hard-label an unlabeled pool with the teacher's predictions.
+def annotate(teacher: TrainedModel, pool: Dataset) -> Dataset:
+    """The unlabeled pool labeled with the teacher's predictions and classes.
 
     Refuses pools that already carry labels: real labels must never be
     silently overwritten, and the annotated pool must contain nothing the
@@ -335,17 +308,12 @@ def annotate(teacher: TrainedModel, pool: Dataset) -> AnnotatedDataset:
         )
     if pool.labels is not None:
         raise PipelineError("annotation pool must be unlabeled")
-    labels = predict_batch(teacher, pool.features)
-    return AnnotatedDataset(
-        pool=pool,
-        labels=labels,
-        class_names=teacher.class_names,
-        teacher_kind=teacher.spec.kind,
-    )
+    return replace(pool, labels=predict_batch(teacher, pool.features),
+                   class_names=teacher.class_names)
 
 
 def train_student(
-    annotated: AnnotatedDataset, config: PipelineConfig
+    annotated: Dataset, config: PipelineConfig
 ) -> tuple[TrainedModel, RaceResult]:
     """Run the same selection race on the annotated pool.
 
@@ -353,12 +321,12 @@ def train_student(
     student trained on perfectly-annotated rows coincides with a teacher
     trained on those same rows.
     """
-    if np.unique(annotated.labels).size < 2:
+    if annotated.labels is not None and np.unique(annotated.labels).size < 2:
         raise PipelineError(
             "teacher annotated the whole pool with one class; "
             "no student can be trained from it"
         )
-    return _select(annotated.to_dataset(), config, ORIGIN_STUDENT)
+    return _select(annotated, config, ORIGIN_STUDENT)
 
 
 def evaluate_fidelity(
@@ -424,7 +392,9 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineRun:
         row_ids={k: [int(i) for i in v] for k, v in split.row_ids.items()},
         teacher_race=teacher_race,
         student_race=student_race,
-        annotation_counts=annotated.label_counts,
+        annotation_counts=tuple(
+            np.bincount(annotated.labels, minlength=len(annotated.class_names)).tolist()
+        ),
         fidelity=fidelity,
         teacher=teacher,
         student=student,

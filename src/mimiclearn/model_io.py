@@ -210,8 +210,9 @@ def _decode(raw) -> TrainedModel:
         raise ModelFormatError(f"unknown model origin {origin!r}")
 
     class_names = _need(raw, "class_names", list, "")
-    if len(class_names) < 2 or not all(isinstance(c, str) for c in class_names):
-        raise ModelFormatError("class_names must list at least two names")
+    if (len(class_names) < 2 or not all(isinstance(c, str) for c in class_names)
+            or len(set(class_names)) < len(class_names)):
+        raise ModelFormatError("class_names must list at least two distinct names")
     n_features = _need(raw, "n_features", int, "")
     if n_features < 1:
         raise ModelFormatError("n_features must be at least 1")

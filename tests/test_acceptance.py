@@ -303,7 +303,7 @@ def test_criterion_7_privacy_guards(breast_ds):
     for kind in ("svm", "rf", "nb"):
         student = fit(
             ClassifierSpec(kind, {}, seed=1),
-            annotate(teacher, split.public_pool).to_dataset(),
+            annotate(teacher, split.public_pool),
             ORIGIN_STUDENT,
         )
         payload = json.loads(file_json(model_to_file(student)))

@@ -84,6 +84,8 @@ class TestSpecs:
             ("nb", {"var_smoothing": float("inf")}, 0),
             ("nb", None, 0),
             ("nb", {}, "1"),
+            ("rf", {"n_trees": 10**30}, 0),
+            ("svm", {"reg_lambda": 1e-310, "epochs": 2}, 0),
         ):
             with pytest.raises(PipelineError):
                 ClassifierSpec(kind, hp, seed=seed)

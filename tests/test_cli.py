@@ -16,7 +16,8 @@ from mimiclearn.cli import (
 )
 from mimiclearn.data import CsvSchema, load_csv, save_csv
 from mimiclearn.model_io import import_model
-from mimiclearn.classifiers import predict_batch
+from mimiclearn.classifiers import ClassifierSpec, predict_batch
+from mimiclearn.mimic import PipelineConfig, annotate, train_student, train_teacher
 from mimiclearn.synthetic import (
     breast_cancer_like,
     cardio_like,
@@ -78,6 +79,21 @@ class TestSplitCommand:
         assert manifest["counts"]["public"] == 36
         assert manifest["counts"]["test"] == 24
         assert "public.csv is written without labels" in capsys.readouterr().out
+
+    def test_split_files_feed_the_stages(self, tmp_path):
+        """public.csv has no class names; annotation gives it the teacher's."""
+        save_csv(heart_disease_like(), tmp_path / "heart.csv")
+        out = tmp_path / "out"
+        args = ["split", "--data", str(tmp_path / "heart.csv"), "--seed", "1",
+                "--out-dir", str(out)]
+        assert main(args) == EXIT_OK
+        private = load_csv(out / "private.csv", CsvSchema(label_column="label"))
+        public = load_csv(out / "public.csv", CsvSchema(label_column=None))
+        assert public.class_names == ()
+        config = PipelineConfig(specs=(ClassifierSpec("nb", {}, seed=1),), seed=1, cv_k=3)
+        teacher, _ = train_teacher(private, config)
+        student, _ = train_student(annotate(teacher, public), config)
+        assert student.class_names == teacher.class_names
 
     def test_rerun_is_byte_identical(self, toy_csv, tmp_path):
         args = lambda out: [
@@ -447,13 +463,17 @@ class TestExitCodes:
         {"specs": [{"kind": "nb", "hyperparameters": [1]}]},
         {"specs": [{"kind": "nb", "seed": "x"}]},
         {"specs": [{"kind": "svm", "hyperparameters": {"epochs": True}}]},
+        {"cv_k": 2, "specs": [{"kind": "rf", "hyperparameters": {"n_trees": 10**30}}]},
+        {"cv_k": 2,
+         "specs": [{"kind": "svm", "hyperparameters": {"reg_lambda": 1e-310, "epochs": 2}}]},
     ], ids=lambda config: json.dumps(config)[:60])
     def test_wrongly_typed_config_value(self, config, toy_csv, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "o"
         assert main(_run_args(toy_csv, out, "--config", str(path))) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("mimiclearn: error:")
+        err = capsys.readouterr().err
+        assert err.startswith("mimiclearn: error:") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("no_header", [False, True])

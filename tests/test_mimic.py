@@ -130,12 +130,8 @@ class TestAnnotate:
         ann = annotate(teacher, split.public_pool)
         assert ann.labels.shape == (split.public_pool.n_rows,)
         assert set(np.unique(ann.labels)) <= {0, 1}
-        assert ann.teacher_kind == "rf"
         assert ann.class_names == teacher.class_names
-        assert sum(ann.label_counts) == split.public_pool.n_rows
-        as_dataset = ann.to_dataset()
-        np.testing.assert_array_equal(as_dataset.labels, ann.labels)
-        np.testing.assert_array_equal(as_dataset.features, split.public_pool.features)
+        np.testing.assert_array_equal(ann.features, split.public_pool.features)
 
     def test_annotations_are_teacher_predictions(self, toy):
         split = stratified_split(toy, SplitSpec(seed=derive_seed(4, STAGE_SPLIT)))
@@ -182,14 +178,11 @@ class TestStudent:
         split = stratified_split(toy, SplitSpec(seed=derive_seed(4, STAGE_SPLIT)))
         teacher = fit(ClassifierSpec("nb", {}, seed=4), split.private, ORIGIN_TEACHER)
         ann = annotate(teacher, split.public_pool)
-        one_class = type(ann)(
-            pool=ann.pool,
-            labels=np.zeros_like(ann.labels),
-            class_names=ann.class_names,
-            teacher_kind=ann.teacher_kind,
-        )
+        one_class = ann.with_labels(np.zeros_like(ann.labels))
         with pytest.raises(PipelineError, match="one class"):
             train_student(one_class, PipelineConfig(specs=SMALL_SPECS, cv_k=4))
+        with pytest.raises(DataError, match="labeled"):
+            train_student(ann.without_labels(), PipelineConfig(specs=SMALL_SPECS, cv_k=4))
 
 
 class TestFidelity:
@@ -261,7 +254,7 @@ class TestRunPipeline:
 
 # the package's public names; adding or removing one is a deliberate API change
 PUBLIC_API = [
-    "AnnotatedDataset", "ClassMetrics", "ClassifierSpec", "ConfusionMatrix",
+    "ClassMetrics", "ClassifierSpec", "ConfusionMatrix",
     "CsvSchema", "CvReport", "DEFAULT_HYPERPARAMETERS", "DataError", "Dataset",
     "FAMILIES", "FidelityReport", "FoldAssignment", "IngestStats",
     "MODEL_FORMAT_VERSION", "MetricsReport", "ModelFormatError", "ORIGIN_STUDENT",
@@ -278,7 +271,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_API) == 60
+    assert len(PUBLIC_API) == 59
     assert sorted(mimiclearn.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         getattr(mimiclearn, name)

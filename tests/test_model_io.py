@@ -157,6 +157,9 @@ BAD_FIELDS = [
     ("svm", ("scaler", "means", 0), "x"),
     ("svm", ("parameters", "bias"), True),
     ("svm", ("parameters", "bias"), 2**1024),
+    ("rf", ("hyperparameters", "n_trees"), 10**30),
+    ("svm", ("hyperparameters", "reg_lambda"), 1e-310),
+    ("nb", ("class_names",), ["a", "a"]),
 ]
 
 
