@@ -67,6 +67,7 @@ class Family:
     parameters; ``raw`` takes ``(params, X, hyperparameters)``, and
     ``decide`` turns ``(params, raw output, hyperparameters)`` into
     (predictions, scores); ``n_features`` reads the feature count off params.
+    ``record`` is the params' dataclass, written to model files; knn has None.
     """
 
     defaults: dict
@@ -76,6 +77,7 @@ class Family:
     raw: Callable
     decide: Callable
     n_features: Callable
+    record: type | None
 
 
 REGISTRY = {
@@ -90,6 +92,7 @@ REGISTRY = {
         raw=lambda p, X, hp: svm_margin(p, X),
         decide=lambda p, r, hp: ((r > 0).astype(np.int64), r),
         n_features=lambda p: p.weights.shape[0],
+        record=SvmModel,
     ),
     "knn": Family(
         defaults={"n_neighbors": 8},
@@ -99,6 +102,7 @@ REGISTRY = {
         raw=lambda p, X, hp: knn_vote(p, X, hp["n_neighbors"]),
         decide=lambda p, r, hp: (r[0], r[1][:, 1] / float(hp["n_neighbors"])),
         n_features=lambda p: p.points.shape[1],
+        record=None,
     ),
     "rf": Family(
         defaults={"n_trees": 100, "max_depth": 16, "min_split": 2},
@@ -110,6 +114,7 @@ REGISTRY = {
         raw=lambda p, X, hp: forest_votes(p, X),
         decide=lambda p, r, hp: (np.argmax(r, axis=1), r[:, 1] / float(len(p.trees))),
         n_features=lambda p: p.n_features,
+        record=ForestModel,
     ),
     "nb": Family(
         defaults={"var_smoothing": 1e-9},
@@ -119,6 +124,7 @@ REGISTRY = {
         raw=lambda p, X, hp: nb_log_posterior(p, X),
         decide=lambda p, r, hp: (np.argmax(r, axis=1), nb_posterior(r)[:, 1]),
         n_features=lambda p: p.means.shape[1],
+        record=NbModel,
     ),
 }
 

@@ -4,15 +4,18 @@ Two hard refusals, both raising :class:`PrivacyError`:
 
 * models tagged teacher-private never serialize -- the whole point of
   training a student is that the teacher stays with the data owner;
-* families without a codec never serialize. Nearest neighbors has none:
-  its parameters *are* the training rows plus the teacher's per-row
-  answers, so exporting one would ship a labeled dataset, not a model.
+* families whose ``REGISTRY`` entry names no parameter record never
+  serialize. Nearest neighbors has none: its parameters *are* the training
+  rows and the teacher's answers, so exporting one would ship data.
 
 A model file is one JSON object with ``format_version`` 1.
 :func:`model_to_file` builds it and :func:`file_json` renders it;
 :func:`parse_model_file` decodes the text straight to a :class:`TrainedModel`
 and raises :class:`ModelFormatError` on any malformed, truncated, or
-future-versioned file. The codec is symmetric: floats are written in
+future-versioned file. Each parameter record is written field by field and
+read back by one declared layout; only what a layout cannot state (tree
+shape, tree count, binary svm, priors summing to 1) is checked by hand.
+The codec is symmetric: floats are written in
 shortest-repr form and forest node counts are read back as integers, so an
 imported model predicts bit-identically to the one exported and exports to
 the same bytes again. Export decodes its own output before returning it, so
@@ -22,9 +25,11 @@ every file the library writes imports again.
 from __future__ import annotations
 
 import json
-import sys
+import os
+import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,27 +59,6 @@ def _need(obj: dict, key: str, kinds, where: str):
     return val
 
 
-def _finite(obj: dict, key: str, where: str) -> float:
-    val = _need(obj, key, (int, float), where)
-    if not abs(val) <= sys.float_info.max:  # NaN, inf, or an int beyond float
-        raise ModelFormatError(f"{where}{key} must be finite")
-    return float(val)
-
-
-def _array(raw, shape, integral: bool, name: str) -> np.ndarray:
-    """``raw`` as a finite float64 (or, if ``integral``, int64) array of ``shape``."""
-    try:
-        arr = np.asarray(raw)
-    except (ValueError, TypeError, OverflowError):  # ragged or not numbers
-        arr = None
-    kinds = "iu" if integral else "iuf"
-    if (arr is None or arr.shape != shape or arr.dtype.kind not in kinds
-            or not np.isfinite(arr).all()):
-        what = "integers" if integral else "finite numbers"
-        raise ModelFormatError(f"{name} must hold {'x'.join(map(str, shape))} {what}")
-    return arr.astype(np.int64 if integral else np.float64)
-
-
 def _encode_fields(params) -> dict:
     """A parameters dataclass as a JSON object, field by field; arrays as lists."""
     values = {f.name: getattr(params, f.name) for f in fields(params)}
@@ -82,107 +66,125 @@ def _encode_fields(params) -> dict:
             for name, v in values.items()}
 
 
-def _decode_svm(raw: dict, n_features: int, n_classes: int) -> SvmModel:
-    if n_classes != 2:
-        raise ModelFormatError("svm model files must be binary")
-    weights = _array(_need(raw, "weights", list, "parameters."), (n_features,),
-                     False, "parameters.weights")
-    return SvmModel(weights=weights, bias=_finite(raw, "bias", "parameters."))
+class _Field(NamedTuple):
+    shape: tuple = ()  # named dimensions; () is one number
+    integral: bool = False  # else finite floats
+    low: float | None = None  # lower bound
+    strict: bool = False  # whether ``low`` itself is refused
 
 
-def _encode_forest(p: ForestModel) -> dict:
-    # n_features is a top-level field of the file, not a parameter
-    return {"n_classes": p.n_classes, "trees": [_encode_fields(t) for t in p.trees]}
+# The layout of each parameter record in a model file, field by field; a tree's
+# n_nodes, which the decoder is not given, is the length of its first field.
+_LAYOUTS = {
+    ScalerParams: {"means": _Field(("n_features",)),
+                   "std_devs": _Field(("n_features",), low=0, strict=True)},
+    SvmModel: {"weights": _Field(("n_features",)), "bias": _Field()},
+    NbModel: {"priors": _Field(("n_classes",), low=0),
+              "means": _Field(("n_classes", "n_features")),
+              "variances": _Field(("n_classes", "n_features"), low=0, strict=True),
+              "epsilon": _Field(low=0, strict=True)},
+    TreeNodes: {"feature": _Field(("n_nodes",), True, low=-1),  # -1 marks a leaf
+                "threshold": _Field(("n_nodes",)),
+                "left": _Field(("n_nodes",), True, low=-1),
+                "right": _Field(("n_nodes",), True, low=-1),
+                "counts": _Field(("n_nodes", "n_classes"), True, low=0)},
+}
 
 
-def _decode_tree(raw, index: int, n_features: int, n_classes: int) -> TreeNodes:
-    where = f"parameters.trees[{index}]."
+def _decode_fields(cls, raw, dims: dict, where: str):
+    """Record ``cls`` from the JSON object ``raw`` by its declared layout,
+    with ``dims`` sizing the named dimensions; no number is a bool."""
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{where[:-1]} must be an object")
-    feature_raw = _need(raw, "feature", list, where)
-    n_nodes = len(feature_raw)
-    if n_nodes < 1:
-        raise ModelFormatError(f"tree {index} has no nodes")
-    feature = _array(feature_raw, (n_nodes,), True, where + "feature")
-    threshold = _array(_need(raw, "threshold", list, where), (n_nodes,), False,
-                       where + "threshold")
-    left = _array(_need(raw, "left", list, where), (n_nodes,), True, where + "left")
-    right = _array(_need(raw, "right", list, where), (n_nodes,), True, where + "right")
-    counts = _array(_need(raw, "counts", list, where), (n_nodes, n_classes), True,
-                    where + "counts")
-    if (counts < 0).any():
-        raise ModelFormatError(f"tree {index} has negative leaf counts")
-    if feature.min() < -1 or feature.max() >= n_features:
-        raise ModelFormatError(f"tree {index} references an invalid feature")
-    is_leaf = feature == -1
-    if not is_leaf.any():
-        raise ModelFormatError(f"tree {index} has no leaves")
-    if (left[is_leaf] != -1).any() or (right[is_leaf] != -1).any():
-        raise ModelFormatError(f"tree {index} has leaves with children")
-    inner = np.nonzero(~is_leaf)[0]
+    dims, values = dict(dims), {}
+    for name, (shape, integral, low, strict) in _LAYOUTS[cls].items():
+        val = _need(raw, name, list if shape else (int, float), where)
+        shape = tuple(dims.setdefault(d, len(val)) for d in shape)
+        try:
+            arr = np.asarray(val)
+        except (ValueError, TypeError, OverflowError):  # ragged or not numbers
+            arr = None
+        if (arr is None or arr.shape != shape  # an int past int64 reads as uint64
+                or arr.dtype.kind not in ("i" if integral else "iuf")
+                or not np.isfinite(arr).all()):
+            what = "integers" if integral else "finite numbers"
+            raise ModelFormatError(f"{where}{name} must hold {what} in shape {shape}")
+        arr = arr.astype(np.int64 if integral else np.float64)
+        if low is not None and (arr <= low if strict else arr < low).any():
+            raise ModelFormatError(f"{where}{name} must be {'>' if strict else '>='} {low}")
+        values[name] = arr if shape else float(arr)
+    return cls(**values)
+
+
+def _check_trees(trees, n_features: int, max_depth: int) -> None:
+    """Refuse trees malformed or deeper than ``max_depth``, all in one pass."""
+    sizes = np.array([t.n_nodes for t in trees])
+    roots = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(tree_of.size) - roots[tree_of]
+    feature, left, right, counts = (np.concatenate([getattr(t, name) for t in trees])
+                                    for name in ("feature", "left", "right", "counts"))
+    leaf = feature == -1
+
+    def refuse(bad, what, tree=tree_of):  # bad: a mask over ``tree``'s nodes
+        if bad.any():
+            raise ModelFormatError(f"tree {tree[bad][0]} {what}")
+
+    refuse(feature >= n_features, "references an invalid feature")
+    refuse(leaf & (counts.sum(axis=1) <= 0), "has an empty leaf")
     for child in (left, right):
-        c = child[inner]
-        # preorder storage: children always point forward, never backward
-        if ((c <= inner) | (c >= n_nodes)).any():
-            raise ModelFormatError(f"tree {index} has an invalid child pointer")
-    if counts[is_leaf].sum(axis=1).min() <= 0:
-        raise ModelFormatError(f"tree {index} has an empty leaf")
-    return TreeNodes(feature=feature, threshold=threshold, left=left,
-                     right=right, counts=counts)
+        # preorder storage: a leaf's children are -1, others point forward
+        refuse(np.where(leaf, child != -1, (child <= local) | (child >= sizes[tree_of])),
+               "has an invalid child pointer")
+    left, right = left + roots[tree_of], right + roots[tree_of]
+    # one parent per node (a root is its own), so the depth walk meets each once
+    parents = np.bincount(np.concatenate((left[~leaf], right[~leaf], roots)),
+                          minlength=leaf.size)
+    refuse(parents != 1, "has a node that is not the child of exactly one node")
+    level = roots
+    for _ in range(max_depth):
+        level = level[~leaf[level]]
+        if not level.size:
+            return
+        level = np.concatenate((left[level], right[level]))
+    refuse(~leaf[level], f"is deeper than max_depth {max_depth}", tree_of[level])
 
 
-def _decode_forest(raw: dict, n_features: int, n_classes: int) -> ForestModel:
-    declared = _need(raw, "n_classes", int, "parameters.")
-    if declared != n_classes:
-        raise ModelFormatError(
-            f"parameters.n_classes is {declared} but the file names "
-            f"{n_classes} classes"
-        )
-    trees_raw = _need(raw, "trees", list, "parameters.")
-    if not trees_raw:
-        raise ModelFormatError("parameters.trees is empty")
-    trees = tuple(
-        _decode_tree(t, i, n_features, n_classes) for i, t in enumerate(trees_raw)
-    )
-    return ForestModel(trees=trees, n_features=n_features, n_classes=n_classes)
+def _encode_params(params) -> dict:
+    if isinstance(params, ForestModel):  # n_features is a top-level field
+        return {"n_classes": params.n_classes,
+                "trees": [_encode_fields(t) for t in params.trees]}
+    return _encode_fields(params)
 
 
-def _decode_nb(raw: dict, n_features: int, n_classes: int) -> NbModel:
-    priors = _array(_need(raw, "priors", list, "parameters."), (n_classes,),
-                    False, "parameters.priors")
-    if (priors < 0).any() or abs(priors.sum() - 1.0) > 1e-9:
-        raise ModelFormatError("parameters.priors must be nonnegative and sum to 1")
-    means = _array(_need(raw, "means", list, "parameters."),
-                   (n_classes, n_features), False, "parameters.means")
-    variances = _array(_need(raw, "variances", list, "parameters."),
-                       (n_classes, n_features), False, "parameters.variances")
-    if (variances <= 0).any():
-        raise ModelFormatError("parameters.variances must be strictly positive")
-    epsilon = _finite(raw, "epsilon", "parameters.")
-    if epsilon <= 0:
-        raise ModelFormatError("parameters.epsilon must be strictly positive")
-    return NbModel(priors=priors, means=means, variances=variances, epsilon=epsilon)
-
-
-# kind -> (encode, decode) of the family's parameters; a family without an
-# entry is never exported or imported
-_CODECS = {
-    "svm": (_encode_fields, _decode_svm),
-    "rf": (_encode_forest, _decode_forest),
-    "nb": (_encode_fields, _decode_nb),
-}
+def _decode_params(cls, raw: dict, dims: dict, hp: dict):
+    """The family's parameter record: its layout, then what no layout states."""
+    if cls is not ForestModel:
+        params = _decode_fields(cls, raw, dims, "parameters.")
+        if cls is SvmModel and dims["n_classes"] != 2:
+            raise ModelFormatError("svm model files must be binary")
+        if cls is NbModel and abs(params.priors.sum() - 1.0) > 1e-9:
+            raise ModelFormatError("parameters.priors must sum to 1")
+        return params
+    n_classes, trees_raw = dims["n_classes"], _need(raw, "trees", list, "parameters.")
+    if _need(raw, "n_classes", int, "parameters.") != n_classes:
+        raise ModelFormatError(f"parameters.n_classes must be {n_classes}")
+    if len(trees_raw) != hp["n_trees"]:
+        raise ModelFormatError(f"parameters.trees must hold n_trees={hp['n_trees']} trees")
+    trees = tuple(_decode_fields(TreeNodes, t, dims, f"parameters.trees[{i}].")
+                  for i, t in enumerate(trees_raw))
+    _check_trees(trees, dims["n_features"], hp["max_depth"])
+    return ForestModel(trees=trees, n_features=dims["n_features"], n_classes=n_classes)
 
 
 def has_codec(kind: str) -> bool:
     """Whether models of ``kind`` can be written to a model file at all."""
-    return kind in _CODECS
+    return REGISTRY[kind].record is not None
 
 
 def _raw_rows_refusal(kind: str, action: str) -> PrivacyError:
-    return PrivacyError(
-        f"refusing to {action} a {kind} model: its parameters are raw training "
-        "rows, so sharing it would share data, not a model"
-    )
+    return PrivacyError(f"refusing to {action} a {kind} model: its parameters are raw "
+                        "training rows, so sharing it would share data, not a model")
 
 
 def _decode(raw) -> TrainedModel:
@@ -191,21 +193,18 @@ def _decode(raw) -> TrainedModel:
         raise ModelFormatError("model file must hold a JSON object")
     version = _need(raw, "format_version", int, "")
     if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {version}; "
-            f"this build reads version {MODEL_FORMAT_VERSION}"
-        )
+        raise ModelFormatError(f"unsupported model format version {version}; "
+                               f"this build reads version {MODEL_FORMAT_VERSION}")
     kind = _need(raw, "kind", str, "")
     if kind not in REGISTRY:
         raise ModelFormatError(f"unknown model kind {kind!r}")
-    if kind not in _CODECS:
+    cls = REGISTRY[kind].record
+    if cls is None:
         raise _raw_rows_refusal(kind, "load")
     origin = _need(raw, "origin", str, "")
     if origin == ORIGIN_TEACHER:
-        raise PrivacyError(
-            "refusing to load a model file tagged teacher-private; "
-            "such files should never exist"
-        )
+        raise PrivacyError("refusing to load a model file tagged teacher-private; "
+                           "such files should never exist")
     if origin != ORIGIN_STUDENT:
         raise ModelFormatError(f"unknown model origin {origin!r}")
 
@@ -217,17 +216,10 @@ def _decode(raw) -> TrainedModel:
     if n_features < 1:
         raise ModelFormatError("n_features must be at least 1")
 
+    dims = {"n_features": n_features, "n_classes": len(class_names)}
     scaler = raw.get("scaler")
     if scaler is not None:
-        if not isinstance(scaler, dict):
-            raise ModelFormatError("scaler must be an object or null")
-        means = _array(_need(scaler, "means", list, "scaler."), (n_features,),
-                       False, "scaler.means")
-        stds = _array(_need(scaler, "std_devs", list, "scaler."), (n_features,),
-                      False, "scaler.std_devs")
-        if (stds <= 0).any():
-            raise ModelFormatError("scaler.std_devs must be strictly positive")
-        scaler = ScalerParams(means=means, std_devs=stds)
+        scaler = _decode_fields(ScalerParams, scaler, dims, "scaler.")
 
     hyperparameters = _need(raw, "hyperparameters", dict, "")
     seed = _need(raw, "seed", int, "")
@@ -235,9 +227,8 @@ def _decode(raw) -> TrainedModel:
         spec = ClassifierSpec(kind, hyperparameters, seed=seed)
     except PipelineError as exc:
         raise ModelFormatError(f"invalid hyperparameters in model file: {exc}") from exc
-    params = _CODECS[kind][1](
-        _need(raw, "parameters", dict, ""), n_features, len(class_names)
-    )
+    params = _decode_params(cls, _need(raw, "parameters", dict, ""), dims,
+                            spec.hyperparameters)
     created_at = raw.get("created_at")
     if created_at is not None and not isinstance(created_at, str):
         raise ModelFormatError("created_at must be a string or null")
@@ -252,12 +243,10 @@ def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
     import again (a non-finite weight, say) raises PipelineError here.
     """
     if model.origin == ORIGIN_TEACHER:
-        raise PrivacyError(
-            "refusing to export a teacher-private model; "
-            "train and export a student instead"
-        )
+        raise PrivacyError("refusing to export a teacher-private model; "
+                           "train and export a student instead")
     kind = model.spec.kind
-    if kind not in _CODECS:
+    if not has_codec(kind):
         raise _raw_rows_refusal(kind, "export")
     scaler = None if model.scaler is None else _encode_fields(model.scaler)
     record = {
@@ -267,7 +256,7 @@ def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
         "class_names": list(model.class_names),
         "n_features": model.n_features,
         "scaler": scaler,
-        "parameters": _CODECS[kind][0](model.params),
+        "parameters": _encode_params(model.params),
         "created_at": created_at,
     }
     try:
@@ -287,11 +276,15 @@ def export_model(
 ) -> dict:
     """Write a student model to ``path``; returns the record written.
 
-    ``created_at`` is optional precisely so that default exports are
-    byte-for-byte reproducible.
+    The file is written beside ``path`` and renamed over it, so ``path``
+    holds the old bytes or the new ones, never a part. ``created_at`` is
+    optional precisely so that default exports are byte-for-byte reproducible.
     """
     record = model_to_file(model, created_at=created_at)
-    Path(path).write_text(file_json(record), encoding="utf-8")
+    path = Path(path)
+    with tempfile.TemporaryDirectory(dir=path.parent) as stage:
+        Path(stage, path.name).write_text(file_json(record), encoding="utf-8")
+        os.replace(Path(stage, path.name), path)
     return record
 
 

@@ -542,6 +542,23 @@ class TestExitCodes:
         assert code == EXIT_PIPELINE
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("n_trees", 1000), ("max_depth", 0)])
+    def test_model_contradicting_its_hyperparameters(self, key, value, toy_csv,
+                                                     tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"specs": [{
+            "kind": "rf", "hyperparameters": {"n_trees": 3, "max_depth": 2}}], "cv_k": 4}))
+        out = tmp_path / "out"
+        assert main(_run_args(toy_csv, out, "--config", str(config))) == EXIT_OK
+        model = out / "student_model.json"
+        record = json.loads(model.read_text())
+        record["hyperparameters"][key] = value
+        model.write_text(json.dumps(record))
+        code = main(["evaluate", "--model", str(model), "--data", str(toy_csv),
+                     "--label-column", "label", "--positive-class", "high"])
+        assert code == EXIT_PIPELINE
+        assert key in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "split" in capsys.readouterr().out

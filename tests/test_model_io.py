@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mimiclearn
 from mimiclearn.classifiers import (
@@ -25,7 +27,7 @@ from mimiclearn.classifiers import (
     score_batch,
 )
 from mimiclearn.classifiers.svm import SvmModel
-from mimiclearn.data import ScalerParams
+from mimiclearn.data import Dataset, ScalerParams
 from mimiclearn.errors import DataError, ModelFormatError, PipelineError, PrivacyError
 from mimiclearn.model_io import (
     MODEL_FORMAT_VERSION,
@@ -84,6 +86,20 @@ class TestRoundTrip:
         assert record["created_at"] is None
         stamped = model_to_file(model, created_at="2024-01-01T00:00:00Z")
         assert stamped["created_at"] == "2024-01-01T00:00:00Z"
+
+    def test_failed_export_keeps_the_old_file(self, toy, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        export_model(_student("svm", toy), path)
+        old = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            export_model(_student("nb", toy), path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_scaler_travels_with_scaled_families(self, toy, tmp_path):
         path = tmp_path / "svm.json"
@@ -145,6 +161,45 @@ class TestPrivacyRefusals:
         walk(payload)
 
 
+_CELLS = st.floats(-1e6, 1e6, allow_nan=False)
+_HYPERPARAMETERS = {
+    "svm": st.fixed_dictionaries({"reg_lambda": st.sampled_from([1e-4, 0.01, 1.0]),
+                                  "epochs": st.integers(1, 3)}),
+    "rf": st.fixed_dictionaries({"n_trees": st.integers(1, 5),
+                                 "max_depth": st.integers(0, 4),
+                                 "min_split": st.integers(2, 4)}),
+    "nb": st.fixed_dictionaries({"var_smoothing": st.sampled_from([1e-9, 1e-3])}),
+}
+
+
+@pytest.mark.parametrize("kind", EXPORTABLE)
+@given(data=st.data(), n_features=st.integers(1, 4), n_rows=st.integers(2, 12),
+       seed=st.integers(0, 2**31))
+@settings(max_examples=20, deadline=None)
+def test_exported_students_round_trip_exactly(kind, data, n_features, n_rows, seed):
+    """On small random two-class data, export either refuses with
+    PipelineError or writes a file whose model predicts and scores
+    bit-identically and exports to the same bytes again."""
+    X = np.array(data.draw(st.lists(st.lists(_CELLS, min_size=n_features,
+                                             max_size=n_features),
+                                    min_size=n_rows, max_size=n_rows)))
+    # the first two rows hold one class each, so every fit sees both
+    y = np.array([0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n_rows - 2,
+                                             max_size=n_rows - 2)))
+    ds = Dataset(features=X, feature_names=tuple(f"f{i}" for i in range(n_features)),
+                 labels=y, class_names=("no", "yes"), source_id="hypothesis")
+    spec = ClassifierSpec(kind, data.draw(_HYPERPARAMETERS[kind]), seed=seed)
+    model = fit(spec, ds, ORIGIN_STUDENT)
+    try:
+        text = file_json(model_to_file(model))
+    except PipelineError:
+        return
+    back = parse_model_file(text)
+    assert predict_batch(back, X).tobytes() == predict_batch(model, X).tobytes()
+    assert score_batch(back, X).tobytes() == score_batch(model, X).tobytes()
+    assert file_json(model_to_file(back)) == text
+
+
 # (family, path to a field of its model file, a value the import must refuse)
 BAD_FIELDS = [
     ("rf", ("parameters", "trees"), [1]),
@@ -160,6 +215,10 @@ BAD_FIELDS = [
     ("rf", ("hyperparameters", "n_trees"), 10**30),
     ("svm", ("hyperparameters", "reg_lambda"), 1e-310),
     ("nb", ("class_names",), ["a", "a"]),
+    ("rf", ("parameters", "trees", 0, "feature", 0), 2**63),
+    ("rf", ("parameters", "trees", 0, "right", 0), 1),  # node 1 shared, one orphaned
+    ("rf", ("hyperparameters", "n_trees"), 1000),
+    ("rf", ("hyperparameters", "max_depth"), 0),
 ]
 
 
@@ -209,12 +268,6 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError):
             parse_model_file(json.dumps(payload))
 
-    def test_wrong_vector_length(self, toy):
-        payload = self._valid_payload(toy)
-        payload["parameters"]["priors"] = [1.0]
-        with pytest.raises(ModelFormatError):
-            parse_model_file(json.dumps(payload))
-
     def test_priors_must_sum_to_one(self, toy):
         payload = self._valid_payload(toy)
         payload["parameters"]["priors"] = [0.9, 0.3]
@@ -235,6 +288,45 @@ class TestFormatValidation:
             tree["left"][0] = 0  # self-loop
         with pytest.raises(ModelFormatError):
             parse_model_file(json.dumps(payload))
+
+    @pytest.mark.parametrize("kind", EXPORTABLE)
+    def test_every_array_field_is_checked(self, kind, toy):
+        """Dropping, shortening, or putting a string into any array of the
+        scaler or the parameters (every tree's included) is refused."""
+        record = model_to_file(_student(kind, toy))
+
+        def arrays(node):  # (object, key) of every list of numbers or of lists
+            for key, value in node.items():
+                if isinstance(value, list) and value and isinstance(value[0], dict):
+                    for item in value:
+                        yield from arrays(item)
+                elif isinstance(value, list):
+                    yield node, key
+                elif isinstance(value, dict):
+                    yield from arrays(value)
+
+        def with_string(value):
+            value = json.loads(json.dumps(value))
+            inner = value
+            while isinstance(inner[0], list):
+                inner = inner[0]
+            inner[0] = "x"
+            return value
+
+        sections = {"parameters": record["parameters"], "scaler": record["scaler"] or {}}
+        found = list(arrays(sections))
+        assert len(found) >= 2
+        for node, key in found:
+            value = node[key]
+            for edit in ("drop", value[:-1], with_string(value)):
+                if edit == "drop":
+                    del node[key]
+                else:
+                    node[key] = edit
+                with pytest.raises(ModelFormatError):
+                    parse_model_file(json.dumps(record))
+                node[key] = value
+        parse_model_file(json.dumps(record))
 
     def test_tree_counts_must_be_nonnegative(self, heart_ds):
         payload = model_to_file(_student("rf", heart_ds))
@@ -314,7 +406,7 @@ def _hand_built(kind):
             None,
         ),
     }[kind]
-    spec = ClassifierSpec(kind, seed=5)
+    spec = ClassifierSpec(kind, {"n_trees": 1} if kind == "rf" else {}, seed=5)
     model = TrainedModel(spec=spec, params=params, class_names=("no", "yes"),
                          scaler=scaler, origin=ORIGIN_STUDENT)
     record = {
