@@ -2,11 +2,13 @@
 
 Trees are stored as flat, index-linked node arrays (children always come
 after their parent), which are trivially serializable; prediction walks all
-trees of a forest at once, one branch-free step per level. Each split
-considers ceil(sqrt(n_features)) candidate features drawn from the tree's
-own generator; candidate thresholds are the midpoints between consecutive
-distinct sorted values. Equal-impurity splits resolve to the lower feature
-index, then the lower threshold, so training is fully deterministic.
+trees of a forest at once, branch-free, level by level, and every few levels
+drops the paths that reached a leaf. Each split considers
+ceil(sqrt(n_features)) candidate features drawn from the tree's own
+generator; candidate thresholds are the midpoints between consecutive
+distinct sorted values (the lower value where the midpoint rounds onto the
+upper). Equal-impurity splits resolve to the lower feature index, then the
+lower threshold, so training is fully deterministic.
 Per-tree seeds derive from the spec seed and tree index, and each split node
 draws its candidates in preorder (node, left subtree, right subtree), so
 node ids and draws follow the tree alone, and consecutive fits of one shape,
@@ -36,6 +38,7 @@ import numpy as np
 from ..rng import STAGE_TREE, derive_seed, generator
 
 WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) ids
+FIRST_LEVELS, ROUND_LEVELS = 7, 3  # levels walked before the first drop of leaf ids, then per drop
 # trees grown at once; their rows share one int32 table of 4 * n_features *
 # min(n_trees, 100) * n_rows bytes: 3.1 MB at 700 rows of 11 features, 6.2 at 1,400
 TREES_IN_FLIGHT = 100
@@ -125,17 +128,15 @@ def _split_step(table, XT, y, lo, m, feats, node_counts):
         thr = (a + b) / 2.0
     far = np.isinf(thr)  # a + b overflowed: halve first
     thr[far] = a[far] / 2 + b[far] / 2
+    thr = np.where(thr == b, a, thr)  # adjacent floats: the midpoint rounded up onto b
+    m_left = cut + 1 - start[nodes]  # a <= thr < b: the rows by f up to the cut go left
     block = table.take(_ranges(lo, m), axis=1)
     mask = XT.take(np.repeat(f * XT.shape[1], m) + block) <= np.repeat(thr, m)
-    m_left = np.add.reduceat(mask[0], np.cumsum(m) - m, dtype=np.intp)
     block, mask = block.ravel(), mask.ravel()  # a 1-D compress is several times faster
     table[:, _ranges(lo, m_left)] = block.compress(mask).reshape(len(table), -1)
     to_right = block.compress(~mask).reshape(len(table), -1)
     table[:, _ranges(lo + m_left, m - m_left)] = to_right
-    # the midpoint can round up onto the larger value, so the left child is the
-    # first m_left rows by f, not always cut + 1
-    at = start[nodes] + m_left - 1
-    return split, f, thr, m_left, prefix[:, c, at] - base[:, c, nodes]
+    return split, f, thr, m_left, prefix[:, c, cut] - base[:, c, nodes]
 
 
 class _Tree:
@@ -262,11 +263,12 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
 def forest_votes(model: ForestModel, X: np.ndarray) -> np.ndarray:
     """Per-row vote counts, shape (n_rows, n_classes), walking all trees at once.
 
-    In one node table of all trees, node i's (right, left) children sit at
-    ``child[2i : 2i + 2]`` and a leaf is its own child. Per block of rows,
-    all (row, tree) ids step together, branch-free (predication, Asadi, Lin &
-    de Vries, IEEE TKDE 2014): ``node = child[2 * node + (x <= threshold)]``,
-    so NaN goes right. When no id moves, one bincount counts the leaf votes.
+    Ids are doubled: in one node table of all trees, node i has id ``2i``, its
+    (right, left) children's ids sit at ``child[2i : 2i + 2]``, and a leaf is its
+    own child. Per block of rows, the (row, tree) ids step together, branch-free
+    (predication, Asadi, Lin & de Vries, IEEE TKDE 2014), NaN going right; every
+    few levels the ids at a leaf are dropped (compaction, as in QuickScorer,
+    Lucchese et al., SIGIR 2015). One bincount then counts the leaf votes.
     """
     trees, sizes = model.trees, [tree.n_nodes for tree in model.trees]
     roots = np.cumsum([0] + sizes[:-1])
@@ -274,21 +276,30 @@ def forest_votes(model: ForestModel, X: np.ndarray) -> np.ndarray:
     threshold = np.concatenate([tree.threshold for tree in trees])
     child = np.concatenate([np.stack([tree.right, tree.left], axis=1) for tree in trees])
     child += np.repeat(roots, sizes)[:, None]
-    leaf = feature < 0
-    feature[leaf], child[leaf] = 0, np.nonzero(leaf)[0][:, None]
-    child = child.ravel()
+    inner = feature >= 0
+    feature[~inner], child[~inner] = 0, np.nonzero(~inner)[0][:, None]
+    child = 2 * child.ravel()
+    feature, threshold, inner = (np.repeat(a, 2) for a in (feature, threshold, inner))
     vote = np.argmax(np.concatenate([tree.counts for tree in trees]), axis=1)
     n_rows, n_features = X.shape
     k = model.n_classes
     votes = np.empty((n_rows, k), dtype=np.int64)
+
+    def walk(cells, ids, rows, levels):  # the row of ids[i] starts at cells[rows[i]]
+        for _ in range(levels):
+            x = cells.take(rows + feature.take(ids))
+            ids = child.take(ids + (x <= threshold.take(ids)))
+        return ids
+
     for start in range(0, n_rows, WALK_ROWS):
         cells = np.append(X[start : start + WALK_ROWS], 0.0)  # spare cell if 0 features
         r = min(WALK_ROWS, n_rows - start)
-        row_start = np.arange(r)[:, None] * n_features
-        node, prev = np.tile(roots, (r, 1)), None
-        while not np.array_equal(node, prev):
-            x = cells.take(row_start + feature.take(node))
-            node, prev = child.take(2 * node + (x <= threshold.take(node))), node
-        ids = np.arange(r)[:, None] * k + vote.take(node)
-        votes[start : start + r] = np.bincount(ids.ravel(), minlength=r * k).reshape(r, k)
+        row_start = np.repeat(np.arange(r) * n_features, len(trees))
+        node = walk(cells, np.tile(2 * roots, r), row_start, FIRST_LEVELS)
+        at = np.flatnonzero(inner.take(node))
+        while at.size:
+            node[at] = ids = walk(cells, node.take(at), row_start.take(at), ROUND_LEVELS)
+            at = at.compress(inner.take(ids))
+        ids = np.arange(r).repeat(len(trees)) * k + vote.take(node >> 1)
+        votes[start : start + r] = np.bincount(ids, minlength=r * k).reshape(r, k)
     return votes

@@ -13,6 +13,8 @@ import numpy as np
 
 from ..errors import PipelineError
 
+DISTANCE_CELLS = 250_000  # per query chunk: its (chunk, n_train, d) differences take 2 MB
+
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -33,8 +35,7 @@ def _neighbor_labels(model: KnnModel, X: np.ndarray, k: int):
     """Labels of the k nearest training points per query, nearest first."""
     n_train, d = model.points.shape
     out = np.empty((X.shape[0], k), dtype=np.int64)
-    # chunk queries to bound the (chunk, n_train, d) difference buffer
-    chunk = max(1, int(8_000_000 // max(1, n_train * d)))
+    chunk = max(1, DISTANCE_CELLS // max(1, n_train * d))
     for start in range(0, X.shape[0], chunk):
         q = X[start : start + chunk]
         d2 = ((q[:, None, :] - model.points[None, :, :]) ** 2).sum(axis=2)

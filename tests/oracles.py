@@ -7,15 +7,17 @@ seeded toy datasets at the end (a linearly separable set and a perfectly
 learnable threshold) give tests inputs whose right answer is known.
 """
 
+import itertools
 import math
+from array import array
 from operator import mul
 
 import numpy as np
 
 from mimiclearn.classifiers.forest import ForestModel, TreeNodes
 from mimiclearn.classifiers.svm import SvmModel
-from mimiclearn.data import Dataset
-from mimiclearn.errors import PipelineError
+from mimiclearn.data import Dataset, _resolve_label_column
+from mimiclearn.errors import DataError, PipelineError
 from mimiclearn.rng import STAGE_SGD, STAGE_TREE, derive_seed, generator
 
 
@@ -79,7 +81,10 @@ def _gini_best_split(X, y, idx, feats, n_classes):
         j = int(np.argmin(gini))  # first minimum -> lowest threshold
         if gini[j] < best_gini:
             best_gini = float(gini[j])
-            threshold = (vs[cut[j]] + vs[cut[j] + 1]) / 2.0
+            a, b = vs[cut[j]], vs[cut[j] + 1]
+            threshold = (a + b) / 2.0
+            if threshold == b:  # adjacent floats: the midpoint rounded up onto b
+                threshold = a
             best = (best_gini, int(f), float(threshold))
     return best
 
@@ -233,6 +238,53 @@ def fit_svm_stepwise(X, y, n_classes, reg_lambda, epochs, seed):
                 w = [a * scale for a in w]
                 b *= scale
     return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
+
+
+def parse_rows_cellwise(rows, schema, path):
+    """``data._parse_rows`` reading every cell on its own: stripped, matched
+    against the missing token, then parsed with ``float``."""
+    head = list(itertools.islice(rows, 2))
+    if not head:
+        raise DataError(f"empty file: {path}")
+    if schema.has_header:
+        header = [c.strip() for c in head.pop(0)]
+        if not head:
+            raise DataError(f"{path}: header only, no data rows")
+    else:
+        header = [f"x{i}" for i in range(len(head[0]))]
+    first_line = 2 if schema.has_header else 1
+    n_cols = len(header)
+    label_idx = _resolve_label_column(schema.label_column, header, n_cols, path)
+    feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
+    values = array("d")
+    label_values = None if label_idx is None else []
+    for line, row in enumerate(itertools.chain(head, rows), first_line):
+        if len(row) != n_cols:
+            raise DataError(
+                f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
+            )
+        for i, cell in enumerate(row):
+            cell = cell.strip()
+            if i == label_idx:
+                if cell == schema.missing_token or cell == "":
+                    raise DataError(f"{path} line {line}: missing label value")
+                label_values.append(cell)
+            elif cell == schema.missing_token or cell == "":
+                values.append(math.nan)
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    kind = "non-numeric" if value is None else "non-finite"
+                    raise DataError(
+                        f"{path} line {line}: {kind} value {cell!r} "
+                        f"in column {header[i]!r}"
+                    )
+                values.append(value)
+    raw = np.frombuffer(values).reshape(line + 1 - first_line, len(feature_names))
+    return raw, feature_names, label_values
 
 
 def confusion_counts_loop(y_true, y_pred, positive):

@@ -26,8 +26,14 @@ from mimiclearn.classifiers import (
 )
 from mimiclearn.classifiers import forest, svm
 from mimiclearn.classifiers.bayes import nb_log_posterior
-from mimiclearn.classifiers.forest import WALK_ROWS, fit_forest, forest_votes
-from mimiclearn.classifiers.knn import knn_vote
+from mimiclearn.classifiers.forest import (
+    WALK_ROWS,
+    ForestModel,
+    TreeNodes,
+    fit_forest,
+    forest_votes,
+)
+from mimiclearn.classifiers.knn import fit_knn, knn_vote
 from mimiclearn.classifiers.svm import SvmModel, fit_svm, svm_margin
 from mimiclearn.data import Dataset, apply_scaler, fit_scaler, kfold
 from mimiclearn.errors import PipelineError
@@ -164,6 +170,20 @@ class TestKnnOracle:
         with pytest.raises(PipelineError):
             fit(ClassifierSpec("knn", {"n_neighbors": 6}), train, ORIGIN_TEACHER)
 
+    def test_predict_peak_allocation_stays_bounded(self):
+        # 770 queries against 630 points of 11 features, the size of a cardio
+        # race fold; all queries in one chunk hold a 43 MB difference buffer
+        ds = cardio_like()
+        model = fit_knn(ds.features[:630], ds.labels[:630], 2, 5)
+        knn_vote(model, ds.features[630:640], 5)  # warm-up: first calls
+        tracemalloc.start()
+        try:
+            knn_vote(model, ds.features[630:], 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, f"knn predict peaked at {peak / 1e6:.1f} MB"
+
 
 class TestForestOracle:
     def test_matches_per_tree_walk(self, heart_ds):
@@ -296,10 +316,7 @@ class TestForestOracle:
         finally:
             sys.setrecursionlimit(limit)
 
-        depth = np.zeros(tree.n_nodes, dtype=np.int64)
-        for i in np.nonzero(tree.feature >= 0)[0]:
-            depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
-        assert depth.max() == 78
+        assert _leaf_depths(tree).max() == 78
 
     def test_walk_matches_per_tree_walk_on_edge_values(self):
         # each feature draws from its own split thresholds, NaN, +-inf and
@@ -323,17 +340,17 @@ class TestForestOracle:
         np.testing.assert_array_equal(pred, forest_predict_walk(forest, X))
         np.testing.assert_array_equal(scores, want[:, 1] / 12.0)
 
-    @pytest.mark.parametrize("hp", [
-        {"n_trees": 4, "max_depth": 0}, {"n_trees": 1}, {"n_trees": 6, "max_depth": 5},
-    ], ids=["depth-0", "one-tree", "six-trees"])
+    @pytest.mark.parametrize("case", [
+        "depth-0", "one-tree", "six-trees", "chain-40", "leaf-every-depth",
+    ])
     @pytest.mark.parametrize("n_rows", [WALK_ROWS - 1, WALK_ROWS, WALK_ROWS + 1])
-    def test_walk_shapes_and_block_edges(self, heart_ds, hp, n_rows):
-        model = fit(ClassifierSpec("rf", hp, seed=6), heart_ds, ORIGIN_TEACHER)
-        X = heart_ds.features[np.arange(n_rows) % heart_ds.n_rows]
+    def test_walk_shapes_and_block_edges(self, heart_ds, case, n_rows):
+        # chain-40 has paths far past the walk's first round; leaf-every-depth
+        # ends paths at each level from 0 to 24, so every round drops some ids
+        forest, X = _walk_case(case, heart_ds)
+        X = X[np.arange(n_rows) % len(X)]
         X = X * generator(n_rows).uniform(0.9, 1.1, size=X.shape)
-        np.testing.assert_array_equal(
-            forest_votes(model.params, X), forest_votes_walk(model.params, X)
-        )
+        np.testing.assert_array_equal(forest_votes(forest, X), forest_votes_walk(forest, X))
 
     def test_forest_without_features_votes_its_root_leaves(self):
         # a Dataset refuses zero feature columns, so fit the forest directly
@@ -347,6 +364,50 @@ class TestForestOracle:
         scores = score_batch(model, heart_ds.features[:30])
         assert np.all((scores * 9) % 1 == 0)  # integer vote counts
         assert scores.min() >= 0 and scores.max() <= 1
+
+
+def _walk_case(case, heart_ds):
+    """A forest and rows to walk it with, by ``test_walk_shapes_and_block_edges`` case."""
+    if case == "leaf-every-depth":
+        return _caterpillar_forest(24), np.arange(-1.0, 26.0, 0.5)[:, None]
+    if case == "chain-40":
+        # one feature, alternating labels: every path runs to the depth limit
+        n = 400
+        X, y = np.arange(n, dtype=np.float64)[:, None], np.arange(n) % 2
+        forest = fit_forest(X, y, 2, 3, 40, 2, 1)
+        assert max(_leaf_depths(tree).max() for tree in forest.trees) == 40
+        return forest, X
+    hp = {"depth-0": {"n_trees": 4, "max_depth": 0}, "one-tree": {"n_trees": 1},
+          "six-trees": {"n_trees": 6, "max_depth": 5}}[case]
+    model = fit(ClassifierSpec("rf", hp, seed=6), heart_ds, ORIGIN_TEACHER)
+    return model.params, heart_ds.features
+
+
+def _caterpillar_forest(depth):
+    """A root-only tree and a chain whose split at depth d sends x <= d to a
+    leaf: leaves at every depth from 0 to ``depth``, voting by parity."""
+    n = 2 * depth + 1
+    split = np.arange(n) % 2 == 0
+    split[-1] = False
+    ids = np.arange(n)
+    chain = TreeNodes(
+        feature=np.where(split, 0, -1),
+        threshold=np.where(split, ids // 2, 0).astype(np.float64),
+        left=np.where(split, ids + 1, -1),
+        right=np.where(split, ids + 2, -1),
+        counts=np.stack([ids // 2 % 2, 1 - ids // 2 % 2], axis=1),
+    )
+    root = TreeNodes(np.array([-1]), np.zeros(1), np.array([-1]), np.array([-1]),
+                     np.array([[2, 1]]))
+    assert sorted(_leaf_depths(chain)) == list(range(1, depth + 1)) + [depth]
+    return ForestModel(trees=(root, chain), n_features=1, n_classes=2)
+
+
+def _leaf_depths(tree):
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for i in np.nonzero(tree.feature >= 0)[0]:
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return depth[tree.feature < 0]
 
 
 def _assert_same_trees(a, b):

@@ -1,8 +1,14 @@
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mimiclearn import data
 
 from mimiclearn.data import (
     CsvSchema,
@@ -20,6 +26,8 @@ from mimiclearn.data import (
 )
 from mimiclearn.errors import DataError
 from mimiclearn.rng import generator
+
+from oracles import parse_rows_cellwise
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -76,6 +84,12 @@ class TestIngest:
         )
         assert stats.n_imputed == 1
         assert ds.features[1, 0] == pytest.approx(2.0)
+
+    def test_numeric_missing_token_is_imputed(self, tmp_path):
+        path = _write(tmp_path, "a,b,label\n1,-999,x\n3,4,y\n-999,6,x\n")
+        ds, stats = ingest_csv(path, CsvSchema(label_column="label", missing_token="-999"))
+        assert stats.n_imputed == 2
+        np.testing.assert_array_equal(ds.features, [[1, 5], [3, 4], [2, 6]])
 
     def test_missing_label_rejected(self, tmp_path):
         path = _write(tmp_path, "a,label\n1,0\n2,?\n")
@@ -173,6 +187,51 @@ class TestIngest:
         np.testing.assert_array_equal(ds.features, src.features)
         np.testing.assert_array_equal(ds.labels, src.labels)
         assert peak < 10_000_000, f"ingest peaked at {peak / 1e6:.1f} MB"
+
+
+_CSV_CELLS = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-1000, 1000).map(lambda v: f"  {v} "),
+    st.sampled_from(["", "  ", "?", "NA", "-999", "nan", "inf", "1e400", "1_0", "abc"]),
+)
+
+
+def _ingest_result(path, schema):
+    try:
+        ds, stats = ingest_csv(path, schema)
+    except DataError as exc:
+        return str(exc)
+    labels = None if ds.labels is None else ds.labels.tobytes()
+    return (ds.features.shape, ds.features.tobytes(), ds.feature_names, labels,
+            ds.class_names, stats.n_imputed)
+
+
+@given(rows=st.lists(st.tuples(st.lists(_CSV_CELLS, min_size=2, max_size=2),
+                                st.sampled_from(["a", " b ", "", "  ", "?", "NA", "-999"])),
+                      min_size=1, max_size=4),
+       n_features=st.integers(1, 2), label_column=st.sampled_from([None, 0, -1]),
+       has_header=st.booleans(), missing_token=st.sampled_from(["?", "NA", "-999", "nan"]))
+@example(rows=[(["1", "-999"], "x"), ([" 2", "3 "], "y")], n_features=2, label_column=-1,
+         has_header=False, missing_token="-999")
+@settings(max_examples=100, deadline=None)
+def test_ingest_matches_the_cell_by_cell_reference(
+    rows, n_features, label_column, has_header, missing_token
+):
+    """The same features, labels and imputed count, or the same DataError."""
+    place = {None: lambda cells, label: cells, 0: lambda cells, label: [label] + cells,
+             -1: lambda cells, label: cells + [label]}[label_column]
+    text = "".join(",".join(place(cells[:n_features], label)) + "\n" for cells, label in rows)
+    schema = CsvSchema(label_column=label_column, has_header=has_header,
+                       missing_token=missing_token)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        path.write_text(text, encoding="utf-8")
+        got = _ingest_result(path, schema)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_parse_rows", parse_rows_cellwise)
+            want = _ingest_result(path, schema)
+    assert got == want
 
 
 class TestScaler:

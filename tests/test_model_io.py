@@ -67,6 +67,19 @@ class TestRoundTrip:
         text = file_json(model_to_file(_student(kind, heart_ds)))
         assert file_json(model_to_file(parse_model_file(text))) == text
 
+    @pytest.mark.parametrize("a,b", [(1 + 2**-52, 1 + 2**-51), (-5e-324, 0.0)])
+    def test_forest_split_between_adjacent_floats_exports(self, a, b):
+        # (a + b) / 2 rounds onto b; a threshold there sent both values left,
+        # an empty right leaf that export refuses
+        ds = Dataset(np.array([[a], [b], [a], [b]]), ("x",), np.array([0, 1, 0, 1]),
+                     ("no", "yes"), "adjacent")
+        model = fit(ClassifierSpec("rf", {"n_trees": 2, "max_depth": 3}, seed=1), ds,
+                    ORIGIN_STUDENT)
+        back = parse_model_file(file_json(model_to_file(model)))
+        for tree in back.params.trees:
+            assert tree.threshold[tree.feature >= 0].tolist() == [a]
+        assert predict_batch(back, ds.features).tolist() == [0, 1, 0, 1]
+
     def test_export_refuses_a_model_that_would_not_import(self, toy):
         model = _student("svm", toy)
         broken = SvmModel(weights=model.params.weights * np.nan, bias=0.0)
