@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import PipelineError
+
 
 @dataclass(frozen=True)
 class NbModel:
@@ -35,6 +37,8 @@ def fit_nb(X, y, n_classes, var_smoothing) -> NbModel:
         variances[c] = rows.var(axis=0)
     max_var = float(X.var(axis=0).max()) if d else 0.0
     epsilon = var_smoothing * max_var if max_var > 0 else var_smoothing
+    if math.isfinite(max_var) and not math.isfinite(2.0 * math.pi * epsilon):
+        raise PipelineError(f"nb: var_smoothing {var_smoothing!r} overflows the variance floor")
     variances = np.maximum(variances, epsilon)
     return NbModel(priors=priors, means=means, variances=variances, epsilon=epsilon)
 

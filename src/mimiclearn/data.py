@@ -285,7 +285,9 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
                 parsed = list(map(float, row))
             except ValueError:
                 parsed = [math.nan]
-            if math.isfinite(sum(parsed)) and label not in ("", schema.missing_token):
+            text = "".join(row)  # float() also reads "1_0" and non-ASCII digits
+            if (math.isfinite(sum(parsed)) and text.isascii() and "_" not in text
+                    and label not in ("", schema.missing_token)):
                 values.extend(parsed)
                 if label is not None:
                     label_values.append(distinct.setdefault(label, label))
@@ -301,8 +303,8 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
             elif cell == schema.missing_token or cell == "":
                 values.append(math.nan)
             else:
-                try:
-                    value = float(cell)
+                try:  # float() also reads "1_0" and non-ASCII digits
+                    value = float(cell) if cell.isascii() and "_" not in cell else None
                 except ValueError:
                     value = None
                 if value is None or not math.isfinite(value):

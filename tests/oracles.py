@@ -272,8 +272,8 @@ def parse_rows_cellwise(rows, schema, path):
             elif cell == schema.missing_token or cell == "":
                 values.append(math.nan)
             else:
-                try:
-                    value = float(cell)
+                try:  # float() also reads "1_0" and non-ASCII digits
+                    value = float(cell) if cell.isascii() and "_" not in cell else None
                 except ValueError:
                     value = None
                 if value is None or not math.isfinite(value):

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import sys
 import tracemalloc
@@ -39,7 +40,7 @@ from mimiclearn.data import Dataset, apply_scaler, fit_scaler, kfold
 from mimiclearn.errors import PipelineError
 from mimiclearn.metrics import roc
 from mimiclearn.mimic import _cross_validate
-from mimiclearn.rng import generator
+from mimiclearn.rng import STAGE_TREE, derive_seed, generator
 from mimiclearn.synthetic import cardio_like
 
 from oracles import (
@@ -260,9 +261,36 @@ class TestForestOracle:
             args = (X, y, n_classes, 7, 16, 2, int(rng.integers(0, 1000)))
             _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
 
+    @pytest.mark.parametrize("min_split", [2, 3, 7, 12])
+    def test_trees_equal_the_recursive_reference_on_repeated_rows(self, min_split):
+        # 40 rows copied from 5 distinct ones: a node holds few distinct rows
+        # but many draws, so its size and split tests must count the draws
+        rng = generator(90 + min_split)
+        for max_depth in (1, 3, 16):
+            for _ in range(4):
+                pick = rng.integers(0, 5, size=40)
+                X = rng.integers(0, 4, size=(5, 3)).astype(np.float64)[pick]
+                y = np.where(rng.random(40) < 0.7, pick % 3, rng.integers(0, 3, size=40))
+                args = (X, y, 3, 5, max_depth, min_split, int(rng.integers(0, 1000)))
+                _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
+
+    def test_steps_hold_each_drawn_row_once(self, monkeypatch):
+        # a tree's root holds its distinct bootstrap rows, not one entry per draw
+        X, y = _small_forest_data()
+        split_step, sizes = forest._split_step, []
+
+        def record_sizes(*args):
+            sizes.append(inspect.signature(split_step).bind(*args).arguments["m"].tolist())
+            return split_step(*args)
+
+        monkeypatch.setattr(forest, "_split_step", record_sizes)
+        fit_forest(X, y, 3, 1, 16, 2, 4)
+        sample = generator(derive_seed(4, STAGE_TREE, 0)).integers(0, 100, size=100)
+        assert sizes[0] == [np.count_nonzero(np.bincount(sample))] != [100]
+
     def test_fit_peak_allocation_stays_bounded(self):
         # a default forest on 700 rows, the size of a run's teacher refit;
-        # growing all its trees at once without a row budget peaks near 47 MB
+        # growing all its trees at once without a row budget peaks near 34 MB
         ds = cardio_like()
         hp = DEFAULT_HYPERPARAMETERS["rf"]
         args = (ds.features[:700], ds.labels[:700], 2, hp["n_trees"], hp["max_depth"],

@@ -476,6 +476,19 @@ class TestExitCodes:
         assert err.startswith("mimiclearn: error:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_nb_variance_floor_overflow_refused(self, toy_csv, tmp_path, capsys):
+        # 2 * pi * var_smoothing * (largest feature variance) is not finite, so
+        # every log posterior would be -inf; the floor needs the data, so the
+        # fit refuses it, as a pipeline error
+        path = tmp_path / "config.json"
+        spec = {"kind": "nb", "hyperparameters": {"var_smoothing": 1e308}}
+        path.write_text(json.dumps({"specs": [spec], "cv_k": 2}))
+        out = tmp_path / "o"
+        assert main(_run_args(toy_csv, out, "--config", str(path))) == EXIT_PIPELINE
+        err = capsys.readouterr().err
+        assert err.startswith("mimiclearn: pipeline error: nb: var_smoothing 1e+308")
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("no_header", [False, True])
     def test_negative_label_column_refused(self, toy_csv, tmp_path, no_header):
         args = ["split", "--data", str(toy_csv), "--label-column", "-1",

@@ -117,6 +117,15 @@ class TestIngest:
                                             "in column 'b'"):
             ingest_csv(path, CsvSchema(label_column="label"))
 
+    @pytest.mark.parametrize("token", ["?", "-999"])  # whole-row parse, cell loop
+    @pytest.mark.parametrize("cell", ["1_0", "1_000", "\u0661\u0662", "\uff11\uff12"])
+    def test_python_only_number_forms_refused(self, tmp_path, cell, token):
+        # float() reads these as 10, 1000 and 12; a CSV number is plain ASCII
+        path = _write(tmp_path, f"a,b,label\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(DataError, match=f"line 3: non-numeric value '{cell}' "
+                                            "in column 'b'"):
+            ingest_csv(path, CsvSchema(label_column="label", missing_token=token))
+
     def test_negative_label_index_counts_from_the_end(self, tmp_path):
         path = _write(tmp_path, "1,2,0\n3,4,1\n")
         ds = load_csv(path, CsvSchema(label_column=-1, has_header=False))
@@ -193,7 +202,8 @@ _CSV_CELLS = st.one_of(
     st.integers(-1000, 1000).map(str),
     st.floats(-1e6, 1e6).map(repr),
     st.integers(-1000, 1000).map(lambda v: f"  {v} "),
-    st.sampled_from(["", "  ", "?", "NA", "-999", "nan", "inf", "1e400", "1_0", "abc"]),
+    st.sampled_from(["", "  ", "?", "NA", "-999", "nan", "inf", "1e400", "1_0", "abc",
+                     "\u0661\u0662", "\xa03\xa0"]),
 )
 
 
