@@ -17,14 +17,14 @@ such as the folds of a race, share each tree's draws (see ``fit_forest``).
 Training is single-threaded and grows trees in lockstep: each step takes the
 next split node of every tree in flight and scores and partitions them all
 in one set of numpy calls, as a median split node holds 12 distinct rows and
-per-node calls cost mostly dispatch. Rows sit in presorted attribute lists
-(SLIQ, Mehta et al. 1996), each bootstrap row once with its draw count as
-weight, as scikit-learn's forests weight by bootstrap counts: about 37% fewer
-entries than one per draw. Many trees share each call (CudaTree, Liao et al.
-2013). Nodes in flight live in compact array columns, so a default forest
-grows all 100 trees in one wave; the step row budget below bounds the
-temporaries: on 700 rows the fit peaked at 34 MB without it and 6.9 MB with
-it (tracemalloc), 3.4 MB of which is the row table and its draw counts.
+per-node calls cost mostly dispatch. A node holds one list of its distinct
+bootstrap row ids, each weighted by its draw count as scikit-learn's forests
+weight by bootstrap counts: about 37% fewer entries than one per draw. Each
+feature is sorted once per fit, as are SLIQ's attribute lists (Mehta et al.
+1996), and a step sorts its nodes' rows by rank in its candidate features
+only. Many trees share each call (CudaTree, Liao et al. 2013), and a default
+forest grows all 100 trees in one wave; the step row budget below bounds the
+temporaries: on 700 rows a fit peaked at 20 MB without it, 3.6 MB with it.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ from ..rng import STAGE_TREE, derive_seed, generator
 
 WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) ids
 FIRST_LEVELS, ROUND_LEVELS = 7, 3  # levels walked before the first drop of leaf ids, then per drop
-# trees grown at once; their rows share one int32 table of 4 * n_features *
-# min(n_trees, 100) * n_rows bytes: 3.1 MB at 700 rows of 11 features, 6.2 at 1,400
-TREES_IN_FLIGHT = 100
+TREES_IN_FLIGHT = 100  # trees grown at once; row lists and draw counts: 8 * n_rows bytes each
 STEP_ROWS = 4096  # node rows scored per growth step; one larger node runs alone
 
 _shared_draws = {}  # latest fit shape only: {(seed, n_rows, n_features): {tree: (rng, draws)}}
@@ -90,24 +88,28 @@ def _class_sum(terms):
     return functools.reduce(np.add, terms)
 
 
-def _split_step(table, weight, XT, y, lo, m, feats, node_counts):
+def _split_step(rows_of, weight, XT, y, order, rank, lo, m, feats, node_counts):
     """Score the candidate cuts of many nodes at once; partition those that split.
 
-    Node j owns columns ``lo[j] : lo[j] + m[j]`` of ``table``, whose row f holds
-    its distinct row ids sorted by feature f; a row id r in the slot that starts
-    at column ``s * n`` was drawn ``weight[s * n + r]`` times. ``feats`` is
-    ``(J, k)`` sorted candidate features and ``node_counts`` ``(C, J)``. Returns
-    which nodes split and, for those, the feature, threshold, distinct rows
-    sent left and their class counts.
+    Node j owns the distinct row ids ``rows_of[lo[j] : lo[j] + m[j]]``, in any
+    order; row r of the slot at ``s * n`` was drawn ``weight[s * n + r]`` times.
+    Sorted, its keys ``j * n + rank[f, r]`` give the rows in feature f's stable
+    sort ``order``. ``feats`` is ``(J, k)`` sorted candidate features and
+    ``node_counts`` ``(C, J)``. Returns which nodes split and, for those, the
+    feature, threshold, distinct rows sent left and their class counts.
     """
+    n = XT.shape[1]
     start = np.cumsum(m) - m
     pos = np.arange(start[-1] + m[-1])
-    fidx = np.repeat(feats.T, m, axis=1)
-    rows = table.take(fidx * table.shape[1] + _ranges(lo, m))
-    values = XT.take(fidx * XT.shape[1] + rows)
-    drawn = weight.take(rows + np.repeat(lo - lo % XT.shape[1], m))  # slot * n + row
+    node_base = np.repeat(np.arange(len(m)) * n, m)
+    fidx = np.repeat(feats.T, m, axis=1) * n
+    keys = rank.take(fidx + rows_of.take(_ranges(lo, m))) + node_base
+    keys.sort(axis=1)  # keys are unique, so any sort gives this order
+    rows = order.take(fidx + keys - node_base)
+    values = XT.take(fidx + rows)
+    drawn = weight.take(rows + np.repeat(lo - lo % n, m))  # slot * n + row
     onehot = y.take(rows) == np.arange(len(node_counts))[:, None, None]
-    prefix = np.cumsum(onehot * drawn, axis=2)
+    prefix = np.cumsum(onehot * drawn, axis=2, dtype=np.int32)
     base = prefix[:, :, start - 1]
     base[:, :, 0] = 0  # the first node starts the cumsum
     left = prefix - np.repeat(base, m, axis=2)
@@ -136,12 +138,10 @@ def _split_step(table, weight, XT, y, lo, m, feats, node_counts):
     thr[far] = a[far] / 2 + b[far] / 2
     thr = np.where(thr == b, a, thr)  # adjacent floats: the midpoint rounded up onto b
     m_left = cut + 1 - start[nodes]  # a <= thr < b: the rows by f up to the cut go left
-    block = table.take(_ranges(lo, m), axis=1)
-    mask = XT.take(np.repeat(f * XT.shape[1], m) + block) <= np.repeat(thr, m)
-    block, mask = block.ravel(), mask.ravel()  # a 1-D compress is several times faster
-    table[:, _ranges(lo, m_left)] = block.compress(mask).reshape(len(table), -1)
-    to_right = block.compress(~mask).reshape(len(table), -1)
-    table[:, _ranges(lo + m_left, m - m_left)] = to_right
+    block = rows_of.take(_ranges(lo, m))
+    mask = XT.take(np.repeat(f * n, m) + block) <= np.repeat(thr, m)
+    rows_of[_ranges(lo, m_left)] = block.compress(mask)
+    rows_of[_ranges(lo + m_left, m - m_left)] = block.compress(~mask)
     return split, f, thr, m_left, prefix[:, c, cut] - base[:, c, nodes]
 
 
@@ -209,10 +209,12 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     """
     n, n_features = X.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
+    max_depth = max_depth if n_features else 0  # no feature to cut: each tree is its root
     XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable").ravel()
+    order = np.argsort(XT, axis=1, kind="stable")
+    order, rank = order.ravel(), np.argsort(order, axis=1).ravel()  # rank[order] = place
     n_slots = min(n_trees, TREES_IN_FLIGHT)
-    table = np.empty((n_features, n_slots * n), dtype=np.int32)
+    rows_of = np.empty(n_slots * n, dtype=np.int32)
     weight = np.empty(n_slots * n, dtype=np.int32)
     pending, trees = iter(range(n_trees)), {}
     if (seed, n, n_features) not in _shared_draws:
@@ -227,12 +229,11 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         # popped while the tree grows and put back when it is done: a fit
         # stopped part-way leaves no entry, never a wrong one
         draws = memo.pop(index, None) or (rng, [])
-        # each distinct bootstrap row once, in each feature's order, weighted by
-        # its draw count: the cuts and class counts are those of the repeated rows
+        # each distinct bootstrap row once, weighted by its draw count: the
+        # cuts and class counts are those of the repeated rows
         weight[slot * n : (slot + 1) * n] = drawn = np.bincount(sample, minlength=n)
         d = np.count_nonzero(drawn)
-        table[:, slot * n : slot * n + d] = order.compress(drawn.take(order) > 0).reshape(
-            n_features, d)
+        rows_of[slot * n : slot * n + d] = np.flatnonzero(drawn)
         counts = np.bincount(y[sample], minlength=n_classes).tolist()
         return _Tree(index, slot, draws, (slot * n, slot * n + d, counts, 0, -1))
 
@@ -254,11 +255,10 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         if not batch:
             continue
         _, _, lo, m, counts, _, feats = zip(*batch)
-        feats = np.array(feats, np.intp)
-        feats.sort()
-        counts = np.array(counts).T
+        feats = np.sort(np.array(feats, np.intp))
+        counts = np.array(counts, np.int32).T
         split, f, thr, m_left, left_counts = _split_step(
-            table, weight, XT, y, np.array(lo), np.array(m), feats, counts)
+            rows_of, weight, XT, y, order, rank, np.array(lo), np.array(m), feats, counts)
         for (tree, nid, lo, m, _, depth, _), f, thr, m_left, left, right in zip(
                 itertools.compress(batch, split), f.tolist(), thr.tolist(),
                 m_left.tolist(), left_counts.T.tolist(),

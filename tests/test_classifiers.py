@@ -186,6 +186,19 @@ class TestKnnOracle:
         assert peak < 5_000_000, f"knn predict peaked at {peak / 1e6:.1f} MB"
 
 
+@st.composite
+def _tied_forest_data(draw):
+    """2 to 60 rows of 1 to 12 features drawn from six cells, and 2 or 3 classes."""
+    n_rows, n_features = draw(st.integers(2, 60)), draw(st.integers(1, 12))
+    cells = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0, 4.0])
+    X = np.array(draw(st.lists(cells, min_size=n_rows * n_features,
+                               max_size=n_rows * n_features))).reshape(n_rows, n_features)
+    n_classes = draw(st.integers(2, 3))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows,
+                               max_size=n_rows)), dtype=np.int64)
+    return X, y, n_classes
+
+
 class TestForestOracle:
     def test_matches_per_tree_walk(self, heart_ds):
         spec = ClassifierSpec("rf", {"n_trees": 15, "max_depth": 6}, seed=5)
@@ -274,6 +287,19 @@ class TestForestOracle:
                 args = (X, y, 3, 5, max_depth, min_split, int(rng.integers(0, 1000)))
                 _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
 
+    @given(data=_tied_forest_data(), n_trees=st.integers(1, 4),
+           max_depth=st.integers(1, 16), min_split=st.integers(2, 5),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_trees_equal_the_recursive_reference_on_tied_cells(
+        self, data, n_trees, max_depth, min_split, seed
+    ):
+        # 1 to 12 features, so 1 to 4 candidates; cells from six values, -0.0
+        # and 0.0 among them, so most candidate columns hold long runs of ties
+        X, y, n_classes = data
+        args = (X, y, n_classes, n_trees, max_depth, min_split, seed)
+        _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
+
     def test_steps_hold_each_drawn_row_once(self, monkeypatch):
         # a tree's root holds its distinct bootstrap rows, not one entry per draw
         X, y = _small_forest_data()
@@ -303,6 +329,22 @@ class TestForestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 10_000_000, f"forest fit peaked at {peak / 1e6:.1f} MB"
+
+    def test_student_fit_peak_allocation_stays_bounded(self):
+        # a default forest on all 1,400 rows, the shape of the evaluate-100k
+        # student; one (features, trees * rows) presorted table peaked at 12.3 MB
+        ds = cardio_like()
+        hp = DEFAULT_HYPERPARAMETERS["rf"]
+        args = (ds.features, ds.labels, 2, hp["n_trees"], hp["max_depth"],
+                hp["min_split"], 1)
+        fit_forest(*args[:3], 2, *args[4:])  # warm-up: lazy imports and first calls
+        tracemalloc.start()
+        try:
+            fit_forest(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, f"forest fit peaked at {peak / 1e6:.1f} MB"
 
     def test_midpoint_of_adjacent_huge_values_is_finite(self):
         # (a + b) / 2 overflows to -inf here; the classes split at the root
@@ -385,6 +427,12 @@ class TestForestOracle:
         model = fit_forest(np.zeros((6, 0)), np.arange(6) % 2, 2, 3, 0, 2, 1)
         X = np.zeros((WALK_ROWS + 1, 0))
         np.testing.assert_array_equal(forest_votes(model, X), forest_votes_walk(model, X))
+
+    @pytest.mark.parametrize("max_depth", [0, 4])
+    def test_fit_without_features_equals_the_recursive_reference(self, max_depth):
+        # no feature to cut on: every tree is its root leaf, two classes or not
+        args = (np.zeros((6, 0)), np.arange(6) % 2, 2, 3, max_depth, 2, 1)
+        _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
 
     def test_vote_fraction_score_matches_votes(self, heart_ds):
         spec = ClassifierSpec("rf", {"n_trees": 9, "max_depth": 4}, seed=3)
