@@ -24,15 +24,15 @@ feature is sorted once per fit, as are SLIQ's attribute lists (Mehta et al.
 1996), and a step sorts its nodes' rows by rank in its candidate features
 only. Many trees share each call (CudaTree, Liao et al. 2013), and a default
 forest grows all 100 trees in one wave; the step row budget below bounds the
-temporaries: on 700 rows a fit peaked at 20 MB without it, 3.6 MB with it.
+temporaries: on 700 rows a fit peaked at 20 MB without it, 3.2 MB with it.
+Between steps no node is handled in Python: node stacks are rows of arrays,
+a step keeps 28-byte node records, and preorder ids are set once per fit.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +44,7 @@ FIRST_LEVELS, ROUND_LEVELS = 7, 3  # levels walked before the first drop of leaf
 TREES_IN_FLIGHT = 100  # trees grown at once; row lists and draw counts: 8 * n_rows bytes each
 STEP_ROWS = 4096  # node rows scored per growth step; one larger node runs alone
 
+_SIDES = np.array([[1], [0]])  # the link bit of a right and of a left child
 _shared_draws = {}  # latest fit shape only: {(seed, n_rows, n_features): {tree: (rng, draws)}}
 
 
@@ -145,55 +146,48 @@ def _split_step(rows_of, weight, XT, y, order, rank, lo, m, feats, node_counts):
     return split, f, thr, m_left, prefix[:, c, cut] - base[:, c, nodes]
 
 
-class _Tree:
-    """A tree in flight: index, table slot, seeded draws ``(generator, flat
-    list of candidate draws in preorder)``, preorder stack of ``(lo, hi, class
-    counts, depth, parent if a right child)`` and its nodes in four columns:
-    feature, threshold, right child and class counts, flat. Preorder puts a
-    split node's left child right after it, so no left column is kept."""
+def _preorder(records):
+    """The trees of one fit from its per-step node records, each in preorder.
 
-    def __init__(self, index, slot, draws, root):
-        self.index, self.slot = index, slot
-        self.rng, self.known = draws
-        self.stack, self.drawn = [root], 0
-        self.feature, self.threshold = array("q"), array("d")
-        self.right, self.counts = array("q"), array("q")
+    Record i holds the i-th recorded node's threshold and ``row`` (feature,
+    link, depth, class counts); ``records`` is emptied as it is joined. A
+    root's link is ``-1 - tree``, a left child's ``2 * parent`` and a right
+    child's ``2 * parent + 1``. Counted bottom-up by depth, ``s[i]`` split
+    nodes lie in node i's subtree of ``2 * s[i] + 1`` nodes. Then, top-down,
+    a root takes its tree's first id, a left child its parent's id + 1 and a
+    right child its parent's + 2 + 2 * (split nodes under its left sibling).
+    Each field is one table for the forest, and the trees are views of it.
+    """
+    rec = np.concatenate(records)
+    del records[:]  # one copy of the records at a time
+    row, n = rec["row"], len(rec)
+    link, depth = row[:, 1], row[:, 2]
+    s = (row[:, 0] >= 0).astype(np.int64)
+    levels = np.split(np.argsort(depth), np.cumsum(np.bincount(depth))[:-1])
+    for at in levels[:0:-1]:
+        np.add.at(s, link[at] >> 1, s[at])
+    roots = levels[0][np.argsort(-link[levels[0]])]  # in tree order
+    size = 2 * s[roots] + 1
+    first = np.cumsum(size) - size
+    pos = np.empty(n, np.int64)
+    pos[roots] = first
+    for at in levels[1:]:
+        up = link[at] >> 1
+        pos[at] = pos[up] + np.where(link[at] & 1, 2 * (s[up] - s[at]), 1)
 
-    def add(self, counts, right_of):
-        nid = len(self.feature)
-        if right_of >= 0:
-            self.right[right_of] = nid
-        self.feature.append(-1)
-        self.threshold.append(0.0)  # 0.0 keeps the JSON export finite
-        self.right.append(-1)
-        self.counts.extend(counts)
-        return nid
+    def placed(values):  # in preorder, as int64 or float64; frees one field at a time
+        out = np.empty(values.shape, np.result_type(values, np.int64))
+        out[pos] = values
+        return out
 
-    def next_split(self, max_depth, min_split):
-        """Add the leaves on top of the stack; the split node left on top, if any."""
-        while self.stack:
-            lo, hi, counts, depth, right_of = self.stack[-1]
-            if (depth < max_depth and sum(counts) >= min_split
-                    and counts.count(0) < len(counts) - 1):  # two classes or more
-                return self.stack[-1]
-            self.stack.pop()
-            self.add(counts, right_of)
-        return None
-
-    def draw(self, n_features, n_candidates):
-        """The next split node's candidate features: a stored draw while there
-        is one, then a new one from the generator, stored as it is made."""
-        self.drawn += n_candidates
-        if self.drawn > len(self.known):
-            self.known += self.rng.choice(n_features, n_candidates, replace=False).tolist()
-        return self.known[self.drawn - n_candidates : self.drawn]
-
-    def finish(self) -> TreeNodes:
-        feature = np.array(self.feature, np.int64)
-        left = np.where(feature >= 0, np.arange(1, feature.size + 1), -1)
-        return TreeNodes(feature, np.array(self.threshold, np.float64), left,
-                         np.array(self.right, np.int64),
-                         np.array(self.counts, np.int64).reshape(feature.size, -1))
+    counts, feature, threshold = placed(row[:, 3:]), placed(row[:, 0]), placed(rec["threshold"])
+    del rec, row, link, depth
+    s = placed(s)
+    left = np.arange(1, n + 1) - np.repeat(first, size)  # ids within the tree, + 1
+    right = left + 1 + 2 * np.append(s[1:], 0)  # past the left child's subtree
+    left[feature < 0] = right[feature < 0] = -1
+    parts = (np.split(a, first)[1:] for a in (feature, threshold, left, right, counts))
+    return tuple(TreeNodes(*fields) for fields in zip(*parts))
 
 
 def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestModel:
@@ -203,9 +197,10 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     tree index, the row count and the feature count alone, never from the
     row values. The draws of the latest fit shape ``(seed, n_rows,
     n_features)`` stay in a module memo: per tree, its candidate draws in
-    preorder and the generator standing just past them. A fit of that shape
-    reads them and extends them from the generator; a fit of another shape
-    replaces the memo. Every tree is the one grown without the memo.
+    preorder, one row per node, and the generator standing just past them. A
+    fit of that shape reads them and extends them from the generator; a fit
+    of another shape replaces the memo. Every tree is the one grown without
+    the memo.
     """
     n, n_features = X.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
@@ -214,59 +209,99 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     order = np.argsort(XT, axis=1, kind="stable")
     order, rank = order.ravel(), np.argsort(order, axis=1).ravel()  # rank[order] = place
     n_slots = min(n_trees, TREES_IN_FLIGHT)
-    rows_of = np.empty(n_slots * n, dtype=np.int32)
-    weight = np.empty(n_slots * n, dtype=np.int32)
-    pending, trees = iter(range(n_trees)), {}
+    rows_of, weight = np.empty((2, n_slots * n), dtype=np.int32)
     if (seed, n, n_features) not in _shared_draws:
         _shared_draws.clear()
     memo = _shared_draws.setdefault((seed, n, n_features), {})
+    # per slot: its tree, generator, draws (known, of which used; one row per
+    # step at most) and stack of rows (lo, m, -1, link, depth, class counts)
+    tree_of, rngs = np.full(n_slots, -1), [None] * n_slots
+    cap = max([64] + [len(stored) for _, stored in memo.values()])
+    draws = np.empty((n_slots, cap, n_candidates), np.min_scalar_type(n_features))
+    known, used, height = np.zeros((3, n_slots), np.int64)
+    stack = np.empty((n_slots, 16, 5 + n_classes), np.int64)
+    node = np.dtype([("threshold", np.float64), ("row", np.int32, 3 + n_classes)])
+    records = [np.empty(0, node)]
+    n_records = next_tree = turn = 0
 
-    def start_tree(slot):
-        if (index := next(pending, None)) is None:
-            return None
-        rng = generator(derive_seed(seed, STAGE_TREE, index))
-        sample = rng.integers(0, n, size=n)
-        # popped while the tree grows and put back when it is done: a fit
-        # stopped part-way leaves no entry, never a wrong one
-        draws = memo.pop(index, None) or (rng, [])
-        # each distinct bootstrap row once, weighted by its draw count: the
-        # cuts and class counts are those of the repeated rows
-        weight[slot * n : (slot + 1) * n] = drawn = np.bincount(sample, minlength=n)
-        d = np.count_nonzero(drawn)
-        rows_of[slot * n : slot * n + d] = np.flatnonzero(drawn)
-        counts = np.bincount(y[sample], minlength=n_classes).tolist()
-        return _Tree(index, slot, draws, (slot * n, slot * n + d, counts, 0, -1))
+    def worthy(nodes):  # may split: depth, weighted size, two classes or more
+        size = nodes[..., 5:].sum(axis=-1)
+        return ((nodes[..., 4] < max_depth) & (size >= min_split)
+                & (nodes[..., 5:].max(axis=-1) < size))
 
-    growing = [start_tree(slot) for slot in range(n_slots)]
-    while growing:
-        batch, batch_rows = [], 0
-        for i, tree in enumerate(growing):
-            while tree and not (top := tree.next_split(max_depth, min_split)):
-                trees[tree.index] = tree.finish()
-                memo[tree.index] = tree.rng, tree.known
-                tree = growing[i] = start_tree(tree.slot)
-            if tree is None or (batch and batch_rows + top[1] - top[0] > STEP_ROWS):
-                continue  # done, or waits for a later step
-            lo, hi, counts, depth, right_of = tree.stack.pop()
-            nid, batch_rows = tree.add(counts, right_of), batch_rows + hi - lo
-            feats = tree.draw(n_features, n_candidates)
-            batch.append((tree, nid, lo, hi - lo, counts, depth, feats))
-        growing = [tree for tree in growing[1:] + growing[:1] if tree is not None]
-        if not batch:
-            continue
-        _, _, lo, m, counts, _, feats = zip(*batch)
-        feats = np.sort(np.array(feats, np.intp))
-        counts = np.array(counts, np.int32).T
+    while True:
+        idle = height == 0
+        if next_tree == n_trees:
+            idle &= tree_of >= 0
+        for s in np.flatnonzero(idle).tolist():
+            if tree_of[s] >= 0:  # grown: its draws go back to the memo
+                memo[int(tree_of[s])] = rngs[s], draws[s, : known[s]].copy()
+                tree_of[s] = -1
+            while next_tree < n_trees and not height[s]:
+                rng = generator(derive_seed(seed, STAGE_TREE, next_tree))
+                sample = rng.integers(0, n, size=n)
+                # each distinct bootstrap row once, weighted by its draw count:
+                # the cuts and class counts are those of the repeated rows
+                weight[s * n : (s + 1) * n] = drawn = np.bincount(sample, minlength=n)
+                d = np.count_nonzero(drawn)
+                rows_of[s * n : s * n + d] = np.flatnonzero(drawn)
+                root = np.array([[s * n, d, -1, -1 - next_tree, 0,
+                                  *np.bincount(y[sample], minlength=n_classes)]])
+                # popped while the tree grows and put back when it is done: a
+                # fit stopped part-way leaves no entry, never a wrong one
+                rngs[s], stored = memo.pop(next_tree, None) or (rng, draws[0, :0].copy())
+                if worthy(root)[0]:
+                    stack[s, 0], height[s], tree_of[s], used[s] = root[0], 1, next_tree, 0
+                    known[s] = len(stored)
+                    draws[s, : known[s]] = stored
+                else:  # a root leaf: the tree is grown
+                    memo[next_tree] = rngs[s], stored
+                    records.append(np.array([(0.0, root[0, 2:])], node))
+                    n_records += 1
+                next_tree += 1
+        live = np.flatnonzero(height)
+        if not live.size:
+            break
+        # the stack tops, from where the last step stopped, while within the row budget
+        live = np.concatenate((live[live >= turn], live[live < turn]))
+        tops = stack[live, height[live] - 1]
+        take = max(1, np.searchsorted(np.cumsum(tops[:, 1]), STEP_ROWS, side="right"))
+        batch, tops = live[:take], tops[:take]
+        turn = batch[-1] + 1
+        height[batch] -= 1
+        nth = used[batch]
+        used[batch] += 1
+        if nth.max() == draws.shape[1]:
+            draws = np.concatenate([draws, draws], axis=1)
+        for s in batch[nth == known[batch]].tolist():  # past the stored draws: draw anew
+            draws[s, known[s]] = rngs[s].choice(n_features, n_candidates, replace=False)
+            known[s] += 1
         split, f, thr, m_left, left_counts = _split_step(
-            rows_of, weight, XT, y, order, rank, np.array(lo), np.array(m), feats, counts)
-        for (tree, nid, lo, m, _, depth, _), f, thr, m_left, left, right in zip(
-                itertools.compress(batch, split), f.tolist(), thr.tolist(),
-                m_left.tolist(), left_counts.T.tolist(),
-                (counts[:, split] - left_counts).T.tolist()):
-            tree.feature[nid], tree.threshold[nid] = f, thr
-            tree.stack.append((lo + m_left, lo + m, right, depth + 1, nid))
-            tree.stack.append((lo, lo + m_left, left, depth + 1, -1))
-    return ForestModel(trees=tuple(trees[i] for i in range(n_trees)),
+            rows_of, weight, XT, y, order, rank, tops[:, 0], tops[:, 1],
+            np.sort(draws[batch, nth].astype(np.intp)), tops[:, 5:].T.astype(np.int32))
+        at = np.flatnonzero(split)
+        kids = tops[at][None].repeat(2, axis=0)  # right and left children
+        kids[0, :, 0] += m_left
+        kids[:, :, 1] = kids[0, :, 1] - m_left, m_left
+        kids[:, :, 5:] = kids[0, :, 5:] - left_counts.T, left_counts.T
+        kids[:, :, 3] = 2 * (n_records + at) + _SIDES
+        kids[:, :, 4] += 1
+        grow = worthy(kids)
+        # push the children that may split, the left one on top
+        slots, h = batch[at], height[batch[at]]
+        if at.size and h.max() + 2 > stack.shape[1]:
+            stack = np.concatenate([stack, stack], axis=1)
+        stack[slots[grow[0]], h[grow[0]]] = kids[0, grow[0]]
+        stack[slots[grow[1]], (h + grow[0])[grow[1]]] = kids[1, grow[1]]
+        height[slots] += grow.sum(axis=0)
+        # the processed nodes first, as the children's links assume, then the leaves
+        rec = np.zeros(len(tops) + np.count_nonzero(~grow), node)
+        rec["row"] = np.concatenate([tops, kids[~grow]])[:, 2:]
+        rec["row"][at, 0], rec["threshold"][at] = f, thr
+        records.append(rec)
+        n_records += len(rec)
+    del rows_of, weight, XT, order, rank  # free the fit's tables before the layout
+    return ForestModel(trees=_preorder(records),
                        n_features=n_features, n_classes=n_classes)
 
 

@@ -162,20 +162,25 @@ def _fidelity_table(fid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_all(out: Path, artifacts: dict) -> None:
+def _write_all(out: Path, artifacts: dict, owned=()) -> None:
     """Write ``{name: text}`` under ``out``: stage all, then rename in order.
 
-    The only place a command writes a file. A target that is a directory is
-    refused before anything is written; any OSError is a UsageError.
+    The only place a command writes a file. Any name in ``owned`` that this
+    call does not write, such as an earlier run's ``student_model.json``, is
+    removed before the renames, so the manifest (last) names every file of
+    its run. A target that is a directory is refused before anything is
+    written; any OSError is a UsageError.
     """
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name in artifacts:
+        for name in [*artifacts, *owned]:
             if (out / name).is_dir():
                 raise UsageError(f"cannot write {out / name}: it is a directory")
         with tempfile.TemporaryDirectory(dir=out) as stage:
             for name, text in artifacts.items():
                 Path(stage, name).write_text(text, encoding="utf-8", newline="")
+            for name in set(owned) - set(artifacts):
+                (out / name).unlink(missing_ok=True)
             for name in artifacts:
                 os.replace(Path(stage, name), out / name)
     except OSError as exc:
@@ -244,7 +249,7 @@ def cmd_run(args) -> int:
     artifacts["manifest.json"] = (
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    _write_all(_out_dir(args), artifacts)
+    _write_all(_out_dir(args), artifacts, owned=["student_model.json"])
 
     fid = run.fidelity
     race = run.teacher_race

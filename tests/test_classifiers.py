@@ -199,6 +199,34 @@ def _tied_forest_data(draw):
     return X, y, n_classes
 
 
+def _run_labels(runs):
+    """Labels 0, 1, 0, ... in runs of the given lengths."""
+    return np.concatenate([np.full(n, i % 2) for i, n in enumerate(runs)])
+
+
+# fit_forest arguments for a tree shape, and a check that every tree has it
+_LAYOUT_CASES = {
+    # labels alternate below 30 and are all 1 above: the root cuts off the
+    # pure rows as a right leaf after a deep left subtree
+    "right-leaf-after-deep-left": (
+        (np.arange(40.0)[:, None], _run_labels([1] * 29 + [11]), 2, 6, 40, 2, 1),
+        lambda trees: all(t.feature[t.right[0]] < 0 and _leaf_depths(t).max() >= 7
+                          for t in trees)),
+    # runs of 32, 16, 8, ... rows: each split cuts off the first run as a left leaf
+    "right-chain": (
+        (np.arange(64.0)[:, None], _run_labels([32, 16, 8, 4, 2, 1, 1]), 2, 5, 40, 2, 1),
+        lambda trees: all(np.all(t.feature[t.left[t.feature >= 0]] < 0)
+                          and _leaf_depths(t).max() >= 4 for t in trees)),
+    # one row of class 1 in six: some bootstraps miss it and are root leaves
+    "root-leaves-beside-splits": (
+        (np.arange(6.0)[:, None], _run_labels([5, 1]), 2, 12, 16, 2, 1),
+        lambda trees: {t.n_nodes for t in trees} == {1, 3}),
+    "depth-0": (
+        (np.arange(40.0)[:, None], _run_labels([1] * 40), 2, 6, 0, 2, 1),
+        lambda trees: {t.n_nodes for t in trees} == {1}),
+}
+
+
 class TestForestOracle:
     def test_matches_per_tree_walk(self, heart_ds):
         spec = ClassifierSpec("rf", {"n_trees": 15, "max_depth": 6}, seed=5)
@@ -222,16 +250,29 @@ class TestForestOracle:
                     assert tree.counts[i].sum() > 0
 
     def test_default_forest_layout(self, heart_ds):
-        # preorder puts a split node's left child right after it
         model = fit(ClassifierSpec("rf", {}, seed=3), heart_ds, ORIGIN_TEACHER)
         for tree in model.params.trees:
-            ids, split = np.arange(tree.n_nodes), tree.feature >= 0
-            np.testing.assert_array_equal(tree.left[split], ids[split] + 1)
-            assert np.all(tree.right[split] > ids[split] + 1)
-            leaf = ~split
-            assert np.all(tree.feature[leaf] == -1)
-            assert tree.threshold[leaf].tobytes() == bytes(8 * leaf.sum())  # +0.0
-            assert np.all(tree.left[leaf] == -1) and np.all(tree.right[leaf] == -1)
+            _assert_preorder_layout(tree)
+
+    @pytest.mark.parametrize("shape", sorted(_LAYOUT_CASES))
+    def test_preorder_layout_of_chosen_shapes(self, shape):
+        args, has_shape = _LAYOUT_CASES[shape]
+        model = fit_forest(*args)
+        assert has_shape(model.trees)
+        _assert_same_trees(model, fit_forest_recursive(*args))
+        for tree in model.trees:
+            _assert_preorder_layout(tree)
+
+    @pytest.mark.parametrize("in_flight", [1, 7, 100])
+    @pytest.mark.parametrize("step_rows", [1, forest.STEP_ROWS, 10**9])
+    def test_trees_do_not_depend_on_batching(self, step_rows, in_flight, monkeypatch):
+        # a step takes stack tops while they fit its row budget, and at least
+        # one; 12 trees through 1, 7 or all slots, one node or all per step
+        monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
+        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
+        X, y = _small_forest_data()
+        args = (X, y, 3, 12, 16, 2, 6)
+        _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_trees_equal_the_recursive_reference(self, n_classes):
@@ -484,6 +525,17 @@ def _leaf_depths(tree):
     for i in np.nonzero(tree.feature >= 0)[0]:
         depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
     return depth[tree.feature < 0]
+
+
+def _assert_preorder_layout(tree):
+    # preorder puts a split node's left child right after it
+    ids, split = np.arange(tree.n_nodes), tree.feature >= 0
+    np.testing.assert_array_equal(tree.left[split], ids[split] + 1)
+    assert np.all(tree.right[split] > ids[split] + 1)
+    leaf = ~split
+    assert np.all(tree.feature[leaf] == -1)
+    assert tree.threshold[leaf].tobytes() == bytes(8 * leaf.sum())  # +0.0
+    assert np.all(tree.left[leaf] == -1) and np.all(tree.right[leaf] == -1)
 
 
 def _assert_same_trees(a, b):

@@ -247,6 +247,23 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert json.loads((out / "run.json").read_text())["config"]["cv_k"] == 6
 
+    def test_rerun_removes_the_model_file_it_no_longer_writes(self, tmp_path):
+        # heart at seed 1: an nb run writes student_model.json, and a knn run
+        # into the same directory must not leave it beside a manifest that
+        # names no model file
+        data, out = tmp_path / "heart.csv", tmp_path / "out"
+        save_csv(heart_disease_like(), data)
+        for kind, has_model in (("nb", True), ("knn", False)):
+            config = tmp_path / f"{kind}.json"
+            config.write_text(json.dumps({"specs": [{"kind": kind}]}))
+            args = ["run", "--data", str(data), "--seed", "1", "--out-dir", str(out),
+                    "--config", str(config)]
+            assert main(args) == EXIT_OK
+            assert (out / "student_model.json").exists() == has_model
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["student_model_file"] is None
+        assert sorted(_read_all(out)) == sorted([*manifest["artifacts"], "manifest.json"])
+
     def test_failed_run_writes_nothing(self, tmp_path):
         bad = tmp_path / "oneclass.csv"
         bad.write_text("a,b,label\n" + "".join(f"{i},1,pos\n" for i in range(30)))
