@@ -5,10 +5,13 @@ after their parent), which are trivially serializable; prediction walks all
 trees of a forest at once, branch-free, level by level, and every few levels
 drops the paths that reached a leaf. Each split considers
 ceil(sqrt(n_features)) candidate features drawn from the tree's own
-generator; candidate thresholds are the midpoints between consecutive
-distinct sorted values (the lower value where the midpoint rounds onto the
-upper). Equal-impurity splits resolve to the lower feature index, then the
-lower threshold, so training is fully deterministic.
+generator: exactly the picks of ``Generator.choice(n_features, k,
+replace=False)``, computed in blocks from its raw PCG64 stream, where one
+``choice`` call would cost about 8 us. Candidate thresholds are the
+midpoints between consecutive distinct sorted values (the lower value where
+the midpoint rounds onto the upper). Equal-impurity splits resolve to the
+lower feature index, then the lower threshold, so training is fully
+deterministic.
 Per-tree seeds derive from the spec seed and tree index, and each split node
 draws its candidates in preorder (node, left subtree, right subtree), so
 node ids and draws follow the tree alone, and consecutive fits of one shape,
@@ -43,8 +46,10 @@ WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) i
 FIRST_LEVELS, ROUND_LEVELS = 7, 3  # levels walked before the first drop of leaf ids, then per drop
 TREES_IN_FLIGHT = 100  # trees grown at once; row lists and draw counts: 8 * n_rows bytes each
 STEP_ROWS = 4096  # node rows scored per growth step; one larger node runs alone
+BLOCK = 64  # a tree's first block of candidate draws ahead; each later block doubles
 
 _SIDES = np.array([[1], [0]])  # the link bit of a right and of a left child
+_LOW = 0xFFFFFFFF  # the low half of a raw PCG64 output
 _shared_draws = {}  # latest fit shape only: {(seed, n_rows, n_features): {tree: (rng, draws)}}
 
 
@@ -87,6 +92,90 @@ def _class_sum(terms):
     if len(terms) >= 8:
         return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
     return functools.reduce(np.add, terms)
+
+
+def _choices(bit_gens, sizes, n, k):
+    """``sizes[i]`` calls of ``Generator(bit_gens[i]).choice(n, k,
+    replace=False)``, in bulk.
+
+    For n < 2**32 with n <= 10,000 or k <= n // 50, as for every k =
+    ceil(sqrt(n)), ``choice`` runs Floyd's algorithm: for j = n-k .. n-1 a
+    draw in [0, j] (none for j = 0), or j if that value is taken; then a
+    Fisher-Yates shuffle with draws in [0, i], i = k-1 .. 1. A draw in [0, r)
+    is Lemire's: a 32-bit half of the PCG64 stream times r, redrawn while
+    the product's low word is under (2**32 - r) % r, which is about 3e-9
+    likely here. A raw output gives its low half first and keeps the high one
+    in ``has_uint32``/``uinteger``. So each generator's halves are read as
+    one ``random_raw`` call and the draws of all its calls as array columns;
+    a generator whose calls hit a redraw reads its halves one by one. Returns
+    the picks of every call, in order, and per generator the state before its
+    calls and the halves read by the end of each. Every generator is left
+    where the calls would leave it (see ``_rewind``).
+    """
+    bounds = [j + 1 for j in range(n - k, n) if j] + list(range(k, 1, -1))
+    r, c = np.array(bounds, np.uint64), len(bounds)
+    starts = [bit_gen.state for bit_gen in bit_gens]
+    words = []
+    for bit_gen, start, size in zip(bit_gens, starts, sizes):
+        has = start["has_uint32"]
+        raw = bit_gen.random_raw((size * c - has + 1) // 2)
+        halves = np.empty(2 * raw.size + has, np.uint64)
+        halves[:has] = start["uinteger"]
+        halves[has::2], halves[has + 1 :: 2] = raw & _LOW, raw >> 32
+        words.append(halves[: size * c])
+    product = np.concatenate(words).reshape(sum(sizes), c) * r
+    values = product >> 32
+    ends = [c * np.arange(1, size + 1) for size in sizes]
+    first = np.cumsum(sizes) - sizes
+    redraw = np.flatnonzero((product & _LOW < (2**32 - r) % r).any(axis=1))
+    for i in np.unique(np.searchsorted(first, redraw, side="right") - 1).tolist():
+        block = slice(first[i], first[i] + sizes[i])
+        values[block], ends[i] = _redrawn(bit_gens[i], starts[i], sizes[i], bounds)
+    for bit_gen, start, end in zip(bit_gens, starts, ends):
+        _rewind(bit_gen, start, end[-1])
+    picks, rows, cols = np.zeros((len(values), k), np.intp), np.arange(len(values)), iter(values.T)
+    for t, j in enumerate(range(n - k, n)):
+        if j:  # Floyd: the draw, or j where the draw is taken already
+            v = next(cols).astype(np.intp)
+            picks[:, t] = np.where((picks[:, :t] == v[:, None]).any(axis=1), j, v)
+    for i in range(k - 1, 0, -1):  # Fisher-Yates: swap i with the draw
+        v = next(cols).astype(np.intp)
+        picks[rows, v], picks[:, i] = picks[:, i].copy(), picks[rows, v]
+    return picks, list(zip(starts, ends))
+
+
+def _redrawn(bit_gen, start, size, bounds):
+    """The draws and halves read per call of ``_choices`` for one generator,
+    one half at a time, redrawing as ``choice`` does."""
+    def stream():
+        bit_gen.state = start
+        if start["has_uint32"]:
+            yield start["uinteger"]
+        while True:
+            word = int(bit_gen.random_raw())
+            yield word & _LOW
+            yield word >> 32
+
+    halves, values, ends, read = stream(), [], [], 0
+    for _ in range(size):
+        for b in bounds:
+            product, read = next(halves) * b, read + 1
+            while product & _LOW < (2**32 - b) % b:
+                product, read = next(halves) * b, read + 1
+            values.append(product >> 32)
+        ends.append(read)
+    return np.array(values, np.uint64).reshape(size, -1), np.array(ends)
+
+
+def _rewind(bit_gen, start, halves):
+    """Stand ``bit_gen`` ``halves`` 32-bit halves past its state ``start``."""
+    bit_gen.state = start
+    if halves:
+        rest = int(halves) - start["has_uint32"]
+        bit_gen.advance(rest // 2)  # and drops the buffered half
+        if rest % 2:
+            high = int(bit_gen.random_raw()) >> 32
+            bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": high}
 
 
 def _split_step(rows_of, weight, XT, y, order, rank, lo, m, feats, node_counts):
@@ -200,7 +289,9 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     preorder, one row per node, and the generator standing just past them. A
     fit of that shape reads them and extends them from the generator; a fit
     of another shape replaces the memo. Every tree is the one grown without
-    the memo.
+    the memo. Fresh draws come in blocks ahead of the nodes, 64 and then
+    twice the last block (``_choices``); when a tree is grown, its generator
+    is rewound to just past the draws it used, and only those are stored.
     """
     n, n_features = X.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
@@ -214,9 +305,11 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         _shared_draws.clear()
     memo = _shared_draws.setdefault((seed, n, n_features), {})
     # per slot: its tree, generator, draws (known, of which used; one row per
-    # step at most) and stack of rows (lo, m, -1, link, depth, class counts)
-    tree_of, rngs = np.full(n_slots, -1), [None] * n_slots
-    cap = max([64] + [len(stored) for _, stored in memo.values()])
+    # step at most), the last block drawn ahead (its first draw, the generator
+    # state before it, the halves read by each of its draws) and stack of rows
+    # (lo, m, -1, link, depth, class counts)
+    tree_of, rngs, ahead = np.full(n_slots, -1), [None] * n_slots, [None] * n_slots
+    cap = max([BLOCK] + [len(stored) for _, stored in memo.values()])
     draws = np.empty((n_slots, cap, n_candidates), np.min_scalar_type(n_features))
     known, used, height = np.zeros((3, n_slots), np.int64)
     stack = np.empty((n_slots, 16, 5 + n_classes), np.int64)
@@ -235,6 +328,10 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
             idle &= tree_of >= 0
         for s in np.flatnonzero(idle).tolist():
             if tree_of[s] >= 0:  # grown: its draws go back to the memo
+                if ahead[s]:  # drawn ahead: keep the used draws, rewind past them
+                    at, start, ends = ahead[s]
+                    known[s] = used[s]
+                    _rewind(rngs[s].bit_generator, start, ends[used[s] - at - 1])
                 memo[int(tree_of[s])] = rngs[s], draws[s, : known[s]].copy()
                 tree_of[s] = -1
             while next_tree < n_trees and not height[s]:
@@ -250,6 +347,7 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
                 # popped while the tree grows and put back when it is done: a
                 # fit stopped part-way leaves no entry, never a wrong one
                 rngs[s], stored = memo.pop(next_tree, None) or (rng, draws[0, :0].copy())
+                ahead[s] = None
                 if worthy(root)[0]:
                     stack[s, 0], height[s], tree_of[s], used[s] = root[0], 1, next_tree, 0
                     known[s] = len(stored)
@@ -271,11 +369,17 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         height[batch] -= 1
         nth = used[batch]
         used[batch] += 1
-        if nth.max() == draws.shape[1]:
-            draws = np.concatenate([draws, draws], axis=1)
-        for s in batch[nth == known[batch]].tolist():  # past the stored draws: draw anew
-            draws[s, known[s]] = rngs[s].choice(n_features, n_candidates, replace=False)
-            known[s] += 1
+        dry = batch[nth == known[batch]].tolist()  # past the known draws: a block anew
+        if dry:
+            size = [2 * (known[s] - ahead[s][0]) if ahead[s] else BLOCK for s in dry]
+            while max(known[dry] + size) > draws.shape[1]:
+                draws = np.concatenate([draws, draws], axis=1)
+            bit_gens = [rngs[s].bit_generator for s in dry]
+            picks, drawn = _choices(bit_gens, size, n_features, n_candidates)
+            draws[np.repeat(dry, size), _ranges(known[dry], size)] = picks
+            for s, block in zip(dry, drawn):
+                ahead[s] = (known[s], *block)
+            known[dry] += size
         split, f, thr, m_left, left_counts = _split_step(
             rows_of, weight, XT, y, order, rank, tops[:, 0], tops[:, 1],
             np.sort(draws[batch, nth].astype(np.intp)), tops[:, 5:].T.astype(np.int32))

@@ -167,9 +167,11 @@ def _write_all(out: Path, artifacts: dict, owned=()) -> None:
 
     The only place a command writes a file. Any name in ``owned`` that this
     call does not write, such as an earlier run's ``student_model.json``, is
-    removed before the renames, so the manifest (last) names every file of
-    its run. A target that is a directory is refused before anything is
-    written; any OSError is a UsageError.
+    removed first, so the manifest (last) names every file of its run. Each
+    old file is moved into the staging directory before its new one is
+    renamed in; if any rename fails, every old file moves back, in reverse
+    order, and no new one stays. A target that is a directory is refused
+    before anything is written; any OSError is a UsageError.
     """
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -177,12 +179,27 @@ def _write_all(out: Path, artifacts: dict, owned=()) -> None:
             if (out / name).is_dir():
                 raise UsageError(f"cannot write {out / name}: it is a directory")
         with tempfile.TemporaryDirectory(dir=out) as stage:
+            old = Path(stage, "old")
+            old.mkdir()
             for name, text in artifacts.items():
                 Path(stage, name).write_text(text, encoding="utf-8", newline="")
-            for name in set(owned) - set(artifacts):
-                (out / name).unlink(missing_ok=True)
-            for name in artifacts:
-                os.replace(Path(stage, name), out / name)
+            done = []  # (name, whether its old file was moved aside), in order
+            try:
+                for name in [*(n for n in owned if n not in artifacts), *artifacts]:
+                    try:
+                        os.replace(out / name, old / name)
+                        done.append((name, True))
+                    except FileNotFoundError:
+                        done.append((name, False))
+                    if name in artifacts:
+                        os.replace(Path(stage, name), out / name)
+            except OSError:
+                for name, saved in reversed(done):
+                    if saved:
+                        os.replace(old / name, out / name)
+                    else:
+                        (out / name).unlink(missing_ok=True)
+                raise
     except OSError as exc:
         raise UsageError(f"cannot write the output files under {out}: {exc}") from None
 

@@ -95,6 +95,18 @@ class RocCurve:
         return "\n".join(lines) + "\n"
 
 
+def left_sum(values) -> float:
+    """Add floats left to right from 0.0, as ``sum()`` does up to Python 3.11.
+
+    From 3.12 on, ``sum()`` compensates float sums (Neumaier), which can move
+    the last bit of a mean written to ``run.json`` or picking a race winner.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _check_pair(y_true, y_pred):
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -185,8 +197,8 @@ def macro_metrics(y_true, y_pred, n_classes: int) -> MetricsReport:
         _class_metrics(confusion(y_true, y_pred, c_idx), c_idx, flags)
         for c_idx in range(n_classes)
     ]
-    macro_p = sum(c.precision for c in per_class) / n_classes
-    macro_r = sum(c.recall for c in per_class) / n_classes
+    macro_p = left_sum(c.precision for c in per_class) / n_classes
+    macro_r = left_sum(c.recall for c in per_class) / n_classes
     acc = float(np.mean(y_true == y_pred))
     return MetricsReport(
         n=y_true.size,

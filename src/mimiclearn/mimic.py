@@ -35,7 +35,7 @@ from .classifiers import (
 )
 from .data import Dataset, SplitSpec, kfold, stratified_split
 from .errors import DataError, PipelineError
-from .metrics import MetricsReport, RocCurve, macro_metrics, positive_metrics, roc
+from .metrics import MetricsReport, RocCurve, left_sum, macro_metrics, positive_metrics, roc
 from .rng import STAGE_FOLDS, STAGE_SPLIT, derive_seed
 
 SELECTION_METRICS = ("accuracy", "macro_f1")
@@ -115,11 +115,11 @@ class CvReport:
 
     @property
     def mean_accuracy(self) -> float:
-        return sum(self.fold_accuracies) / len(self.fold_accuracies)
+        return left_sum(self.fold_accuracies) / len(self.fold_accuracies)
 
     @property
     def mean_macro_f1(self) -> float:
-        return sum(self.fold_macro_f1) / len(self.fold_macro_f1)
+        return left_sum(self.fold_macro_f1) / len(self.fold_macro_f1)
 
     def mean(self, metric: str) -> float:
         """Mean over folds of a selection metric from SELECTION_METRICS."""

@@ -148,6 +148,69 @@ def fit_forest_recursive(X, y, n_classes, n_trees, max_depth, min_split, seed):
     return ForestModel(trees=tuple(trees), n_features=X.shape[1], n_classes=n_classes)
 
 
+def pcg64_halves(rng):
+    """The 32-bit halves ``rng``'s next bounded draws read, from a copy of its
+    state: a buffered high half first, then each raw PCG64 output low half
+    first. NEP 19 fixes the raw stream; the three emulations below pin how
+    numpy's ``Generator`` methods turn it into draws."""
+    state = rng.bit_generator.state  # read now, not at the first half
+    source = np.random.PCG64()
+    source.state = state
+
+    def halves():
+        if state["has_uint32"]:
+            yield state["uinteger"]
+        while True:
+            word = int(source.random_raw())
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+
+    return halves()
+
+
+def lemire_draw(halves, r):
+    """A draw in [0, r), r <= 2**32: a half times r, redrawn while the
+    product's low word is under (2**32 - r) % r (Lemire 2019); none if r = 1."""
+    if r == 1:
+        return 0
+    product = next(halves) * r
+    while product % 2**32 < (2**32 - r) % r:
+        product = next(halves) * r
+    return product >> 32
+
+
+def integers_from(halves, n, size):
+    """``rng.integers(0, n, size)`` for n <= 2**32: one Lemire draw each."""
+    return [lemire_draw(halves, n) for _ in range(size)]
+
+
+def permutation_from(halves, n):
+    """``rng.permutation(n)``, n < 2**32: Fisher-Yates from the top, each
+    swap index drawn by masked rejection, not by Lemire's method."""
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(halves) & mask
+        while j > i:
+            j = next(halves) & mask
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def choice_from(halves, n, k):
+    """``rng.choice(n, k, replace=False)`` where numpy uses Floyd's algorithm
+    (n <= 10,000 or k <= n // 50): for j = n-k .. n-1 a draw in [0, j], or j
+    if it is taken; then a Fisher-Yates shuffle of the picks."""
+    picks = []
+    for j in range(n - k, n):
+        v = lemire_draw(halves, j + 1)
+        picks.append(j if v in picks else v)
+    for i in range(k - 1, 0, -1):
+        j = lemire_draw(halves, i + 1)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
+
+
 def tree_predict_walk(tree, row):
     """Recursive walk of one flat-array tree for a single row."""
     node = 0

@@ -609,6 +609,22 @@ class TestSharedDraws:
         _assert_same_trees(fit_forest(*deep), fit_forest_recursive(*deep))
         assert len(forest._shared_draws[7, 90, 6]) == 40
 
+    @pytest.mark.parametrize("n_rows", [89, 90])
+    def test_stored_generator_continues_the_stream_without_drawing_ahead(self, n_rows):
+        # candidates are drawn in blocks ahead of the nodes; a grown tree keeps
+        # the draws it used and its generator just past them, as if it had
+        # called choice once per node (an odd bootstrap leaves a buffered half)
+        X, y = _small_forest_data()
+        fit_forest(X[:n_rows], y[:n_rows], 3, 6, 16, 2, 11)
+        for tree, (rng, draws) in forest._shared_draws[11, n_rows, 6].items():
+            plain = generator(derive_seed(11, STAGE_TREE, tree))
+            plain.integers(0, n_rows, size=n_rows)
+            assert 0 < len(draws) < forest.BLOCK
+            for row in draws:
+                assert row.tolist() == plain.choice(6, 3, replace=False).tolist()
+            assert rng.integers(0, 7, size=3).tolist() == plain.integers(0, 7, size=3).tolist()
+            assert rng.integers(0, 2**40) == plain.integers(0, 2**40)
+
     def test_default_forest_grows_in_one_wave(self, monkeypatch):
         # every tree of a default-size forest starts before the first step, so
         # a fit stopped there has taken every stored draw of its shape

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from mimiclearn.cli import (
     EXIT_OK,
     EXIT_PIPELINE,
     EXIT_USAGE,
+    UsageError,
+    _write_all,
     build_parser,
     main,
 )
@@ -376,6 +379,51 @@ class TestUnwritableOutput:
         assert err.startswith("mimiclearn: error:") and err.count("\n") == 1
         assert str(out) in err
         assert _snapshot(area) == before
+
+
+class TestCommitRollback:
+    """A rename that fails part-way through a commit puts every old file back."""
+
+    ARTIFACTS = {"a.csv": "new a\n", "b.csv": "new b\n", "manifest.json": "new m\n"}
+
+    def _old_dir(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("a.csv", "manifest.json", "model.json", "other.txt"):
+            (out / name).write_text(f"old {name}\n")
+        return out
+
+    def _commit(self, out, monkeypatch, fail_at=None):
+        calls, replace = [], os.replace
+
+        def failing_replace(src, dst):
+            calls.append((src, dst))
+            if len(calls) == fail_at:
+                raise PermissionError(f"replace #{fail_at} refused")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        try:
+            _write_all(out, self.ARTIFACTS, owned=["model.json"])
+        finally:
+            monkeypatch.setattr(os, "replace", replace)
+        return len(calls)
+
+    def test_commit_moves_old_files_aside_then_renames(self, tmp_path, monkeypatch):
+        out = self._old_dir(tmp_path)
+        # model.json aside; a.csv aside and in; b.csv (none to move) in; manifest last
+        assert self._commit(out, monkeypatch) == 7
+        assert _read_all(out) == {
+            "a.csv": b"new a\n", "b.csv": b"new b\n",
+            "manifest.json": b"new m\n", "other.txt": b"old other.txt\n"}
+
+    @pytest.mark.parametrize("fail_at", range(1, 8))
+    def test_failed_rename_leaves_every_old_byte(self, fail_at, tmp_path, monkeypatch):
+        out = self._old_dir(tmp_path)
+        before = _snapshot(out)
+        with pytest.raises(UsageError, match=f"replace #{fail_at} refused"):
+            self._commit(out, monkeypatch, fail_at)
+        assert _snapshot(out) == before
 
 
 class TestEvaluateCommand:

@@ -8,10 +8,12 @@ from mimiclearn.metrics import (
     ConfusionMatrix,
     accuracy,
     confusion,
+    left_sum,
     macro_metrics,
     positive_metrics,
     roc,
 )
+from mimiclearn.mimic import CvReport
 from oracles import auc_mann_whitney, confusion_counts_loop, prf_from_counts
 
 # labeled prediction pairs: two parallel int vectors of equal length
@@ -148,6 +150,39 @@ class TestMacroMetrics:
     def test_two_class_minimum(self):
         with pytest.raises(ValueError):
             macro_metrics(np.array([0, 0]), np.array([0, 0]), 1)
+
+
+def _neumaier_sum(values):
+    """The compensated sum Python 3.12's builtin ``sum()`` returns for floats."""
+    total = compensation = 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+class TestLeftToRightSums:
+    # artifact means are Python 3.11's sum(): left to right from 0.0, on every
+    # Python; each input here is one where the compensated sum differs
+    def test_cv_means_add_the_folds_left_to_right(self):
+        folds = (0.1,) * 10
+        assert left_sum(folds) == 0.9999999999999999 != _neumaier_sum(folds)
+        report = CvReport(ClassifierSpec("nb", {}), folds, folds[::-1])
+        assert report.mean_accuracy == report.mean_macro_f1 == 0.09999999999999999
+
+    def test_macro_precision_and_recall_add_the_classes_left_to_right(self):
+        y_true = np.array([0, 1, 0, 2, 2, 2, 2, 1, 0, 0, 2, 1, 2])
+        y_pred = np.array([1, 1, 0, 1, 1, 2, 1, 2, 0, 0, 1, 1, 2])
+        report = macro_metrics(y_true, y_pred, 3)
+        for name in ("precision", "recall"):
+            per_class = [getattr(c, name) for c in report.per_class]
+            assert left_sum(per_class) != _neumaier_sum(per_class)
+            assert getattr(report, name) == left_sum(per_class) / 3
+            assert getattr(report, name) != _neumaier_sum(per_class) / 3
 
 
 class TestRoc:

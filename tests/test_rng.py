@@ -1,0 +1,152 @@
+"""The random streams the artifacts rest on.
+
+NEP 19 fixes PCG64's raw stream, but not how ``Generator`` methods turn it
+into draws. The oracles pin the three methods a pipeline run draws with
+(splits, folds, bootstraps, candidate features and svm shuffles), so a numpy
+that changes one fails here by name, not only by a golden digest. The
+forest draws its candidate features in bulk from the raw stream
+(``forest._choices``); that must equal ``Generator.choice`` call for call
+and leave each generator where ``choice`` leaves it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mimiclearn.classifiers import forest
+from mimiclearn.rng import generator
+
+from oracles import choice_from, integers_from, pcg64_halves, permutation_from
+
+
+def _used(seed, prior):
+    """A generator that has drawn ``prior`` bounded halves: an odd count
+    leaves the high half of its last raw output buffered."""
+    rng = generator(seed)
+    rng.integers(0, 7, size=prior)
+    return rng
+
+
+def _next_outputs(rng):
+    # halves first, which read a buffered half, then whole raw outputs
+    return rng.integers(0, 7, size=3).tolist(), rng.integers(0, 2**40, size=2).tolist()
+
+
+class TestGeneratorStreams:
+    @pytest.mark.parametrize("n", [1, 2, 7, 630, 1400, 2**31 + 3, 2**32])
+    @pytest.mark.parametrize("prior", [0, 1])
+    def test_integers_is_one_lemire_draw_each(self, n, prior):
+        for seed in range(20):
+            rng = _used(seed, prior)
+            halves = pcg64_halves(rng)
+            assert rng.integers(0, n, size=11).tolist() == integers_from(halves, n, 11)
+            assert rng.integers(0, 2**32, dtype=np.uint64) == next(halves)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 100, 1000])
+    @pytest.mark.parametrize("prior", [0, 1])
+    def test_permutation_is_a_masked_fisher_yates(self, n, prior):
+        for seed in range(20):
+            rng = _used(seed, prior)
+            halves = pcg64_halves(rng)
+            assert rng.permutation(n).tolist() == permutation_from(halves, n)
+            assert rng.integers(0, 2**32, dtype=np.uint64) == next(halves)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 2), (11, 4), (40, 7),
+                                      (10_000, 100), (2**31 + 2, 2)])
+    @pytest.mark.parametrize("prior", [0, 1])
+    def test_choice_is_floyd_then_a_shuffle(self, n, k, prior):
+        for seed in range(20):
+            rng = _used(seed, prior)
+            halves = pcg64_halves(rng)
+            assert rng.choice(n, k, replace=False).tolist() == choice_from(halves, n, k)
+            assert rng.integers(0, 2**32, dtype=np.uint64) == next(halves)
+
+
+class TestBulkChoices:
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 40),
+           prior=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+           sizes=st.lists(st.integers(1, 9), min_size=3, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_choice_call_for_call(self, seed, n, prior, sizes):
+        k = min(n, math.ceil(math.sqrt(n)))
+        gens = [_used(seed ^ i, p) for i, p in enumerate(prior)]
+        refs = [_used(seed ^ i, p) for i, p in enumerate(prior)]
+        sizes = sizes[: len(gens)]
+        picks, _ = forest._choices([g.bit_generator for g in gens], sizes, n, k)
+        want = [ref.choice(n, k, replace=False) for ref, size in zip(refs, sizes)
+                for _ in range(size)]
+        np.testing.assert_array_equal(picks, np.reshape(want, (-1, k)))
+        for rng, ref in zip(gens, refs):
+            assert _next_outputs(rng) == _next_outputs(ref)
+
+    @pytest.mark.parametrize("prior", [0, 1])
+    def test_redraws_on_a_real_stream(self, prior, monkeypatch):
+        # ranges just over 2**31 redraw about half of all halves
+        n, redrawn, redraw = 2**31 + 2, [], forest._redrawn
+        monkeypatch.setattr(forest, "_redrawn", lambda *a: redrawn.append(a) or redraw(*a))
+        for seed in range(10):
+            rng, ref = _used(seed, prior), _used(seed, prior)
+            picks, _ = forest._choices([rng.bit_generator], [6], n, 2)
+            assert picks.tolist() == [ref.choice(n, 2, replace=False).tolist() for _ in range(6)]
+            assert _next_outputs(rng) == _next_outputs(ref)
+        assert len(redrawn) == 10
+
+    @pytest.mark.parametrize("has", [0, 1])
+    def test_crafted_stream_takes_the_exact_path(self, has):
+        # zero halves are redrawn for every range that is not a power of two
+        words = generator(5).bit_generator.random_raw(60)
+        words[0] &= 0xFFFFFFFF  # a zero high half: without a buffered half, the draw in [0, 9)
+        words[9] = 0
+        bits = _ScriptedBits(words, has)
+        halves = _ScriptedBits(words, has).halves()
+        picks, [(start, ends)] = forest._choices([bits], [8], 11, 4)
+        assert picks.tolist() == [choice_from(halves, 11, 4) for _ in range(8)]
+        assert ends[-1] > 8 * 7  # halves were redrawn
+        assert bits.state == _ScriptedBits.after(words, has, ends[-1])
+        for calls in range(1, 9):  # and the rewind stands just past any call
+            forest._rewind(bits, start, ends[calls - 1])
+            assert bits.state == _ScriptedBits.after(words, has, ends[calls - 1])
+
+
+class _ScriptedBits:
+    """A stand-in for ``PCG64`` whose raw outputs are ``words``, with its
+    buffered half; its state is the position in ``words``."""
+
+    def __init__(self, words, has):
+        self.words, self.at, self.has = words, 1, has
+        self.half = int(words[0] >> 32) if has else 0  # word 0 half-read
+
+    @classmethod
+    def after(cls, words, has, halves):
+        """The state once ``halves`` halves are read."""
+        read = 2 - has + halves  # word 0's low half, and its high one if buffered
+        return {"state": {"state": (read + 1) // 2, "inc": 0}, "has_uint32": read % 2,
+                "uinteger": int(words[read // 2] >> 32) if read % 2 else 0}
+
+    def halves(self):
+        if self.has:
+            yield self.half
+        for word in self.words[self.at :].tolist():
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+
+    @property
+    def state(self):
+        return {"state": {"state": self.at, "inc": 0}, "has_uint32": self.has,
+                "uinteger": self.half if self.has else 0}
+
+    @state.setter
+    def state(self, value):
+        self.at, self.has = value["state"]["state"], value["has_uint32"]
+        self.half = value["uinteger"]
+
+    def random_raw(self, size=None):
+        out = self.words[self.at : self.at + (1 if size is None else size)]
+        self.at += len(out)
+        return out if size is not None else out[0]
+
+    def advance(self, delta):
+        self.at, self.has, self.half = self.at + delta, 0, 0
