@@ -14,8 +14,7 @@ lower feature index, then the lower threshold, so training is fully
 deterministic.
 Per-tree seeds derive from the spec seed and tree index, and each split node
 draws its candidates in preorder (node, left subtree, right subtree), so
-node ids and draws follow the tree alone, and consecutive fits of one shape,
-such as the folds of a race, share each tree's draws (see ``fit_forest``).
+node ids and draws follow the tree alone.
 
 Training is single-threaded and grows trees in lockstep: each step takes the
 next split node of every tree in flight and scores and partitions them all
@@ -46,11 +45,10 @@ WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) i
 FIRST_LEVELS, ROUND_LEVELS = 7, 3  # levels walked before the first drop of leaf ids, then per drop
 TREES_IN_FLIGHT = 100  # trees grown at once; row lists and draw counts: 8 * n_rows bytes each
 STEP_ROWS = 4096  # node rows scored per growth step; one larger node runs alone
-BLOCK = 64  # a tree's first block of candidate draws ahead; each later block doubles
+BLOCK = 64  # candidate draws a tree takes ahead at first; later, as many again as it has
 
 _SIDES = np.array([[1], [0]])  # the link bit of a right and of a left child
 _LOW = 0xFFFFFFFF  # the low half of a raw PCG64 output
-_shared_draws = {}  # latest fit shape only: {(seed, n_rows, n_features): {tree: (rng, draws)}}
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,13 @@ def _choices(bit_gens, sizes, n, k):
     in ``has_uint32``/``uinteger``. So each generator's halves are read as
     one ``random_raw`` call and the draws of all its calls as array columns;
     a generator whose calls hit a redraw reads its halves one by one. Returns
-    the picks of every call, in order, and per generator the state before its
-    calls and the halves read by the end of each. Every generator is left
-    where the calls would leave it (see ``_rewind``).
+    the picks of every call, in order. Every generator is left where the
+    calls would leave it.
     """
     bounds = [j + 1 for j in range(n - k, n) if j] + list(range(k, 1, -1))
     r, c = np.array(bounds, np.uint64), len(bounds)
     starts = [bit_gen.state for bit_gen in bit_gens]
+    read = [size * c for size in sizes]
     words = []
     for bit_gen, start, size in zip(bit_gens, starts, sizes):
         has = start["has_uint32"]
@@ -125,14 +123,13 @@ def _choices(bit_gens, sizes, n, k):
         words.append(halves[: size * c])
     product = np.concatenate(words).reshape(sum(sizes), c) * r
     values = product >> 32
-    ends = [c * np.arange(1, size + 1) for size in sizes]
     first = np.cumsum(sizes) - sizes
     redraw = np.flatnonzero((product & _LOW < (2**32 - r) % r).any(axis=1))
     for i in np.unique(np.searchsorted(first, redraw, side="right") - 1).tolist():
         block = slice(first[i], first[i] + sizes[i])
-        values[block], ends[i] = _redrawn(bit_gens[i], starts[i], sizes[i], bounds)
-    for bit_gen, start, end in zip(bit_gens, starts, ends):
-        _rewind(bit_gen, start, end[-1])
+        values[block], read[i] = _redrawn(bit_gens[i], starts[i], sizes[i], bounds)
+    for bit_gen, start, halves in zip(bit_gens, starts, read):
+        _rewind(bit_gen, start, halves)
     picks, rows, cols = np.zeros((len(values), k), np.intp), np.arange(len(values)), iter(values.T)
     for t, j in enumerate(range(n - k, n)):
         if j:  # Floyd: the draw, or j where the draw is taken already
@@ -141,11 +138,11 @@ def _choices(bit_gens, sizes, n, k):
     for i in range(k - 1, 0, -1):  # Fisher-Yates: swap i with the draw
         v = next(cols).astype(np.intp)
         picks[rows, v], picks[:, i] = picks[:, i].copy(), picks[rows, v]
-    return picks, list(zip(starts, ends))
+    return picks
 
 
 def _redrawn(bit_gen, start, size, bounds):
-    """The draws and halves read per call of ``_choices`` for one generator,
+    """The draws of ``_choices`` for one generator and the halves they read,
     one half at a time, redrawing as ``choice`` does."""
     def stream():
         bit_gen.state = start
@@ -156,22 +153,21 @@ def _redrawn(bit_gen, start, size, bounds):
             yield word & _LOW
             yield word >> 32
 
-    halves, values, ends, read = stream(), [], [], 0
+    halves, values, read = stream(), [], 0
     for _ in range(size):
         for b in bounds:
             product, read = next(halves) * b, read + 1
             while product & _LOW < (2**32 - b) % b:
                 product, read = next(halves) * b, read + 1
             values.append(product >> 32)
-        ends.append(read)
-    return np.array(values, np.uint64).reshape(size, -1), np.array(ends)
+    return np.array(values, np.uint64).reshape(size, -1), read
 
 
 def _rewind(bit_gen, start, halves):
     """Stand ``bit_gen`` ``halves`` 32-bit halves past its state ``start``."""
     bit_gen.state = start
     if halves:
-        rest = int(halves) - start["has_uint32"]
+        rest = halves - start["has_uint32"]
         bit_gen.advance(rest // 2)  # and drops the buffered half
         if rest % 2:
             high = int(bit_gen.random_raw()) >> 32
@@ -284,14 +280,10 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
 
     A tree's bootstrap and candidate draws follow from the spec seed, the
     tree index, the row count and the feature count alone, never from the
-    row values. The draws of the latest fit shape ``(seed, n_rows,
-    n_features)`` stay in a module memo: per tree, its candidate draws in
-    preorder, one row per node, and the generator standing just past them. A
-    fit of that shape reads them and extends them from the generator; a fit
-    of another shape replaces the memo. Every tree is the one grown without
-    the memo. Fresh draws come in blocks ahead of the nodes, 64 and then
-    twice the last block (``_choices``); when a tree is grown, its generator
-    is rewound to just past the draws it used, and only those are stored.
+    row values. Each tree draws from its own fresh generator: its bootstrap,
+    then its candidates in blocks ahead of the nodes (``_choices``), 64 at
+    first and then as many as it has drawn, so a tree is the same in every
+    fit, whatever else the fit grows.
     """
     n, n_features = X.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
@@ -301,16 +293,10 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     order, rank = order.ravel(), np.argsort(order, axis=1).ravel()  # rank[order] = place
     n_slots = min(n_trees, TREES_IN_FLIGHT)
     rows_of, weight = np.empty((2, n_slots * n), dtype=np.int32)
-    if (seed, n, n_features) not in _shared_draws:
-        _shared_draws.clear()
-    memo = _shared_draws.setdefault((seed, n, n_features), {})
-    # per slot: its tree, generator, draws (known, of which used; one row per
-    # step at most), the last block drawn ahead (its first draw, the generator
-    # state before it, the halves read by each of its draws) and stack of rows
-    # (lo, m, -1, link, depth, class counts)
-    tree_of, rngs, ahead = np.full(n_slots, -1), [None] * n_slots, [None] * n_slots
-    cap = max([BLOCK] + [len(stored) for _, stored in memo.values()])
-    draws = np.empty((n_slots, cap, n_candidates), np.min_scalar_type(n_features))
+    # per slot: its generator, draws (known, of which used; one row per step
+    # at most) and stack of rows (lo, m, -1, link, depth, class counts)
+    rngs = [None] * n_slots
+    draws = np.empty((n_slots, BLOCK, n_candidates), np.min_scalar_type(n_features))
     known, used, height = np.zeros((3, n_slots), np.int64)
     stack = np.empty((n_slots, 16, 5 + n_classes), np.int64)
     node = np.dtype([("threshold", np.float64), ("row", np.int32, 3 + n_classes)])
@@ -323,17 +309,7 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
                 & (nodes[..., 5:].max(axis=-1) < size))
 
     while True:
-        idle = height == 0
-        if next_tree == n_trees:
-            idle &= tree_of >= 0
-        for s in np.flatnonzero(idle).tolist():
-            if tree_of[s] >= 0:  # grown: its draws go back to the memo
-                if ahead[s]:  # drawn ahead: keep the used draws, rewind past them
-                    at, start, ends = ahead[s]
-                    known[s] = used[s]
-                    _rewind(rngs[s].bit_generator, start, ends[used[s] - at - 1])
-                memo[int(tree_of[s])] = rngs[s], draws[s, : known[s]].copy()
-                tree_of[s] = -1
+        for s in np.flatnonzero(height == 0).tolist() if next_tree < n_trees else ():
             while next_tree < n_trees and not height[s]:
                 rng = generator(derive_seed(seed, STAGE_TREE, next_tree))
                 sample = rng.integers(0, n, size=n)
@@ -344,16 +320,10 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
                 rows_of[s * n : s * n + d] = np.flatnonzero(drawn)
                 root = np.array([[s * n, d, -1, -1 - next_tree, 0,
                                   *np.bincount(y[sample], minlength=n_classes)]])
-                # popped while the tree grows and put back when it is done: a
-                # fit stopped part-way leaves no entry, never a wrong one
-                rngs[s], stored = memo.pop(next_tree, None) or (rng, draws[0, :0].copy())
-                ahead[s] = None
                 if worthy(root)[0]:
-                    stack[s, 0], height[s], tree_of[s], used[s] = root[0], 1, next_tree, 0
-                    known[s] = len(stored)
-                    draws[s, : known[s]] = stored
+                    stack[s, 0], height[s], rngs[s] = root[0], 1, rng
+                    known[s] = used[s] = 0
                 else:  # a root leaf: the tree is grown
-                    memo[next_tree] = rngs[s], stored
                     records.append(np.array([(0.0, root[0, 2:])], node))
                     n_records += 1
                 next_tree += 1
@@ -371,14 +341,12 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         used[batch] += 1
         dry = batch[nth == known[batch]].tolist()  # past the known draws: a block anew
         if dry:
-            size = [2 * (known[s] - ahead[s][0]) if ahead[s] else BLOCK for s in dry]
+            size = np.maximum(known[dry], BLOCK)
             while max(known[dry] + size) > draws.shape[1]:
                 draws = np.concatenate([draws, draws], axis=1)
             bit_gens = [rngs[s].bit_generator for s in dry]
-            picks, drawn = _choices(bit_gens, size, n_features, n_candidates)
+            picks = _choices(bit_gens, size.tolist(), n_features, n_candidates)
             draws[np.repeat(dry, size), _ranges(known[dry], size)] = picks
-            for s, block in zip(dry, drawn):
-                ahead[s] = (known[s], *block)
             known[dry] += size
         split, f, thr, m_left, left_counts = _split_step(
             rows_of, weight, XT, y, order, rank, tops[:, 0], tops[:, 1],

@@ -131,6 +131,7 @@ class SplitSpec:
         fractions = (self.private_fraction, self.public_fraction, self.test_fraction)
         if any(not (0.0 < f < 1.0) for f in fractions):
             raise DataError("split fractions must each lie in (0, 1)")
+        # sum(), compensated from Python 3.12 on, moves no byte: a 1e-9 tolerance test
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise DataError(f"split fractions sum to {sum(fractions)!r}, expected 1")
 
@@ -286,6 +287,8 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
             except ValueError:
                 parsed = [math.nan]
             text = "".join(row)  # float() also reads "1_0" and non-ASCII digits
+            # sum() only picks the path: a non-finite sum, compensated or not,
+            # falls to the cell loop below, which reads the same cells
             if (math.isfinite(sum(parsed)) and text.isascii() and "_" not in text
                     and label not in ("", schema.missing_token)):
                 values.extend(parsed)
@@ -408,7 +411,7 @@ def _allocate_counts(count: int, fractions: tuple[float, ...]) -> list[int]:
     """Largest-remainder allocation of `count` items over the fractions."""
     raw = [count * f for f in fractions]
     base = [math.floor(x) for x in raw]
-    leftover = count - sum(base)
+    leftover = count - sum(base)  # ints: exact on every Python
     by_remainder = sorted(range(len(fractions)), key=lambda i: (-(raw[i] - base[i]), i))
     for i in by_remainder[:leftover]:
         base[i] += 1

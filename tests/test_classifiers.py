@@ -1,4 +1,3 @@
-import copy
 import inspect
 import math
 import sys
@@ -36,10 +35,9 @@ from mimiclearn.classifiers.forest import (
 )
 from mimiclearn.classifiers.knn import fit_knn, knn_vote
 from mimiclearn.classifiers.svm import SvmModel, fit_svm, svm_margin
-from mimiclearn.data import Dataset, apply_scaler, fit_scaler, kfold
+from mimiclearn.data import Dataset, apply_scaler, fit_scaler
 from mimiclearn.errors import PipelineError
 from mimiclearn.metrics import roc
-from mimiclearn.mimic import _cross_validate
 from mimiclearn.rng import STAGE_TREE, derive_seed, generator
 from mimiclearn.synthetic import cardio_like
 
@@ -553,9 +551,9 @@ def _small_forest_data():
     return X, rng.integers(0, 3, size=100)
 
 
-class TestSharedDraws:
-    # fit_forest keeps the draws of its latest fit shape; every fit must still
-    # equal the recursive oracle, which draws everything afresh
+class TestFreshDraws:
+    # every fit draws each tree's candidates afresh, so any sequence of fits
+    # equals the recursive oracle, fit by fit
     @pytest.mark.parametrize("other", [
         {"keep": 3}, {"n_features": 2}, {"seed": 8},
     ], ids=["rows", "features", "seed"])
@@ -566,32 +564,21 @@ class TestSharedDraws:
             rows = np.arange(100) % keep != fold
             return X[rows, :n_features], y[rows], 3, 6, 16, 2, seed
 
-        # shapes A, A, B, A: B replaces the memo and A draws afresh after it
         for args in (fit_args(0), fit_args(1), fit_args(0, **other), fit_args(2)):
             _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
-            n, n_features = args[0].shape
-            assert list(forest._shared_draws) == [(args[-1], n, n_features)]
-            assert len(forest._shared_draws[args[-1], n, n_features]) == 6
 
-    def test_other_depths_extend_the_stored_draws(self):
+    def test_other_depths_equal_the_oracle(self):
         X, y = _small_forest_data()
         rows = np.arange(100) % 10 != 0
-        stored = []
         for max_depth, min_split in ((2, 2), (16, 2), (3, 10), (16, 5)):
             args = (X[rows], y[rows], 3, 6, max_depth, min_split, 5)
             _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
-            memo = forest._shared_draws[5, 90, 6]
-            stored.append(sum(len(draws) for _, draws in memo.values()))
-        # the deep fit extends the shallow fit's draws; later fits read them
-        assert stored[0] < stored[1] == stored[2] == stored[3]
 
-    def test_interrupted_fit_leaves_no_wrong_entry(self, monkeypatch):
+    def test_fit_after_an_interrupted_fit_equals_the_oracle(self, monkeypatch):
         X, y = _small_forest_data()
         rows = np.arange(100) % 10 != 0
         monkeypatch.setattr(forest, "TREES_IN_FLIGHT", 32)
-        shallow = (X[rows], y[rows], 3, 40, 2, 2, 7)  # 40 trees: 8 wait to start
-        deep = (X[rows], y[rows], 3, 40, 16, 2, 7)
-        fit_forest(*shallow)
+        deep = (X[rows], y[rows], 3, 40, 16, 2, 7)  # 40 trees: 8 wait to start
         split_step, calls = forest._split_step, []
 
         def stop_at_fifth_step(*args):
@@ -604,34 +591,14 @@ class TestSharedDraws:
         with pytest.raises(KeyboardInterrupt):
             fit_forest(*deep)
         monkeypatch.setattr(forest, "_split_step", split_step)
-        # the trees in flight had drawn past their stored draws: no entry
-        assert len(forest._shared_draws[7, 90, 6]) == 40 - forest.TREES_IN_FLIGHT
         _assert_same_trees(fit_forest(*deep), fit_forest_recursive(*deep))
-        assert len(forest._shared_draws[7, 90, 6]) == 40
-
-    @pytest.mark.parametrize("n_rows", [89, 90])
-    def test_stored_generator_continues_the_stream_without_drawing_ahead(self, n_rows):
-        # candidates are drawn in blocks ahead of the nodes; a grown tree keeps
-        # the draws it used and its generator just past them, as if it had
-        # called choice once per node (an odd bootstrap leaves a buffered half)
-        X, y = _small_forest_data()
-        fit_forest(X[:n_rows], y[:n_rows], 3, 6, 16, 2, 11)
-        for tree, (rng, draws) in forest._shared_draws[11, n_rows, 6].items():
-            plain = generator(derive_seed(11, STAGE_TREE, tree))
-            plain.integers(0, n_rows, size=n_rows)
-            assert 0 < len(draws) < forest.BLOCK
-            for row in draws:
-                assert row.tolist() == plain.choice(6, 3, replace=False).tolist()
-            assert rng.integers(0, 7, size=3).tolist() == plain.integers(0, 7, size=3).tolist()
-            assert rng.integers(0, 2**40) == plain.integers(0, 2**40)
 
     def test_default_forest_grows_in_one_wave(self, monkeypatch):
-        # every tree of a default-size forest starts before the first step, so
-        # a fit stopped there has taken every stored draw of its shape
+        # every tree of a default-size forest starts before the first step
         X, y = _small_forest_data()
         n_trees = DEFAULT_HYPERPARAMETERS["rf"]["n_trees"]
-        fit_forest(X, y, 3, n_trees, 2, 2, 9)
-        assert len(forest._shared_draws[9, 100, 6]) == n_trees
+        plain, seeds = forest.generator, []
+        monkeypatch.setattr(forest, "generator", lambda seed: seeds.append(seed) or plain(seed))
 
         def stop_at_first_step(*args):
             raise KeyboardInterrupt
@@ -639,36 +606,15 @@ class TestSharedDraws:
         monkeypatch.setattr(forest, "_split_step", stop_at_first_step)
         with pytest.raises(KeyboardInterrupt):
             fit_forest(X, y, 3, n_trees, 16, 2, 9)
-        assert len(forest._shared_draws[9, 100, 6]) == 0
+        assert len(seeds) == n_trees
 
-    def test_race_folds_share_draws_through_fit(self, cardio_ds):
+    def test_race_folds_equal_the_oracle_through_fit(self, cardio_ds):
         spec = ClassifierSpec("rf", {"n_trees": 5, "max_depth": 8}, seed=4)
         for k in range(3):
             part = cardio_ds.select(np.nonzero(np.arange(cardio_ds.n_rows) % 4 != k)[0])
             model = fit(spec, part, ORIGIN_TEACHER)
             _assert_same_trees(model.params, fit_forest_recursive(
                 part.features, part.labels, 2, 5, 8, 2, 4))
-        assert list(forest._shared_draws) == [(4, part.n_rows, part.n_features)]
-        assert len(forest._shared_draws[4, part.n_rows, part.n_features]) == 5
-
-    def test_memo_of_a_default_race_stays_small(self):
-        # the ten 630-row folds of a default rf spec, as in a run's teacher race
-        ds = cardio_like().select(np.arange(700))
-        spec = ClassifierSpec("rf", {}, seed=1)
-        _cross_validate(spec, ds, kfold(ds, 10, 5))
-        assert list(forest._shared_draws) == [(1, 630, ds.n_features)]
-        memo = forest._shared_draws[1, 630, ds.n_features]
-        assert len(memo) == DEFAULT_HYPERPARAMETERS["rf"]["n_trees"]
-        # tracing the fits themselves takes half a minute: measure a deep copy
-        copy.deepcopy(memo)  # warm-up
-        tracemalloc.start()
-        try:
-            held_copy = copy.deepcopy(memo)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(held_copy) == len(memo)
-        assert held < 1_000_000, f"the draws memo holds {held / 1e6:.2f} MB"
 
 
 class TestNaiveBayesOracle:

@@ -75,7 +75,7 @@ class TestBulkChoices:
         gens = [_used(seed ^ i, p) for i, p in enumerate(prior)]
         refs = [_used(seed ^ i, p) for i, p in enumerate(prior)]
         sizes = sizes[: len(gens)]
-        picks, _ = forest._choices([g.bit_generator for g in gens], sizes, n, k)
+        picks = forest._choices([g.bit_generator for g in gens], sizes, n, k)
         want = [ref.choice(n, k, replace=False) for ref, size in zip(refs, sizes)
                 for _ in range(size)]
         np.testing.assert_array_equal(picks, np.reshape(want, (-1, k)))
@@ -89,26 +89,26 @@ class TestBulkChoices:
         monkeypatch.setattr(forest, "_redrawn", lambda *a: redrawn.append(a) or redraw(*a))
         for seed in range(10):
             rng, ref = _used(seed, prior), _used(seed, prior)
-            picks, _ = forest._choices([rng.bit_generator], [6], n, 2)
+            picks = forest._choices([rng.bit_generator], [6], n, 2)
             assert picks.tolist() == [ref.choice(n, 2, replace=False).tolist() for _ in range(6)]
             assert _next_outputs(rng) == _next_outputs(ref)
         assert len(redrawn) == 10
 
     @pytest.mark.parametrize("has", [0, 1])
-    def test_crafted_stream_takes_the_exact_path(self, has):
+    def test_crafted_stream_takes_the_exact_path(self, has, monkeypatch):
         # zero halves are redrawn for every range that is not a power of two
+        redrawn, redraw = [], forest._redrawn
+        monkeypatch.setattr(forest, "_redrawn", lambda *a: redrawn.append(a) or redraw(*a))
         words = generator(5).bit_generator.random_raw(60)
         words[0] &= 0xFFFFFFFF  # a zero high half: without a buffered half, the draw in [0, 9)
         words[9] = 0
-        bits = _ScriptedBits(words, has)
-        halves = _ScriptedBits(words, has).halves()
-        picks, [(start, ends)] = forest._choices([bits], [8], 11, 4)
+        bits, read = _ScriptedBits(words, has), []
+        halves = (read.append(half) or half for half in _ScriptedBits(words, has).halves())
+        picks = forest._choices([bits], [8], 11, 4)
         assert picks.tolist() == [choice_from(halves, 11, 4) for _ in range(8)]
-        assert ends[-1] > 8 * 7  # halves were redrawn
-        assert bits.state == _ScriptedBits.after(words, has, ends[-1])
-        for calls in range(1, 9):  # and the rewind stands just past any call
-            forest._rewind(bits, start, ends[calls - 1])
-            assert bits.state == _ScriptedBits.after(words, has, ends[calls - 1])
+        assert len(redrawn) == 1
+        assert len(read) > 8 * 7  # halves were redrawn
+        assert bits.state == _ScriptedBits.after(words, has, len(read))
 
 
 class _ScriptedBits:
