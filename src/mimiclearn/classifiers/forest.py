@@ -5,13 +5,13 @@ after their parent), which are trivially serializable; prediction walks all
 trees of a forest at once, branch-free, level by level, and every few levels
 drops the paths that reached a leaf. Each split considers
 ceil(sqrt(n_features)) candidate features drawn from the tree's own
-generator: exactly the picks of ``Generator.choice(n_features, k,
-replace=False)``, computed in blocks from its raw PCG64 stream, where one
-``choice`` call would cost about 8 us. Candidate thresholds are the
-midpoints between consecutive distinct sorted values (the lower value where
-the midpoint rounds onto the upper). Equal-impurity splits resolve to the
-lower feature index, then the lower threshold, so training is fully
-deterministic.
+generator: exactly the set of ``Generator.choice(n_features, k,
+replace=False)``'s picks, computed a block of calls at a time from its raw
+PCG64 stream, where one ``choice`` call would cost about 8 us. Candidate
+thresholds are the midpoints between consecutive distinct sorted values
+(the lower value where the midpoint rounds onto the upper). Equal-impurity
+splits resolve to the lower feature index, then the lower threshold, so
+training is fully deterministic.
 Per-tree seeds derive from the spec seed and tree index, and each split node
 draws its candidates in preorder (node, left subtree, right subtree), so
 node ids and draws follow the tree alone.
@@ -45,7 +45,7 @@ WALK_ROWS = 512  # rows per block of forest_votes, which holds (rows, n_trees) i
 FIRST_LEVELS, ROUND_LEVELS = 7, 3  # levels walked before the first drop of leaf ids, then per drop
 TREES_IN_FLIGHT = 100  # trees grown at once; row lists and draw counts: 8 * n_rows bytes each
 STEP_ROWS = 4096  # node rows scored per growth step; one larger node runs alone
-BLOCK = 64  # candidate draws a tree takes ahead at first; later, as many again as it has
+BLOCK = 64  # candidate draws a tree takes ahead, refilled when they are spent
 
 _SIDES = np.array([[1], [0]])  # the link bit of a right and of a left child
 _LOW = 0xFFFFFFFF  # the low half of a raw PCG64 output
@@ -92,86 +92,77 @@ def _class_sum(terms):
     return functools.reduce(np.add, terms)
 
 
-def _choices(bit_gens, sizes, n, k):
-    """``sizes[i]`` calls of ``Generator(bit_gens[i]).choice(n, k,
-    replace=False)``, in bulk.
+def _choices(bit_gens, size, n, k):
+    """The candidate sets of ``size`` calls of ``Generator(bit_gens[i]).choice(n,
+    k, replace=False)`` for each generator in turn, each set sorted.
 
     For n < 2**32 with n <= 10,000 or k <= n // 50, as for every k =
     ceil(sqrt(n)), ``choice`` runs Floyd's algorithm: for j = n-k .. n-1 a
     draw in [0, j] (none for j = 0), or j if that value is taken; then a
-    Fisher-Yates shuffle with draws in [0, i], i = k-1 .. 1. A draw in [0, r)
-    is Lemire's: a 32-bit half of the PCG64 stream times r, redrawn while
-    the product's low word is under (2**32 - r) % r, which is about 3e-9
-    likely here. A raw output gives its low half first and keeps the high one
-    in ``has_uint32``/``uinteger``. So each generator's halves are read as
-    one ``random_raw`` call and the draws of all its calls as array columns;
-    a generator whose calls hit a redraw reads its halves one by one. Returns
-    the picks of every call, in order. Every generator is left where the
-    calls would leave it.
+    Fisher-Yates shuffle with draws in [0, i], i = k-1 .. 1, which orders the
+    set but does not change it. So the shuffle's draws are read and tested,
+    as they move the stream, but never applied. A draw in [0, r) is Lemire's:
+    a 32-bit half of the PCG64 stream times r, redrawn while the product's
+    low word is under (2**32 - r) % r, which is about 3e-9 likely here. A raw
+    output gives its low half first and keeps the high one in
+    ``has_uint32``/``uinteger``. So each generator's halves are read as one
+    ``random_raw`` call and the draws of all its calls as array columns; a
+    generator whose calls hit a redraw reads its halves one by one. Every
+    generator is left where the calls would leave it.
     """
     bounds = [j + 1 for j in range(n - k, n) if j] + list(range(k, 1, -1))
     r, c = np.array(bounds, np.uint64), len(bounds)
-    starts = [bit_gen.state for bit_gen in bit_gens]
-    read = [size * c for size in sizes]
-    words = []
-    for bit_gen, start, size in zip(bit_gens, starts, sizes):
+    starts, words = [bit_gen.state for bit_gen in bit_gens], []
+    for bit_gen, start in zip(bit_gens, starts):
         has = start["has_uint32"]
         raw = bit_gen.random_raw((size * c - has + 1) // 2)
         halves = np.empty(2 * raw.size + has, np.uint64)
         halves[:has] = start["uinteger"]
         halves[has::2], halves[has + 1 :: 2] = raw & _LOW, raw >> 32
         words.append(halves[: size * c])
-    product = np.concatenate(words).reshape(sum(sizes), c) * r
+        if has or halves.size > size * c:  # random_raw leaves the buffered half as it was
+            _hold(bit_gen, halves[size * c :].tolist())
+    product = np.concatenate(words).reshape(len(bit_gens), size, c) * r
     values = product >> 32
-    first = np.cumsum(sizes) - sizes
-    redraw = np.flatnonzero((product & _LOW < (2**32 - r) % r).any(axis=1))
-    for i in np.unique(np.searchsorted(first, redraw, side="right") - 1).tolist():
-        block = slice(first[i], first[i] + sizes[i])
-        values[block], read[i] = _redrawn(bit_gens[i], starts[i], sizes[i], bounds)
-    for bit_gen, start, halves in zip(bit_gens, starts, read):
-        _rewind(bit_gen, start, halves)
-    picks, rows, cols = np.zeros((len(values), k), np.intp), np.arange(len(values)), iter(values.T)
+    for i in np.flatnonzero((product & _LOW < (2**32 - r) % r).any(axis=(1, 2))).tolist():
+        values[i] = _redrawn(bit_gens[i], starts[i], size, bounds)
+    picks = np.zeros((len(bit_gens) * size, k), np.intp)
+    cols = iter(values.reshape(len(picks), c).T)
     for t, j in enumerate(range(n - k, n)):
         if j:  # Floyd: the draw, or j where the draw is taken already
             v = next(cols).astype(np.intp)
             picks[:, t] = np.where((picks[:, :t] == v[:, None]).any(axis=1), j, v)
-    for i in range(k - 1, 0, -1):  # Fisher-Yates: swap i with the draw
-        v = next(cols).astype(np.intp)
-        picks[rows, v], picks[:, i] = picks[:, i].copy(), picks[rows, v]
+    picks.sort(axis=1)
     return picks
 
 
 def _redrawn(bit_gen, start, size, bounds):
-    """The draws of ``_choices`` for one generator and the halves they read,
-    one half at a time, redrawing as ``choice`` does."""
-    def stream():
-        bit_gen.state = start
-        if start["has_uint32"]:
-            yield start["uinteger"]
-        while True:
-            word = int(bit_gen.random_raw())
-            yield word & _LOW
-            yield word >> 32
+    """The draws of ``_choices`` for one generator from its state ``start``,
+    one half at a time, redrawing as ``choice`` does; leaves ``bit_gen`` just
+    past the halves read."""
+    bit_gen.state = start
+    held, values = [start["uinteger"]] if start["has_uint32"] else [], []
 
-    halves, values, read = stream(), [], 0
+    def half():  # the next half; the high half of a raw output waits in held
+        if not held:
+            word = int(bit_gen.random_raw())
+            held.extend((word >> 32, word & _LOW))
+        return held.pop()
+
     for _ in range(size):
         for b in bounds:
-            product, read = next(halves) * b, read + 1
+            product = half() * b
             while product & _LOW < (2**32 - b) % b:
-                product, read = next(halves) * b, read + 1
+                product = half() * b
             values.append(product >> 32)
-    return np.array(values, np.uint64).reshape(size, -1), read
+    _hold(bit_gen, held)
+    return np.array(values, np.uint64).reshape(size, -1)
 
 
-def _rewind(bit_gen, start, halves):
-    """Stand ``bit_gen`` ``halves`` 32-bit halves past its state ``start``."""
-    bit_gen.state = start
-    if halves:
-        rest = halves - start["has_uint32"]
-        bit_gen.advance(rest // 2)  # and drops the buffered half
-        if rest % 2:
-            high = int(bit_gen.random_raw()) >> 32
-            bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": high}
+def _hold(bit_gen, rest):
+    """Leave ``bit_gen`` buffering ``rest``: the unread high half of its last
+    raw output, in a list, or none."""
+    bit_gen.state = {**bit_gen.state, "has_uint32": len(rest), "uinteger": rest[0] if rest else 0}
 
 
 def _split_step(rows_of, weight, XT, y, order, rank, lo, m, feats, node_counts):
@@ -281,9 +272,8 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     A tree's bootstrap and candidate draws follow from the spec seed, the
     tree index, the row count and the feature count alone, never from the
     row values. Each tree draws from its own fresh generator: its bootstrap,
-    then its candidates in blocks ahead of the nodes (``_choices``), 64 at
-    first and then as many as it has drawn, so a tree is the same in every
-    fit, whatever else the fit grows.
+    then its candidate sets in blocks of ``BLOCK`` nodes ahead (``_choices``),
+    so a tree is the same in every fit, whatever else the fit grows.
     """
     n, n_features = X.shape
     n_candidates = min(n_features, math.ceil(math.sqrt(n_features)))
@@ -293,11 +283,11 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
     order, rank = order.ravel(), np.argsort(order, axis=1).ravel()  # rank[order] = place
     n_slots = min(n_trees, TREES_IN_FLIGHT)
     rows_of, weight = np.empty((2, n_slots * n), dtype=np.int32)
-    # per slot: its generator, draws (known, of which used; one row per step
-    # at most) and stack of rows (lo, m, -1, link, depth, class counts)
-    rngs = [None] * n_slots
-    draws = np.empty((n_slots, BLOCK, n_candidates), np.min_scalar_type(n_features))
-    known, used, height = np.zeros((3, n_slots), np.int64)
+    # per slot: its bit generator, block of draws (one row per step; used, the
+    # steps so far) and stack of rows (lo, m, -1, link, depth, class counts)
+    bits = [None] * n_slots
+    draws = np.empty((n_slots, BLOCK, n_candidates), np.intp)
+    used, height = np.zeros((2, n_slots), np.int64)
     stack = np.empty((n_slots, 16, 5 + n_classes), np.int64)
     node = np.dtype([("threshold", np.float64), ("row", np.int32, 3 + n_classes)])
     records = [np.empty(0, node)]
@@ -321,8 +311,7 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
                 root = np.array([[s * n, d, -1, -1 - next_tree, 0,
                                   *np.bincount(y[sample], minlength=n_classes)]])
                 if worthy(root)[0]:
-                    stack[s, 0], height[s], rngs[s] = root[0], 1, rng
-                    known[s] = used[s] = 0
+                    stack[s, 0], height[s], bits[s], used[s] = root[0], 1, rng.bit_generator, 0
                 else:  # a root leaf: the tree is grown
                     records.append(np.array([(0.0, root[0, 2:])], node))
                     n_records += 1
@@ -337,20 +326,15 @@ def fit_forest(X, y, n_classes, n_trees, max_depth, min_split, seed) -> ForestMo
         batch, tops = live[:take], tops[:take]
         turn = batch[-1] + 1
         height[batch] -= 1
-        nth = used[batch]
+        nth = used[batch] % BLOCK
         used[batch] += 1
-        dry = batch[nth == known[batch]].tolist()  # past the known draws: a block anew
-        if dry:
-            size = np.maximum(known[dry], BLOCK)
-            while max(known[dry] + size) > draws.shape[1]:
-                draws = np.concatenate([draws, draws], axis=1)
-            bit_gens = [rngs[s].bit_generator for s in dry]
-            picks = _choices(bit_gens, size.tolist(), n_features, n_candidates)
-            draws[np.repeat(dry, size), _ranges(known[dry], size)] = picks
-            known[dry] += size
+        dry = batch[nth == 0]  # the block is spent: draw the next one
+        if dry.size:
+            picks = _choices([bits[s] for s in dry.tolist()], BLOCK, n_features, n_candidates)
+            draws[dry] = picks.reshape(len(dry), BLOCK, n_candidates)
         split, f, thr, m_left, left_counts = _split_step(
             rows_of, weight, XT, y, order, rank, tops[:, 0], tops[:, 1],
-            np.sort(draws[batch, nth].astype(np.intp)), tops[:, 5:].T.astype(np.int32))
+            draws[batch, nth], tops[:, 5:].T.astype(np.int32))
         at = np.flatnonzero(split)
         kids = tops[at][None].repeat(2, axis=0)  # right and left children
         kids[0, :, 0] += m_left

@@ -218,6 +218,9 @@ def _decode(raw) -> TrainedModel:
 
     dims = {"n_features": n_features, "n_classes": len(class_names)}
     scaler = raw.get("scaler")
+    if (scaler is not None) != REGISTRY[kind].scaled:  # fit on standardized rows, or not
+        raise ModelFormatError(f"scaler must be {'an object' if scaler is None else 'null'} "
+                               f"in a {kind} model file")
     if scaler is not None:
         scaler = _decode_fields(ScalerParams, scaler, dims, "scaler.")
 

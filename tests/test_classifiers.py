@@ -265,12 +265,18 @@ class TestForestOracle:
     @pytest.mark.parametrize("step_rows", [1, forest.STEP_ROWS, 10**9])
     def test_trees_do_not_depend_on_batching(self, step_rows, in_flight, monkeypatch):
         # a step takes stack tops while they fit its row budget, and at least
-        # one; 12 trees through 1, 7 or all slots, one node or all per step
+        # one; 12 trees through 1, 7 or all slots, one node or all per step;
+        # and candidate draws in blocks of 1, 3 or BLOCK calls: 3 calls read
+        # 15 halves on 6 features, an odd count, so the buffered half changes
+        # from one block to the next
         monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
         monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
         X, y = _small_forest_data()
         args = (X, y, 3, 12, 16, 2, 6)
-        _assert_same_trees(fit_forest(*args), fit_forest_recursive(*args))
+        want = fit_forest_recursive(*args)
+        for block in (1, 3, forest.BLOCK):
+            monkeypatch.setattr(forest, "BLOCK", block)
+            _assert_same_trees(fit_forest(*args), want)
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_trees_equal_the_recursive_reference(self, n_classes):

@@ -457,6 +457,17 @@ def test_hand_built_model_writes_the_literal_layout(kind):
     assert file_json(model_to_file(parse_model_file(text))) == text
 
 
+@pytest.mark.parametrize("kind", EXPORTABLE)
+def test_scaler_that_contradicts_the_family_is_refused(kind):
+    """svm is fit on standardized rows and rf and nb on raw ones, so an svm
+    file without a scaler, or an rf or nb file with one, would predict on
+    rows scaled unlike its training rows."""
+    _, record = _hand_built(kind)
+    flipped = {"means": [1.0, 2.0], "std_devs": [0.5, 4.0]} if record["scaler"] is None else None
+    with pytest.raises(ModelFormatError, match="scaler"):
+        parse_model_file(file_json({**record, "scaler": flipped}))
+
+
 # sha256 of file_json(model_to_file(...)) for rf students fit on the bundled
 # generators (not on CSVs under data/, which would move them); a forest change
 # that moves any tree byte changes these
