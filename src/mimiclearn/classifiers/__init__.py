@@ -64,9 +64,9 @@ class Family:
     must be finite and exceed it.
     ``scaled`` families are fit on standardized features. ``fit`` takes
     ``(X, y, n_classes, hyperparameters, seed)`` and returns the family's
-    parameters; ``raw`` takes ``(params, X, hyperparameters)``, and
-    ``decide`` turns ``(params, raw output, hyperparameters)`` into
-    (predictions, scores); ``n_features`` reads the feature count off params.
+    parameters; ``raw`` takes ``(params, X, scaler, hyperparameters)``, X
+    unscaled, and ``decide`` turns ``(params, raw output, hyperparameters)``
+    into (predictions, scores); ``n_features`` reads the feature count off params.
     ``record`` is the params' dataclass, written to model files; knn has None.
     """
 
@@ -89,7 +89,7 @@ REGISTRY = {
         fit=lambda X, y, n_classes, hp, seed: fit_svm(
             X, y, n_classes, hp["reg_lambda"], hp["epochs"], seed
         ),
-        raw=lambda p, X, hp: svm_margin(p, X),
+        raw=lambda p, X, s, hp: svm_margin(p, X, s),
         decide=lambda p, r, hp: ((r > 0).astype(np.int64), r),
         n_features=lambda p: p.weights.shape[0],
         record=SvmModel,
@@ -99,7 +99,7 @@ REGISTRY = {
         minimums={"n_neighbors": 1},
         scaled=True,
         fit=lambda X, y, n_classes, hp, seed: fit_knn(X, y, n_classes, hp["n_neighbors"]),
-        raw=lambda p, X, hp: knn_vote(p, X, hp["n_neighbors"]),
+        raw=lambda p, X, s, hp: knn_vote(p, s.standardize(X), hp["n_neighbors"]),
         decide=lambda p, r, hp: (r[0], r[1][:, 1] / float(hp["n_neighbors"])),
         n_features=lambda p: p.points.shape[1],
         record=None,
@@ -111,7 +111,7 @@ REGISTRY = {
         fit=lambda X, y, n_classes, hp, seed: fit_forest(
             X, y, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"], seed
         ),
-        raw=lambda p, X, hp: forest_votes(p, X),
+        raw=lambda p, X, s, hp: forest_votes(p, X),
         decide=lambda p, r, hp: (np.argmax(r, axis=1), r[:, 1] / float(len(p.trees))),
         n_features=lambda p: p.n_features,
         record=ForestModel,
@@ -121,7 +121,7 @@ REGISTRY = {
         minimums={"var_smoothing": 0.0},
         scaled=False,
         fit=lambda X, y, n_classes, hp, seed: fit_nb(X, y, n_classes, hp["var_smoothing"]),
-        raw=lambda p, X, hp: nb_log_posterior(p, X),
+        raw=lambda p, X, s, hp: nb_log_posterior(p, X),
         decide=lambda p, r, hp: (np.argmax(r, axis=1), nb_posterior(r)[:, 1]),
         n_features=lambda p: p.means.shape[1],
         record=NbModel,
@@ -271,8 +271,6 @@ def _prepare_rows(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
             f"feature count mismatch: model expects {model.n_features}, "
             f"got {rows.shape[1]}"
         )
-    if model.scaler is not None:
-        rows = model.scaler.standardize(rows)
     return rows
 
 
@@ -280,7 +278,7 @@ def decide_batch(model: TrainedModel, rows: np.ndarray) -> tuple[np.ndarray, np.
     """``(predict_batch, score_batch)`` from one evaluation of the raw output."""
     X = _prepare_rows(model, rows)
     family, hp = REGISTRY[model.spec.kind], model.spec.hyperparameters
-    return family.decide(model.params, family.raw(model.params, X, hp), hp)
+    return family.decide(model.params, family.raw(model.params, X, model.scaler, hp), hp)
 
 
 def predict_batch(model: TrainedModel, rows: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ drops the paths that reached a leaf. Each split considers
 ceil(sqrt(n_features)) candidate features drawn from the tree's own
 generator: exactly the set of ``Generator.choice(n_features, k,
 replace=False)``'s picks, computed a block of calls at a time from its raw
-PCG64 stream, where one ``choice`` call would cost about 8 us. Candidate
+PCG64 stream, where one ``choice`` call would cost about 8 us; the rare
+block that holds one of ``choice``'s redraws is left to ``choice``. Candidate
 thresholds are the midpoints between consecutive distinct sorted values
 (the lower value where the midpoint rounds onto the upper). Equal-impurity
 splits resolve to the lower feature index, then the lower threshold, so
@@ -24,9 +25,11 @@ bootstrap row ids, each weighted by its draw count as scikit-learn's forests
 weight by bootstrap counts: about 37% fewer entries than one per draw. Each
 feature is sorted once per fit, as are SLIQ's attribute lists (Mehta et al.
 1996), and a step sorts its nodes' rows by rank in its candidate features
-only. Many trees share each call (CudaTree, Liao et al. 2013), and a default
-forest grows all 100 trees in one wave; the step row budget below bounds the
-temporaries: on 700 rows a fit peaked at 20 MB without it, 3.2 MB with it.
+only; a split node's children take its rows in the split feature's sorted
+order, with no threshold compare. Many trees share each call (CudaTree, Liao
+et al. 2013), and a default forest grows all 100 trees in one wave; the step
+row budget below bounds the temporaries: on 700 rows a fit peaked at 20 MB
+without it, 3.2 MB with it.
 Between steps no node is handled in Python: node stacks are rows of arrays,
 a step keeps 28-byte node records, and preorder ids are set once per fit.
 """
@@ -106,9 +109,10 @@ def _choices(bit_gens, size, n, k):
     low word is under (2**32 - r) % r, which is about 3e-9 likely here. A raw
     output gives its low half first and keeps the high one in
     ``has_uint32``/``uinteger``. So each generator's halves are read as one
-    ``random_raw`` call and the draws of all its calls as array columns; a
-    generator whose calls hit a redraw reads its halves one by one. Every
-    generator is left where the calls would leave it.
+    ``random_raw`` call and the draws of all its calls as array columns. A
+    generator whose block holds a redraw (about 2e-7 likely per 64 calls at
+    n = 11) is set back to its start and its block drawn by ``choice``
+    itself. Every generator is left where the calls would leave it.
     """
     bounds = [j + 1 for j in range(n - k, n) if j] + list(range(k, 1, -1))
     r, c = np.array(bounds, np.uint64), len(bounds)
@@ -122,41 +126,21 @@ def _choices(bit_gens, size, n, k):
         words.append(halves[: size * c])
         if has or halves.size > size * c:  # random_raw leaves the buffered half as it was
             _hold(bit_gen, halves[size * c :].tolist())
-    product = np.concatenate(words).reshape(len(bit_gens), size, c) * r
-    values = product >> 32
-    for i in np.flatnonzero((product & _LOW < (2**32 - r) % r).any(axis=(1, 2))).tolist():
-        values[i] = _redrawn(bit_gens[i], starts[i], size, bounds)
-    picks = np.zeros((len(bit_gens) * size, k), np.intp)
-    cols = iter(values.reshape(len(picks), c).T)
+    product = np.concatenate(words).reshape(len(bit_gens) * size, c) * r
+    picks = np.zeros((len(product), k), np.intp)
+    cols = iter((product >> 32).T)
     for t, j in enumerate(range(n - k, n)):
         if j:  # Floyd: the draw, or j where the draw is taken already
             v = next(cols).astype(np.intp)
             picks[:, t] = np.where((picks[:, :t] == v[:, None]).any(axis=1), j, v)
     picks.sort(axis=1)
+    redrawn = (product & _LOW < (2**32 - r) % r).reshape(len(bit_gens), size * c).any(axis=1)
+    for i in np.flatnonzero(redrawn).tolist():  # rare: let choice itself redraw
+        bit_gens[i].state = starts[i]
+        rng = np.random.Generator(bit_gens[i])
+        picks[i * size : (i + 1) * size] = [np.sort(rng.choice(n, k, replace=False))
+                                            for _ in range(size)]
     return picks
-
-
-def _redrawn(bit_gen, start, size, bounds):
-    """The draws of ``_choices`` for one generator from its state ``start``,
-    one half at a time, redrawing as ``choice`` does; leaves ``bit_gen`` just
-    past the halves read."""
-    bit_gen.state = start
-    held, values = [start["uinteger"]] if start["has_uint32"] else [], []
-
-    def half():  # the next half; the high half of a raw output waits in held
-        if not held:
-            word = int(bit_gen.random_raw())
-            held.extend((word >> 32, word & _LOW))
-        return held.pop()
-
-    for _ in range(size):
-        for b in bounds:
-            product = half() * b
-            while product & _LOW < (2**32 - b) % b:
-                product = half() * b
-            values.append(product >> 32)
-    _hold(bit_gen, held)
-    return np.array(values, np.uint64).reshape(size, -1)
 
 
 def _hold(bit_gen, rest):
@@ -173,7 +157,9 @@ def _split_step(rows_of, weight, XT, y, order, rank, lo, m, feats, node_counts):
     Sorted, its keys ``j * n + rank[f, r]`` give the rows in feature f's stable
     sort ``order``. ``feats`` is ``(J, k)`` sorted candidate features and
     ``node_counts`` ``(C, J)``. Returns which nodes split and, for those, the
-    feature, threshold, distinct rows sent left and their class counts.
+    feature, threshold, distinct rows sent left and their class counts. A
+    split node's rows are written back in its feature's scored order, so the
+    left child's are the first ``m_left`` and each child's are in that order.
     """
     n = XT.shape[1]
     start = np.cumsum(m) - m
@@ -215,10 +201,7 @@ def _split_step(rows_of, weight, XT, y, order, rank, lo, m, feats, node_counts):
     thr[far] = a[far] / 2 + b[far] / 2
     thr = np.where(thr == b, a, thr)  # adjacent floats: the midpoint rounded up onto b
     m_left = cut + 1 - start[nodes]  # a <= thr < b: the rows by f up to the cut go left
-    block = rows_of.take(_ranges(lo, m))
-    mask = XT.take(np.repeat(f * n, m) + block) <= np.repeat(thr, m)
-    rows_of[_ranges(lo, m_left)] = block.compress(mask)
-    rows_of[_ranges(lo + m_left, m - m_left)] = block.compress(~mask)
+    rows_of[_ranges(lo, m)] = rows.take(np.repeat(c * pos.size, m) + _ranges(start[nodes], m))
     return split, f, thr, m_left, prefix[:, c, cut] - base[:, c, nodes]
 
 

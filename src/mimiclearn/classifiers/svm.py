@@ -16,7 +16,8 @@ sum in CPU-dependent orders, some with fused multiply-adds, nor the builtin
 ``sum()``, which compensates float sums from Python 3.12 on, is used.
 ``svm_margin`` adds the columns one at a time in a fixed order with numpy
 elementwise operations, which do not fuse, starting from +0.0 so that no
-margin is a negative zero.
+margin is a negative zero; a row far outside the training scale, whose
+margin overflows, is taken again scaled by a power of two.
 
 A skipped norm could not have fired, so no byte changes: each hinge step
 adds ``|c| * length[i] >= |c| * ||(x_i, 1)||`` to the bound, and a skip
@@ -92,8 +93,24 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
     return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
 
 
-def svm_margin(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-    for j, wj in enumerate(model.weights.tolist()):
-        out += X[:, j] * wj
-    return out + model.bias
+def svm_margin(model: SvmModel, X: np.ndarray, scaler=None) -> np.ndarray:
+    """``w . z + b`` for each row z of X, standardized by ``scaler`` if given. A
+    margin that overflows, or meets inf - inf, is taken again from its row
+    scaled by a power of two that brings every |z| under 1 (as ``fit_scaler``
+    takes far sums) and scaled back, so it is finite or a signed infinity."""
+    def margin(z, bias):
+        out = np.zeros(z.shape[0])
+        for j, wj in enumerate(model.weights.tolist()):
+            out += z[:, j] * wj
+        return out + bias
+
+    means, stds = (0.0, 1.0) if scaler is None else (scaler.means, scaler.std_devs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = margin(X if scaler is None else scaler.standardize(X), model.bias)
+        far = np.flatnonzero(~np.isfinite(out))
+        if far.size:  # |x - mean| / std < 2**exp in every column of the row
+            exp = np.frexp(abs(X[far]) / 2 + abs(means) / 2)[1] + 2 - np.frexp(stds)[1]
+            exp = exp.max(axis=1, keepdims=True)
+            z = (np.ldexp(X[far], -exp) - np.ldexp(means, -exp)) / stds
+            out[far] = np.ldexp(margin(z, np.ldexp(model.bias, -exp[:, 0])), exp[:, 0])
+    return out

@@ -270,33 +270,33 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
     values = array("d")
     label_values: list[str] | None = None if label_idx is None else []
     distinct: dict[str, str] = {}  # one string object per label value
-    try:  # a token float() reads could stand for a number, so rows go cell by cell
-        float(schema.missing_token)
-        whole_rows = False
+    try:  # a token float() reads stands for a number too: its rows go cell by cell
+        token = float(schema.missing_token)
     except (TypeError, ValueError):
-        whole_rows = True
+        token = None
     for line, row in enumerate(itertools.chain(head, rows), first_line):
         if len(row) != n_cols:
             raise DataError(
                 f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
             )
-        if whole_rows:  # a row float() reads has no missing cell: not "", not the token
-            label = None if label_idx is None else row.pop(label_idx).strip()
-            try:
-                parsed = list(map(float, row))
-            except ValueError:
-                parsed = [math.nan]
-            text = "".join(row)  # float() also reads "1_0" and non-ASCII digits
-            # sum() only picks the path: a non-finite sum, compensated or not,
-            # falls to the cell loop below, which reads the same cells
-            if (math.isfinite(sum(parsed)) and text.isascii() and "_" not in text
-                    and label not in ("", schema.missing_token)):
-                values.extend(parsed)
-                if label is not None:
-                    label_values.append(distinct.setdefault(label, label))
-                continue
-            if label is not None:  # the cell loop below reports or imputes it
-                row.insert(label_idx, label)
+        # a row float() reads with no token number has no missing cell: no "", no token
+        label = None if label_idx is None else row.pop(label_idx).strip()
+        try:
+            parsed = list(map(float, row))
+        except ValueError:
+            parsed = [math.nan]
+        text = "".join(row)  # float() also reads "1_0" and non-ASCII digits
+        # sum() only picks the path: a non-finite sum, compensated or not,
+        # falls to the cell loop below, which reads the same cells
+        if (math.isfinite(sum(parsed)) and text.isascii() and "_" not in text
+                and label not in ("", schema.missing_token)
+                and (token is None or token not in parsed)):
+            values.extend(parsed)
+            if label is not None:
+                label_values.append(distinct.setdefault(label, label))
+            continue
+        if label is not None:  # the cell loop below reports or imputes it
+            row.insert(label_idx, label)
         for i, cell in enumerate(row):
             cell = cell.strip()
             if i == label_idx:

@@ -39,7 +39,7 @@ from mimiclearn.data import Dataset, apply_scaler, fit_scaler
 from mimiclearn.errors import PipelineError
 from mimiclearn.metrics import roc
 from mimiclearn.rng import STAGE_TREE, derive_seed, generator
-from mimiclearn.synthetic import cardio_like
+from mimiclearn.synthetic import cardio_like, heart_disease_like
 
 from oracles import (
     fit_forest_recursive,
@@ -698,6 +698,25 @@ class TestSvm:
         scores = score_batch(model, toy.features)
         preds = predict_batch(model, toy.features)
         np.testing.assert_array_equal(preds, (scores > 0).astype(np.int64))
+
+    def test_far_rows_score_finite_or_signed(self):
+        # standardized, such rows hold infinities and their products overflow
+        ds = heart_disease_like()
+        model = fit(ClassifierSpec("svm", seed=1), ds, ORIGIN_STUDENT)
+        far = np.resize([-1e308, 1e308], ds.n_features) * np.array([[1.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores, preds = score_batch(model, far), predict_batch(model, far)
+        assert scores.tolist() == [-math.inf, math.inf]
+        # a margin this far is led by w . x / std, so the sign is that of a row
+        # scaled into range
+        near = score_batch(model, far * 1e-10)
+        assert np.all(np.isfinite(near)) and np.array_equal(np.sign(near), np.sign(scores))
+        np.testing.assert_array_equal(preds, (scores > 0).astype(np.int64))
+        # products that overflow on finite rows
+        margins = svm_margin(SvmModel(np.array([10.0, 10.0]), 0.0),
+                             np.array([[1e308, -1e308], [1e308, 2e307], [1.0, 2.0]]))
+        assert margins.tolist() == [0.0, math.inf, 30.0]
 
     @pytest.mark.parametrize("weights", [[-0.0, -0.0, -0.0], [-0.0, -0.0, 1.0]])
     def test_no_margin_is_negative_zero(self, weights):

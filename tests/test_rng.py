@@ -83,73 +83,40 @@ class TestBulkChoices:
             assert _next_outputs(rng) == _next_outputs(ref)
 
     @pytest.mark.parametrize("prior", [0, 1])
-    def test_redraws_on_a_real_stream(self, prior, monkeypatch):
+    def test_redraws_on_a_real_stream(self, prior):
         # ranges just over 2**31 redraw about half of all halves
-        n, redrawn, redraw = 2**31 + 2, [], forest._redrawn
-        monkeypatch.setattr(forest, "_redrawn", lambda *a: redrawn.append(a) or redraw(*a))
+        n = 2**31 + 2
         for seed in range(10):
             rng, ref = _used(seed, prior), _used(seed, prior)
             picks = forest._choices([rng.bit_generator], 6, n, 2)
             assert picks.tolist() == [sorted(ref.choice(n, 2, replace=False).tolist())
                                       for _ in range(6)]
             assert _next_outputs(rng) == _next_outputs(ref)
-        assert len(redrawn) == 10
 
     @pytest.mark.parametrize("has", [0, 1])
-    def test_crafted_stream_takes_the_exact_path(self, has, monkeypatch):
-        # zero halves are redrawn for every range that is not a power of two
-        redrawn, redraw = [], forest._redrawn
-        monkeypatch.setattr(forest, "_redrawn", lambda *a: redrawn.append(a) or redraw(*a))
-        words = generator(5).bit_generator.random_raw(60)
-        words[0] &= 0xFFFFFFFF  # a zero high half: without a buffered half, the draw in [0, 9)
-        words[9] = 0
-        bits, read = _ScriptedBits(words, has), []
-        halves = (read.append(half) or half for half in _ScriptedBits(words, has).halves())
-        picks = forest._choices([bits], 8, 11, 4)
-        assert picks.tolist() == [sorted(choice_from(halves, 11, 4)) for _ in range(8)]
-        assert len(redrawn) == 1
-        assert len(read) > 8 * 7  # halves were redrawn
-        assert bits.state == _ScriptedBits.after(words, has, len(read))
-        # the next block continues from where the exact path left the generator
-        picks = forest._choices([bits], 8, 11, 4)
-        assert picks.tolist() == [sorted(choice_from(halves, 11, 4)) for _ in range(8)]
-        assert len(redrawn) == 1
-        assert bits.state == _ScriptedBits.after(words, has, len(read))
+    def test_crafted_stream_takes_the_exact_path(self, has):
+        # PCG64(5) this far on draws in [0, 11) from a half that is redrawn: in
+        # the first call without a buffered half, in the second with one
+        def pinned():
+            bits = np.random.PCG64(5)
+            bits.advance(67_250_520 if has else 67_250_524)
+            rng = np.random.Generator(bits)
+            rng.integers(0, 7, size=has)
+            return rng
 
-
-class _ScriptedBits:
-    """A stand-in for ``PCG64`` whose raw outputs are ``words``, with its
-    buffered half; its state is the position in ``words``."""
-
-    def __init__(self, words, has):
-        self.words, self.at, self.has = words, 1, has
-        self.half = int(words[0] >> 32) if has else 0  # word 0 half-read
-
-    @classmethod
-    def after(cls, words, has, halves):
-        """The state once ``halves`` halves are read."""
-        read = 2 - has + halves  # word 0's low half, and its high one if buffered
-        return {"state": {"state": (read + 1) // 2, "inc": 0}, "has_uint32": read % 2,
-                "uinteger": int(words[read // 2] >> 32) if read % 2 else 0}
-
-    def halves(self):
-        if self.has:
-            yield self.half
-        for word in self.words[self.at :].tolist():
-            yield word & 0xFFFFFFFF
-            yield word >> 32
-
-    @property
-    def state(self):
-        return {"state": {"state": self.at, "inc": 0}, "has_uint32": self.has,
-                "uinteger": self.half if self.has else 0}
-
-    @state.setter
-    def state(self, value):
-        self.at, self.has = value["state"]["state"], value["has_uint32"]
-        self.half = value["uinteger"]
-
-    def random_raw(self, size=None):
-        out = self.words[self.at : self.at + (1 if size is None else size)]
-        self.at += len(out)
-        return out if size is not None else out[0]
+        rng, ref = pinned(), pinned()
+        assert rng.bit_generator.state["has_uint32"] == has
+        read = []
+        halves = (read.append(half) or half for half in pcg64_halves(rng))
+        want = [sorted(choice_from(halves, 11, 4)) for _ in range(8)]
+        h = read[10 if has else 3]  # the bound-11 draw of call 2 or call 1
+        assert h == 3_123_612_579 and (h * 11) % 2**32 < (2**32 - 11) % 11
+        assert len(read) > 8 * 7  # the block reads a redrawn half
+        picks = forest._choices([rng.bit_generator], 8, 11, 4)
+        assert picks.tolist() == want == [sorted(ref.choice(11, 4, replace=False).tolist())
+                                          for _ in range(8)]
+        assert _next_outputs(rng) == _next_outputs(ref)
+        # the next block continues from where choice left the generator
+        picks = forest._choices([rng.bit_generator], 8, 11, 4)
+        assert picks.tolist() == [sorted(ref.choice(11, 4, replace=False).tolist())
+                                  for _ in range(8)]
