@@ -99,7 +99,7 @@ REGISTRY = {
         minimums={"n_neighbors": 1},
         scaled=True,
         fit=lambda X, y, n_classes, hp, seed: fit_knn(X, y, n_classes, hp["n_neighbors"]),
-        raw=lambda p, X, s, hp: knn_vote(p, s.standardize(X), hp["n_neighbors"]),
+        raw=lambda p, X, s, hp: knn_vote(p, X, hp["n_neighbors"], s),
         decide=lambda p, r, hp: (r[0], r[1][:, 1] / float(hp["n_neighbors"])),
         n_features=lambda p: p.points.shape[1],
         record=None,

@@ -21,7 +21,8 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-# predict_batch and score_batch stay bound here: perfbench/spans.py wraps them
+# predict_batch, score_batch, and model_io's file_json and model_to_file stay
+# bound here: perfbench/spans.py wraps them
 from .classifiers import decide_batch, predict_batch, score_batch
 from .data import (
     CsvSchema,
@@ -34,7 +35,7 @@ from .data import (
 from .errors import DataError, PipelineError
 from .metrics import macro_metrics, positive_metrics, roc
 from .mimic import SELECTION_METRICS, PipelineConfig, run_json, run_pipeline
-from .model_io import file_json, has_codec, import_model, model_to_file
+from .model_io import file_json, has_codec, import_model, model_text, model_to_file
 from .rng import STAGE_SPLIT, derive_seed
 
 EXIT_OK = 0
@@ -244,7 +245,7 @@ def cmd_run(args) -> int:
     student_file = student_note = None
     if has_codec(run.student.spec.kind):
         student_file = "student_model.json"
-        artifacts[student_file] = file_json(model_to_file(run.student))
+        artifacts[student_file] = model_text(run.student, encode=file_json)
     else:  # knn, whose params are rows
         student_note = (
             "student is a nearest-neighbor model; no shareable file is "

@@ -8,18 +8,18 @@ Two hard refusals, both raising :class:`PrivacyError`:
   serialize. Nearest neighbors has none: its parameters *are* the training
   rows and the teacher's answers, so exporting one would ship data.
 
-A model file is one JSON object with ``format_version`` 1.
-:func:`model_to_file` builds it and :func:`file_json` renders it;
-:func:`parse_model_file` decodes the text straight to a :class:`TrainedModel`
+A model file is one JSON object with ``format_version`` 1. :func:`model_text`
+writes it from the parameter arrays through :func:`file_json`, a list of
+numbers as one join of their shortest reprs, in ``json.dumps``' bytes with
+``indent=2`` and sorted keys. :func:`parse_model_file` reads the text back by
+one declared layout per parameter record, each tree as the parser closes it,
 and raises :class:`ModelFormatError` on any malformed, truncated, or
-future-versioned file. Each parameter record is written field by field and
-read back by one declared layout; only what a layout cannot state (tree
-shape, tree count, binary svm, priors summing to 1) is checked by hand.
-The codec is symmetric: floats are written in
-shortest-repr form and forest node counts are read back as integers, so an
-imported model predicts bit-identically to the one exported and exports to
-the same bytes again. Export decodes its own output before returning it, so
-every file the library writes imports again.
+future-versioned file; only what a layout cannot state (tree shape, tree
+count, binary svm, priors summing to 1) is checked by hand. No number is a
+bool and node counts are integers, so an imported model predicts
+bit-identically to the one exported and exports to the same bytes again.
+Export imports its own text before returning it, so every file the library
+writes imports again.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,13 +59,6 @@ def _need(obj: dict, key: str, kinds, where: str):
     return val
 
 
-def _encode_fields(params) -> dict:
-    """A parameters dataclass as a JSON object, field by field; arrays as lists."""
-    values = {f.name: getattr(params, f.name) for f in fields(params)}
-    return {name: v.tolist() if isinstance(v, np.ndarray) else v
-            for name, v in values.items()}
-
-
 class _Field(NamedTuple):
     shape: tuple = ()  # named dimensions; () is one number
     integral: bool = False  # else finite floats
@@ -92,28 +85,41 @@ _LAYOUTS = {
 
 
 def _decode_fields(cls, raw, dims: dict, where: str):
-    """Record ``cls`` from the JSON object ``raw`` by its declared layout,
-    with ``dims`` sizing the named dimensions; no number is a bool."""
+    """Record ``cls`` from the JSON object ``raw`` by its declared layout, with
+    ``dims`` sizing the named dimensions (one missing is read off the data);
+    no number is a bool."""
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{where[:-1]} must be an object")
     dims, values = dict(dims), {}
-    for name, (shape, integral, low, strict) in _LAYOUTS[cls].items():
-        val = _need(raw, name, list if shape else (int, float), where)
-        shape = tuple(dims.setdefault(d, len(val)) for d in shape)
+    for name, (names, integral, low, strict) in _LAYOUTS[cls].items():
+        val = _need(raw, name, (list, np.ndarray) if names else (int, float), where)
         try:
             arr = np.asarray(val)
         except (ValueError, TypeError, OverflowError):  # ragged or not numbers
             arr = None
-        if (arr is None or arr.shape != shape  # an int past int64 reads as uint64
-                or arr.dtype.kind not in ("i" if integral else "iuf")
-                or not np.isfinite(arr).all()):
+        flat = chain.from_iterable(val) if len(names) > 1 else val
+        if (arr is None or arr.ndim != len(names)
+                or arr.shape != tuple(map(dims.setdefault, names, arr.shape))
+                or arr.dtype.kind not in ("i" if integral else "iuf")  # an int past int64: "u"
+                or not np.isfinite(arr).all()  # and numpy reads [true, 2] as ints:
+                or isinstance(val, list) and bool in set(map(type, flat))):
             what = "integers" if integral else "finite numbers"
+            shape = tuple(dims.get(d, len(val)) for d in names)
             raise ModelFormatError(f"{where}{name} must hold {what} in shape {shape}")
-        arr = arr.astype(np.int64 if integral else np.float64)
+        arr = arr.astype(np.int64 if integral else np.float64, copy=False)
         if low is not None and (arr <= low if strict else arr < low).any():
             raise ModelFormatError(f"{where}{name} must be {'>' if strict else '>='} {low}")
-        values[name] = arr if shape else float(arr)
+        values[name] = arr if names else float(arr)
     return cls(**values)
+
+
+def _tree_hook(obj: dict) -> dict:
+    """``json.loads``' object hook: a tree is decoded, n_nodes and n_classes read
+    off it, as the parser closes it, so its lists are dropped at once."""
+    try:
+        return {**obj, **vars(_decode_fields(TreeNodes, obj, {}, ""))}
+    except ModelFormatError:  # not a tree, or a malformed one: _decode_params says why
+        return obj
 
 
 def _check_trees(trees, n_features: int, max_depth: int) -> None:
@@ -148,13 +154,6 @@ def _check_trees(trees, n_features: int, max_depth: int) -> None:
             return
         level = np.concatenate((left[level], right[level]))
     refuse(~leaf[level], f"is deeper than max_depth {max_depth}", tree_of[level])
-
-
-def _encode_params(params) -> dict:
-    if isinstance(params, ForestModel):  # n_features is a top-level field
-        return {"n_classes": params.n_classes,
-                "trees": [_encode_fields(t) for t in params.trees]}
-    return _encode_fields(params)
 
 
 def _decode_params(cls, raw: dict, dims: dict, hp: dict):
@@ -239,62 +238,81 @@ def _decode(raw) -> TrainedModel:
                         scaler=scaler, origin=origin)
 
 
-def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
-    """The model file's JSON object, enforcing both export refusals.
+def _json(val, pad: str) -> str:
+    """``val`` as :func:`file_json` writes it, its lines opened by ``pad``; an array
+    as its ``tolist()``, and a list of finite numbers as one join of their reprs."""
+    val = val.tolist() if isinstance(val, np.ndarray) else val
+    if not isinstance(val, (dict, list, tuple)) or not val:
+        return json.dumps(val)
+    inner, sep = pad + "  ", "," + pad + "  "
+    if isinstance(val, dict):
+        body = sep.join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(val.items()))
+        return f"{{{inner}{body}{pad}}}"
+    body = None if set(map(type, val)) - {int, float} else sep.join(map(repr, val))
+    if body is None or "n" in body:  # not plain numbers, or an inf or nan JSON spells otherwise
+        body = sep.join(_json(v, inner) for v in val)
+    return f"[{inner}{body}{pad}]"
 
-    The object is decoded before it is returned, so a model that would not
-    import again (a non-finite weight, say) raises PipelineError here.
-    """
+
+def file_json(record: dict) -> str:
+    """The text of a model file: ``record``, whose fields may be numpy arrays, as
+    ``json.dumps`` writes it with ``indent=2`` and sorted keys, plus a newline."""
+    return _json(record, "\n") + "\n"
+
+
+def model_text(model: TrainedModel, created_at: str | None = None, encode=file_json) -> str:
+    """The text of ``model``'s file, rendered by ``encode``, enforcing both export
+    refusals. The text is imported again before it is returned, so a model that
+    would not import again (a non-finite weight, say) raises PipelineError here."""
     if model.origin == ORIGIN_TEACHER:
         raise PrivacyError("refusing to export a teacher-private model; "
                            "train and export a student instead")
-    kind = model.spec.kind
+    kind, params = model.spec.kind, model.params
     if not has_codec(kind):
         raise _raw_rows_refusal(kind, "export")
-    scaler = None if model.scaler is None else _encode_fields(model.scaler)
-    record = {
+    if isinstance(params, ForestModel):  # its n_features is a top-level field
+        params = {"n_classes": params.n_classes, "trees": list(map(vars, params.trees))}
+    text = encode({
         "format_version": MODEL_FORMAT_VERSION,
         **model.spec.to_json_dict(),
         "origin": model.origin,
         "class_names": list(model.class_names),
         "n_features": model.n_features,
-        "scaler": scaler,
-        "parameters": _encode_params(model.params),
+        "scaler": None if model.scaler is None else vars(model.scaler),
+        "parameters": params if isinstance(params, dict) else vars(params),
         "created_at": created_at,
-    }
+    })
     try:
-        _decode(record)
+        parse_model_file(text)
     except ModelFormatError as exc:
         raise PipelineError(f"exported model would not import again: {exc}") from exc
-    return record
+    return text
 
 
-def file_json(record: dict) -> str:
-    """The text of a model file: ``record`` as sorted, indented JSON."""
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
+    """The model file's JSON object: :func:`model_text`, decoded by ``json``."""
+    return json.loads(model_text(model, created_at))
 
 
-def export_model(
-    model: TrainedModel, path: str | Path, created_at: str | None = None
-) -> dict:
+def export_model(model: TrainedModel, path: str | Path, created_at: str | None = None) -> dict:
     """Write a student model to ``path``; returns the record written.
 
     The file is written beside ``path`` and renamed over it, so ``path``
     holds the old bytes or the new ones, never a part. ``created_at`` is
     optional precisely so that default exports are byte-for-byte reproducible.
     """
-    record = model_to_file(model, created_at=created_at)
+    text = model_text(model, created_at=created_at)
     path = Path(path)
     with tempfile.TemporaryDirectory(dir=path.parent) as stage:
-        Path(stage, path.name).write_text(file_json(record), encoding="utf-8")
+        Path(stage, path.name).write_text(text, encoding="utf-8")
         os.replace(Path(stage, path.name), path)
-    return record
+    return json.loads(text)
 
 
 def parse_model_file(text: str) -> TrainedModel:
     """Decode the text of a model file into the model it describes."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_hook=_tree_hook)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     return _decode(raw)

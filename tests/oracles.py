@@ -7,7 +7,9 @@ seeded toy datasets at the end (a linearly separable set and a perfectly
 learnable threshold) give tests inputs whose right answer is known.
 """
 
+import dataclasses
 import itertools
+import json
 import math
 from array import array
 from operator import mul
@@ -391,6 +393,31 @@ def auc_mann_whitney(scores, y_true, positive=1):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def model_record(model, created_at=None) -> dict:
+    """A model file's JSON object built field by field, every array as nested
+    lists: the record the model-file writer must render."""
+    def fields_of(params):
+        values = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+    params = model.params
+    if isinstance(params, ForestModel):  # n_features is a top-level field
+        parameters = {"n_classes": params.n_classes,
+                      "trees": [fields_of(t) for t in params.trees]}
+    else:
+        parameters = fields_of(params)
+    return {"format_version": 1, **model.spec.to_json_dict(), "origin": model.origin,
+            "class_names": list(model.class_names), "n_features": model.n_features,
+            "scaler": None if model.scaler is None else fields_of(model.scaler),
+            "parameters": parameters, "created_at": created_at}
+
+
+def file_json_dumps(record) -> str:
+    """The reference text of a model file: the standard library's encoder,
+    indented by two with sorted keys, plus a newline."""
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def linearly_separable(

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,11 +34,12 @@ from mimiclearn.classifiers.forest import (
     fit_forest,
     forest_votes,
 )
-from mimiclearn.classifiers.knn import fit_knn, knn_vote
+from mimiclearn.classifiers.knn import KnnModel, fit_knn, knn_vote
 from mimiclearn.classifiers.svm import SvmModel, fit_svm, svm_margin
-from mimiclearn.data import Dataset, apply_scaler, fit_scaler
+from mimiclearn.data import Dataset, ScalerParams, apply_scaler, fit_scaler
 from mimiclearn.errors import PipelineError
 from mimiclearn.metrics import roc
+from mimiclearn.model_io import export_model, import_model
 from mimiclearn.rng import STAGE_TREE, derive_seed, generator
 from mimiclearn.synthetic import cardio_like, heart_disease_like
 
@@ -168,6 +170,40 @@ class TestKnnOracle:
         train = _random_dataset(rng, 5, 2)
         with pytest.raises(PipelineError):
             fit(ClassifierSpec("knn", {"n_neighbors": 6}), train, ORIGIN_TEACHER)
+
+    def test_far_rows_keep_their_neighbours(self):
+        # the squared distances of the first two rows overflow, and so does
+        # standardizing 1.5e308 by std 0.25; an exact oracle ranks the points
+        points = np.array([[-1.7e308, 1.0], [1.0e308, -2.0], [1.7e308, 3.0], [0.5, 0.25]])
+        labels = np.array([0, 0, 1, 1])
+        scaler = ScalerParams(np.array([0.0, 1.0]), np.array([0.25, 2.0]))
+        X = np.array([[1.5e308, 1.0], [-1.0e308, 4.0], [1e300, -1e300], [3e307, 2.0]])
+        z = [[(Fraction(x) - Fraction(m)) / Fraction(s)
+              for x, m, s in zip(row, scaler.means, scaler.std_devs)] for row in X]
+        for k in (1, 2, 3):
+            model = TrainedModel(ClassifierSpec("knn", {"n_neighbors": k}),
+                                 KnnModel(points, labels, 2), ("a", "b"), scaler,
+                                 ORIGIN_STUDENT)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scores = score_batch(model, X)
+            for row, got in zip(z, scores):
+                order = sorted(range(4), key=lambda i: (
+                    sum((a - Fraction(p)) ** 2 for a, p in zip(row, points[i])), i))
+                assert got == labels[order[:k]].mean()
+
+    def test_far_rows_of_a_fit_model_leave_other_rows_alone(self):
+        # so far out every standardized z - p rounds to z, overflow or not, so
+        # each training point is as near as the next and the vote is the first
+        # k points'; the rows beside them score as they do alone
+        ds = heart_disease_like()
+        model = fit(ClassifierSpec("knn", seed=1), ds, ORIGIN_STUDENT)
+        far = np.resize([-1e308, 1e308], ds.n_features) * np.array([[1.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = score_batch(model, np.vstack([ds.features[:20], far]))
+        assert scores[:20].tobytes() == score_batch(model, ds.features[:20]).tobytes()
+        assert scores[20:].tolist() == [model.params.labels[:8].mean()] * 2
 
     def test_predict_peak_allocation_stays_bounded(self):
         # 770 queries against 630 points of 11 features, the size of a cardio
@@ -390,6 +426,25 @@ class TestForestOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000, f"forest fit peaked at {peak / 1e6:.1f} MB"
+
+    def test_student_export_and_import_peak_allocation_stays_bounded(self, tmp_path):
+        # the 1,400-row student again, written to and read from a model file;
+        # the nested-list record and json.dumps(indent=2) peaked at 39.8 MB,
+        # and json.loads of the whole file at 20.9 MB
+        ds = cardio_like()
+        model = fit(ClassifierSpec("rf", seed=1), ds, ORIGIN_STUDENT)
+        path = tmp_path / "student.json"
+        export_model(model, path)  # warm-up: first calls
+        peaks = []
+        for step in (lambda: export_model(model, path), lambda: import_model(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 20_000_000, f"export peaked at {peaks[0] / 1e6:.1f} MB"
+        assert peaks[1] < 16_000_000, f"import peaked at {peaks[1] / 1e6:.1f} MB"
 
     def test_midpoint_of_adjacent_huge_values_is_finite(self):
         # (a + b) / 2 overflows to -inf here; the classes split at the root

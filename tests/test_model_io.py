@@ -1,16 +1,19 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mimiclearn
 from mimiclearn.classifiers import (
@@ -34,11 +37,14 @@ from mimiclearn.model_io import (
     export_model,
     file_json,
     import_model,
+    model_text,
     model_to_file,
     parse_model_file,
 )
 from mimiclearn.rng import generator
 from mimiclearn.synthetic import breast_cancer_like, cardio_like, heart_disease_like
+
+from oracles import file_json_dumps, model_record
 
 EXPORTABLE = ("svm", "rf", "nb")
 
@@ -121,6 +127,66 @@ class TestRoundTrip:
         assert payload["scaler"] is not None
         export_model(_student("nb", toy), path)
         assert json.loads(path.read_text())["scaler"] is None
+
+
+@functools.cache
+def _heart_student(kind, seed):
+    """A student of ``kind`` fit on heart_disease_like at ``seed``, fit once."""
+    return _student(kind, heart_disease_like(), seed)
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    return [_as_lists(v) for v in value] if isinstance(value, list) else value
+
+
+_RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=6)
+    | hnp.arrays(st.sampled_from([np.int64, np.float64]),
+                 hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=4),
+    max_leaves=12,
+)
+
+
+class TestWriter:
+    @given(kind=st.sampled_from(EXPORTABLE), seed=st.integers(1, 3),
+           created_at=st.none() | st.text())
+    @example(kind="rf", seed=1, created_at='a "quoted" \\ stamp, café ☃ \U0001f600')
+    @settings(max_examples=25, deadline=None)
+    def test_students_are_written_as_the_standard_encoder_writes_them(
+        self, kind, seed, created_at
+    ):
+        model = _heart_student(kind, seed)
+        record = model_record(model, created_at)
+        expected = file_json_dumps(record)
+        assert model_text(model, created_at) == expected
+        assert file_json(record) == expected  # nested lists, as model_to_file returns
+        assert model_to_file(model, created_at) == record
+
+    @given(record=st.dictionaries(st.text(max_size=4), _RECORDS, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_any_record_is_written_as_the_standard_encoder_writes_it(self, record):
+        """Arrays of any shape, empty ones, infinities, NaNs, bools, big ints
+        and escaped strings: file_json writes the bytes json.dumps writes."""
+        assert file_json(record) == file_json_dumps(_as_lists(record))
+
+    @pytest.mark.parametrize("kind", EXPORTABLE)
+    def test_export_decodes_the_bytes_it_wrote(self, kind):
+        """A writer that turns the first number of the first numeric list into
+        1e999 (an infinity once parsed) is caught by the self-check."""
+        def corrupt(record):
+            return re.sub(r"(\[\s+)-?[0-9][0-9.e+-]*", r"\g<1>1e999", file_json(record),
+                          count=1)
+
+        model = _heart_student(kind, 1)
+        assert corrupt(model_record(model)) != model_text(model)
+        with pytest.raises(PipelineError, match="would not import again"):
+            model_text(model, encode=corrupt)
 
 
 class TestPrivacyRefusals:
@@ -304,8 +370,8 @@ class TestFormatValidation:
 
     @pytest.mark.parametrize("kind", EXPORTABLE)
     def test_every_array_field_is_checked(self, kind, toy):
-        """Dropping, shortening, or putting a string into any array of the
-        scaler or the parameters (every tree's included) is refused."""
+        """Dropping, shortening, or putting a string or a bool into any array of
+        the scaler or the parameters (every tree's included) is refused."""
         record = model_to_file(_student(kind, toy))
 
         def arrays(node):  # (object, key) of every list of numbers or of lists
@@ -318,12 +384,12 @@ class TestFormatValidation:
                 elif isinstance(value, dict):
                     yield from arrays(value)
 
-        def with_string(value):
+        def with_first(value, first):
             value = json.loads(json.dumps(value))
             inner = value
             while isinstance(inner[0], list):
                 inner = inner[0]
-            inner[0] = "x"
+            inner[0] = first
             return value
 
         sections = {"parameters": record["parameters"], "scaler": record["scaler"] or {}}
@@ -331,7 +397,7 @@ class TestFormatValidation:
         assert len(found) >= 2
         for node, key in found:
             value = node[key]
-            for edit in ("drop", value[:-1], with_string(value)):
+            for edit in ("drop", value[:-1], with_first(value, "x"), with_first(value, True)):
                 if edit == "drop":
                     del node[key]
                 else:
@@ -340,6 +406,23 @@ class TestFormatValidation:
                     parse_model_file(json.dumps(record))
                 node[key] = value
         parse_model_file(json.dumps(record))
+
+    @pytest.mark.parametrize("kind, path", [
+        ("rf", ("parameters", "trees", 0, "feature", 2)),
+        ("svm", ("parameters", "weights", 0)),
+        ("nb", ("parameters", "means", 0, 0)),
+    ], ids=["rf", "svm", "nb"])
+    def test_bool_inside_an_array_is_refused(self, kind, path):
+        """numpy reads [true, 2] as integers, so a bool in an array imported as
+        1 and exported to other bytes; the layout check refuses it first."""
+        payload = model_to_file(_heart_student(kind, 1))
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = True
+        field = [key for key in path if isinstance(key, str)][-1]
+        with pytest.raises(ModelFormatError, match=f"{field} must hold"):
+            parse_model_file(json.dumps(payload))
 
     def test_tree_counts_must_be_nonnegative(self, heart_ds):
         payload = model_to_file(_student("rf", heart_ds))
