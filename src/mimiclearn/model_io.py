@@ -294,8 +294,8 @@ def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
     return json.loads(model_text(model, created_at))
 
 
-def export_model(model: TrainedModel, path: str | Path, created_at: str | None = None) -> dict:
-    """Write a student model to ``path``; returns the record written.
+def export_model(model: TrainedModel, path: str | Path, created_at: str | None = None) -> None:
+    """Write a student model to ``path``; :func:`model_to_file` gives its record.
 
     The file is written beside ``path`` and renamed over it, so ``path``
     holds the old bytes or the new ones, never a part. ``created_at`` is
@@ -306,7 +306,6 @@ def export_model(model: TrainedModel, path: str | Path, created_at: str | None =
     with tempfile.TemporaryDirectory(dir=path.parent) as stage:
         Path(stage, path.name).write_text(text, encoding="utf-8")
         os.replace(Path(stage, path.name), path)
-    return json.loads(text)
 
 
 def parse_model_file(text: str) -> TrainedModel:

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mimiclearn
 from mimiclearn.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -468,6 +471,22 @@ class TestEvaluateCommand:
         )
         assert code == EXIT_DATA
         assert "--positive-class" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [b"a,b,label\n", b"a,b,label\n\n\r\n\n"])
+    def test_no_data_rows_prints_only_the_error_line(self, exported, tmp_path, text):
+        # a separate process, so a warning would reach stderr as a user sees it
+        data = tmp_path / "empty.csv"
+        data.write_bytes(text)
+        env = {**os.environ, "PYTHONPATH": str(Path(mimiclearn.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "mimiclearn.cli", "evaluate", "--model", str(exported),
+             "--data", str(data), "--label-column", "label"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == EXIT_DATA
+        assert child.stderr == (
+            f"mimiclearn: data error: {data}: header only, no data rows\n")
 
 
 class TestExitCodes:

@@ -239,9 +239,113 @@ def test_ingest_matches_the_cell_by_cell_reference(
         path.write_text(text, encoding="utf-8")
         got = _ingest_result(path, schema)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_read_clean_csv", _no_c_reader)
+            by_rows = _ingest_result(path, schema)
             mp.setattr(data, "_parse_rows", parse_rows_cellwise)
             want = _ingest_result(path, schema)
+    assert got == by_rows == want
+
+
+def _no_c_reader(path, schema):
+    return None
+
+
+_RAW_FEATURES = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(lambda v: f" {v}\t"),
+    st.floats(-1e6, 1e6).map(repr),
+    st.sampled_from(["", "  ", "?", "NA", "-999", "-9.99e2", "nan", "inf", "Infinity",
+                     "1e500", "1_0", "\u0661\u0662", "0x10", "\x1c1", "\xa01", "\ufeff1",
+                     '"1"', "1\x00", "abc"]),
+)
+_RAW_LABELS = st.one_of(
+    st.sampled_from(["a", "b", " b ", "c d"]),
+    st.sampled_from(["", "  ", "?", "NA", "-999", '"a"', "a\x00", "\xe9", "1"]),
+)
+
+
+@st.composite
+def _raw_csv(draw):
+    """CSV text that either reader may take, and the schema to read it with."""
+    n_cols = draw(st.integers(1, 3))
+    label_column = draw(st.sampled_from([None, 0, 1, -1]))
+    label_idx = None if label_column is None else label_column % n_cols
+    has_header = draw(st.booleans())
+    lines = [",".join(f" c{i}" for i in range(n_cols))] if has_header else []
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.sampled_from([None] * 5 + ["", "  "]))  # None: a row of cells
+        if line is None:
+            width = n_cols + draw(st.sampled_from([0] * 6 + [-1, 1]))
+            line = ",".join(draw(_RAW_LABELS if i == label_idx else _RAW_FEATURES)
+                            for i in range(width))
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    schema = CsvSchema(label_column=label_column, has_header=has_header,
+                       missing_token=draw(st.sampled_from(["?", "NA", "-999"])))
+    return draw(st.sampled_from(["", "\ufeff"])) + text, schema
+
+
+_LABELED = CsvSchema(label_column="y")
+
+
+@given(case=_raw_csv())
+@example(case=("a,y\n1,p\n2,n\n", _LABELED))  # clean: the C reader's own read
+@example(case=("a,y\r1,p\r2,n\r", _LABELED))  # CR-only line ends
+@example(case=("\ufeffa,y\r\n1,p\r\n\r\n2,n", _LABELED))  # BOM, CRLF, a blank line
+@example(case=("a,y\n1,p\n  \n2,n\n", _LABELED))  # a whitespace-only line
+@example(case=("a,y\n1,p,\n2,n\n", _LABELED))  # an extra, empty, trailing cell
+@example(case=("a,y\n1,p,5\n2,n\n", _LABELED))  # an extra cell: usecols would skip it
+@example(case=("a,b,y\n1,2,p\n3,n\n", _LABELED))  # a missing cell
+@example(case=('a,y\n1,"p"\n2,n\n', _LABELED))  # a quoted label
+@example(case=("a,y\n1,p\n2\x00,n\n", _LABELED))  # a NUL byte
+@example(case=("a,y\n1_0,p\n2,n\n", _LABELED))
+@example(case=("a,y\n\u0661\u0662,p\n2,n\n", _LABELED))
+@example(case=("a,y\n0x10,p\n2,n\n", _LABELED))
+@example(case=("a,y\n\x1c1,p\n\xa02,n\n", _LABELED))  # both read as numbers by both
+@example(case=("a,y\nnan,p\n2,n\n", _LABELED))
+@example(case=("a,y\n1e500,p\n2,n\n", _LABELED))
+@example(case=("a,y\n-9.99e2,p\n2,n\n", CsvSchema("y", missing_token="-999")))
+@example(case=("a,y\n-999,p\n2,n\n", CsvSchema("y", missing_token="-999")))
+@example(case=("a,y\n1, p \n2,n\t\n", _LABELED))  # labels with outer whitespace
+@example(case=("a,y\n1,  \n2,n\n", _LABELED))  # a blank label
+@example(case=("y,a,b\np,1,2\nn,3,4\n", _LABELED))  # the label column first
+@example(case=("a,y,b\n1,p,2\n3,n,4\n", _LABELED))  # the label column in the middle
+@example(case=("1,2\n3,4\n", CsvSchema(label_column=None, has_header=False)))
+@example(case=("a,y\n", _LABELED))  # a header and no data rows
+@example(case=("a,y\n\n\r\n", _LABELED))  # blank data lines only
+@example(case=("a,y\n0." + "0" * 140_000 + "1,p\n", _LABELED))  # over csv's field limit
+@settings(max_examples=100, deadline=None)
+def test_c_reader_matches_the_row_parser(case):
+    """Reading raw bytes with the C reader gives what the row parser gives:
+    the same features, labels and imputed count, or the same DataError."""
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _ingest_result(path, schema)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_read_clean_csv", _no_c_reader)
+            want = _ingest_result(path, schema)
     assert got == want
+
+
+@pytest.mark.parametrize("text, c_reader", [
+    ("a,y\n1,p\n2,n\n", True),
+    ("\ufeffa,y\r\n1, p \r\n\r\n\x1c2,n", True),
+    ("a,y\r1,p\r2,n\r", True),
+    ("a,y\n?,p\n2,n\n", False),  # a missing cell to impute
+    ("a,y\n1,p,5\n2,n\n", False),
+    ("a,y\n1,p\n  \n2,n\n", False),
+    ('a,y\n1,"p"\n2,n\n', False),
+    ("a,y\ninf,p\n2,n\n", False),
+    ("a,y\n", False),
+])
+def test_which_files_take_the_c_reader(tmp_path, text, c_reader):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (data._read_clean_csv(path, _LABELED) is not None) == c_reader
 
 
 class TestScaler:

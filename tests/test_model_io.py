@@ -101,8 +101,9 @@ class TestRoundTrip:
 
     def test_created_at_default_is_reproducible_null(self, toy, tmp_path):
         model = _student("svm", toy)
-        record = export_model(model, tmp_path / "m.json")
-        assert record["created_at"] is None
+        path = tmp_path / "m.json"
+        export_model(model, path)
+        assert json.loads(path.read_text())["created_at"] is None
         stamped = model_to_file(model, created_at="2024-01-01T00:00:00Z")
         assert stamped["created_at"] == "2024-01-01T00:00:00Z"
 
