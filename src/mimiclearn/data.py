@@ -208,9 +208,9 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
     A file with no quote, NUL byte, missing token or empty cell, whose rows
     all have the first row's column count and whose feature cells are all
     finite numbers, is read by numpy's C reader (``np.loadtxt``). Any other
-    file is read by the exact row-by-row parser, which imputes missing cells
-    and reports errors; a file both can read gives the same bytes through
-    either.
+    file is read by the cell-by-cell parser, which imputes missing cells and
+    names each bad cell's line and column; a file both can read gives the
+    same bytes through either. Both return labels as (names, codes).
 
     Raises DataError for a missing, unreadable or empty file, ragged rows
     (naming the line), non-numeric or non-finite feature cells (naming the
@@ -229,7 +229,7 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 rows = filter(None, csv.reader(fh))
                 try:
-                    raw, feature_names, label_values = _parse_rows(rows, schema, path)
+                    raw, feature_names, labels = _parse_rows(rows, schema, path)
                 except DataError:
                     for _ in rows:  # a read error further on is reported first
                         pass
@@ -246,13 +246,6 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
                     f"{path}: column {feature_names[c]!r} has no known values to impute from"
                 )
             raw[missing[:, c], c] = float(np.median(known))
-
-        labels = None
-        if label_values is not None:
-            first_seen: dict[str, int] = {}
-            codes = np.array([first_seen.setdefault(v, len(first_seen)) for v in label_values],
-                             dtype=np.int64)
-            labels = list(first_seen), codes
 
     if labels is None:
         class_names: tuple[str, ...] = ()
@@ -367,7 +360,8 @@ def _read_clean_csv(path: Path, schema: CsvSchema):
 
 
 def _parse_rows(rows, schema: CsvSchema, path: Path):
-    """Parse rows as read: features (NaN where missing), names, labels or None."""
+    """Parse rows as read, cell by cell: features (NaN where missing), feature
+    names, and labels as (first-seen names, int64 codes) or None."""
     head = list(itertools.islice(rows, 2))
     if not head:
         raise DataError(f"empty file: {path}")
@@ -386,41 +380,19 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
     )
 
     values = array("d")
-    label_values: list[str] | None = None if label_idx is None else []
-    distinct: dict[str, str] = {}  # one string object per label value
-    try:  # a token float() reads stands for a number too: its rows go cell by cell
-        token = float(schema.missing_token)
-    except (TypeError, ValueError):
-        token = None
+    codes = None if label_idx is None else array("q")
+    code_of: dict[str, int] = {}  # label name -> code, in first-seen order
     for line, row in enumerate(itertools.chain(head, rows), first_line):
         if len(row) != n_cols:
             raise DataError(
                 f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
             )
-        # a row float() reads with no token number has no missing cell: no "", no token
-        label = None if label_idx is None else row.pop(label_idx).strip()
-        try:
-            parsed = list(map(float, row))
-        except ValueError:
-            parsed = [math.nan]
-        text = "".join(row)  # float() also reads "1_0" and non-ASCII digits
-        # sum() only picks the path: a non-finite sum, compensated or not,
-        # falls to the cell loop below, which reads the same cells
-        if (math.isfinite(sum(parsed)) and text.isascii() and "_" not in text
-                and label not in ("", schema.missing_token)
-                and (token is None or token not in parsed)):
-            values.extend(parsed)
-            if label is not None:
-                label_values.append(distinct.setdefault(label, label))
-            continue
-        if label is not None:  # the cell loop below reports or imputes it
-            row.insert(label_idx, label)
         for i, cell in enumerate(row):
             cell = cell.strip()
             if i == label_idx:
                 if cell == schema.missing_token or cell == "":
                     raise DataError(f"{path} line {line}: missing label value")
-                label_values.append(distinct.setdefault(cell, cell))
+                codes.append(code_of.setdefault(cell, len(code_of)))
             elif cell == schema.missing_token or cell == "":
                 values.append(math.nan)
             else:
@@ -436,7 +408,8 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
                     )
                 values.append(value)
     raw = np.frombuffer(values).reshape(line + 1 - first_line, len(feature_names))
-    return raw, feature_names, label_values
+    labels = None if codes is None else (list(code_of), np.frombuffer(codes, np.int64))
+    return raw, feature_names, labels
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:

@@ -306,8 +306,9 @@ def fit_svm_stepwise(X, y, n_classes, reg_lambda, epochs, seed):
 
 
 def parse_rows_cellwise(rows, schema, path):
-    """``data._parse_rows`` reading every cell on its own: stripped, matched
-    against the missing token, then parsed with ``float``."""
+    """A separate copy of ``data._parse_rows``, the cell-by-cell parser: each
+    cell stripped, matched against the missing token, then parsed with
+    ``float``. The labels come back as a list, one stripped name per row."""
     head = list(itertools.islice(rows, 2))
     if not head:
         raise DataError(f"empty file: {path}")

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import mimiclearn
 from mimiclearn.cli import (
@@ -659,6 +662,73 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "split" in capsys.readouterr().out
+
+
+_SPLIT_OUTPUTS = {"private.csv", "public.csv", "test.csv", "split_manifest.json"}
+_FUZZ_ROWS = [["a", "b", "label"]] + [
+    [str(i % 7 - 3), str(i * 0.5), "yes" if i % 2 else "no"] for i in range(24)
+]
+_CELL_MUTATIONS = ["?", "-999", "", " ", "1e308", "-1e308", "5e-324", "-0.0", " 7 ", "ragged"]
+_BYTE_MUTATIONS = {"quote": b'"', "nul": b"\0", "bom": "\ufeff".encode(), "xff": b"\xff"}
+_SPLIT_FLAGS = [  # two thirds of them valid for the seed CSV
+    ("--no-header",), ("--label-column", "label"), ("--label-column", "2"),
+    ("--label-column", "3"), ("--label-column", "-1"), ("--label-column", "nope"),
+    ("--missing-token", ""), ("--missing-token", "-999"), ("--missing-token", "?"),
+    ("--missing-token", "NA"), ("--fractions", "0.5,0.25,0.25"),
+    ("--fractions", "0.2,0.4,0.4"), ("--fractions", "0.6,0.2,0.2"),
+    ("--fractions", "nan,0.5,0.5"), ("--fractions", "0.5,0.5"), ("--seed", "0"),
+    ("--seed", "3"), ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "1.5"),
+    ("--seed", "12345678901234567890"),
+]
+
+
+def _fuzzed_csv(mutations, line_end):
+    """The seed CSV with each (kind, position) mutation applied, as bytes."""
+    rows = [list(row) for row in _FUZZ_ROWS]
+    for kind, at in mutations:  # cell mutations first: they address rows and cells
+        row = rows[1 + at % (len(rows) - 1)]
+        if kind == "ragged" and at % 2:
+            row.append("0")
+        elif kind == "ragged":
+            row.pop()
+        elif kind in _CELL_MUTATIONS:  # a feature cell
+            row[at % 2] = kind
+    text = line_end.join(",".join(row) for row in rows).encode() + line_end.encode()
+    for kind, at in mutations:
+        if kind in _BYTE_MUTATIONS:
+            at %= len(text) + 1
+            text = text[:at] + _BYTE_MUTATIONS[kind] + text[at:]
+    return text
+
+
+@pytest.fixture()
+def split_exit_codes():
+    """Every exit code of one fuzz run; at least 20% must be successes, so
+    that the fuzz also reaches the writing path (the seed CSV is valid)."""
+    codes = []
+    yield codes
+    assert codes.count(EXIT_OK) >= 0.2 * len(codes), codes
+
+
+@given(mutations=st.lists(st.tuples(st.sampled_from(_CELL_MUTATIONS + list(_BYTE_MUTATIONS)),
+                                    st.integers(0, 10_000)), max_size=3),
+       line_end=st.sampled_from(["\n", "\r", "\r\n"]),
+       flags=st.lists(st.sampled_from(_SPLIT_FLAGS), max_size=2))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_exit_code_under_fuzzed_csv_and_flags(split_exit_codes, mutations, line_end,
+                                                     flags):
+    """Any CSV bytes and data flags exit 0, 1 or 2; only success writes files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data.csv", Path(tmp) / "out"
+        data.write_bytes(_fuzzed_csv(mutations, line_end))
+        argv = ["split", "--data", str(data), "--out-dir", str(out)]
+        code = main(argv + [arg for flag in flags for arg in flag])
+        event(f"exit {code}")
+        split_exit_codes.append(code)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+        written = {p.name for p in out.iterdir()} if out.exists() else set()
+        assert written == (_SPLIT_OUTPUTS if code == EXIT_OK else set())
 
 
 def test_split_and_run_share_their_flags(capsys):

@@ -117,7 +117,7 @@ class TestIngest:
                                             "in column 'b'"):
             ingest_csv(path, CsvSchema(label_column="label"))
 
-    @pytest.mark.parametrize("token", ["?", "-999"])  # whole-row parse, cell loop
+    @pytest.mark.parametrize("token", ["?", "-999"])  # a text token and a numeric one
     @pytest.mark.parametrize("cell", ["1_0", "1_000", "\u0661\u0662", "\uff11\uff12"])
     def test_python_only_number_forms_refused(self, tmp_path, cell, token):
         # float() reads these as 10, 1000 and 12; a CSV number is plain ASCII
@@ -173,7 +173,9 @@ class TestIngest:
         with pytest.raises(DataError, match="cannot read as a UTF-8 CSV"):
             ingest_csv(path, CsvSchema(label_column="label"))
 
-    def test_peak_allocation_stays_near_the_matrix(self, tmp_path):
+    # the clean file takes the C reader, the one with a "?" the cell-by-cell parser
+    @pytest.mark.parametrize("missing", [False, True], ids=["clean", "one-missing-cell"])
+    def test_peak_allocation_stays_near_the_matrix(self, tmp_path, missing):
         # 20,000 x 11 float64 is 1.8 MB; holding every cell as a string
         # before parsing any of them peaks above 20 MB
         rng = generator(7)
@@ -187,13 +189,19 @@ class TestIngest:
         )
         path = tmp_path / "big.csv"
         save_csv(src, path)
+        want = src.features.copy()
+        if missing:  # one "?" cell, which the cell-by-cell parser imputes
+            header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+            path.write_text(f"{header}\n?{first[first.index(','):]}\n{rest}", encoding="utf-8")
+            want[0, 0] = np.median(want[1:, 0])
         tracemalloc.start()
         try:
-            ds, _ = ingest_csv(path, CsvSchema(label_column="label"))
+            ds, stats = ingest_csv(path, CsvSchema(label_column="label"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(ds.features, src.features)
+        assert stats.n_imputed == int(missing)
+        np.testing.assert_array_equal(ds.features, want)
         np.testing.assert_array_equal(ds.labels, src.labels)
         assert peak < 10_000_000, f"ingest peaked at {peak / 1e6:.1f} MB"
 
@@ -241,13 +249,23 @@ def test_ingest_matches_the_cell_by_cell_reference(
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_read_clean_csv", _no_c_reader)
             by_rows = _ingest_result(path, schema)
-            mp.setattr(data, "_parse_rows", parse_rows_cellwise)
+            mp.setattr(data, "_parse_rows", _parse_rows_by_oracle)
             want = _ingest_result(path, schema)
     assert got == by_rows == want
 
 
 def _no_c_reader(path, schema):
     return None
+
+
+def _parse_rows_by_oracle(rows, schema, path):
+    """``parse_rows_cellwise`` with its label list as (first-seen names, codes)."""
+    raw, feature_names, label_values = parse_rows_cellwise(rows, schema, path)
+    if label_values is None:
+        return raw, feature_names, None
+    first_seen: dict[str, int] = {}
+    codes = [first_seen.setdefault(v, len(first_seen)) for v in label_values]
+    return raw, feature_names, (list(first_seen), np.array(codes, dtype=np.int64))
 
 
 _RAW_FEATURES = st.one_of(
