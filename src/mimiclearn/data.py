@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import reprlib
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
@@ -26,8 +27,12 @@ from .errors import DataError
 from .rng import generator
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
+class _Built(np.ndarray):
+    """An array ingest has just built, which :class:`Dataset` freezes in place."""
+
+
+def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
+    out = a.view(np.ndarray) if type(a) is _Built else np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -48,7 +53,7 @@ class Dataset:
     source_id: str
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = _frozen(self.features, np.float64)
         if feats.ndim != 2:
             raise DataError("features must be a 2-D matrix")
         if feats.shape[1] == 0:
@@ -60,16 +65,16 @@ class Dataset:
                 f"{len(self.feature_names)} feature names for "
                 f"{feats.shape[1]} feature columns"
             )
-        object.__setattr__(self, "features", _frozen(feats))
+        object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = _frozen(self.labels, np.int64)
             if labels.shape != (feats.shape[0],):
                 raise DataError("label count does not match row count")
             if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
                 raise DataError("label index outside class_names range")
-            object.__setattr__(self, "labels", _frozen(labels))
+            object.__setattr__(self, "labels", labels)
 
     @property
     def n_rows(self) -> int:
@@ -253,9 +258,9 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
         names, codes = labels  # row i's label is names[codes[i]]
         class_names = _order_class_names(sorted(set(names)), schema.positive_class, path)
         index_of = {name: i for i, name in enumerate(class_names)}
-        labels = np.array([index_of[name] for name in names], dtype=np.int64)[codes]
+        labels = np.array([index_of[name] for name in names], dtype=np.int64)[codes].view(_Built)
 
-    ds = Dataset(raw, feature_names, labels, class_names, str(path))
+    ds = Dataset(raw.view(_Built), feature_names, labels, class_names, str(path))
     return ds, IngestStats(n_rows=ds.n_rows, n_imputed=n_imputed)
 
 
@@ -403,7 +408,7 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
                 if value is None or not math.isfinite(value):
                     kind = "non-numeric" if value is None else "non-finite"
                     raise DataError(
-                        f"{path} line {line}: {kind} value {cell!r} "
+                        f"{path} line {line}: {kind} value {reprlib.repr(cell)} "
                         f"in column {header[i]!r}"
                     )
                 values.append(value)
@@ -446,31 +451,50 @@ def _order_class_names(names, positive_class, path):
     return tuple(names)
 
 
-def _csv_rows(ds: Dataset):
-    """The rows of :func:`csv_text`, header first."""
-    yield list(ds.feature_names) + ([] if ds.labels is None else ["label"])
-    for r, values in enumerate(ds.features):
-        row = list(map(repr, values.tolist()))
+# Cells per block of the CSV writer (341 rows of 11 features and a label): 1,024 to 16,384
+# wrote 100k such rows in 0.57-0.63 s, not 0.75 s row by row, at 0.14-1.3 MB of peak.
+_BLOCK_CELLS = 4096
+
+
+def _csv_blocks(ds: Dataset):
+    r"""The text of :func:`csv_text`: the header, then one ``%`` of a
+    ``"%r,...,%r,%s\r\n" * rows`` template per block (``%r`` of a float is its
+    repr, which needs no quoting), each class name quoted by ``csv.writer`` once,
+    as a row's only cell if there are no features, else as a later cell."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(list(ds.feature_names) + ([] if ds.labels is None else ["label"]))
+    yield buf.getvalue()
+    n_features = ds.features.shape[1]
+    fields, names = ["%r"] * n_features, []
+    if ds.labels is not None:
+        fields.append("%s")
+        for name in ds.class_names:
+            buf = io.StringIO()
+            csv.writer(buf).writerow([name] if n_features == 0 else ["", name])
+            names.append(buf.getvalue()[min(n_features, 1):-2])
+    line = ",".join(fields) + "\r\n"
+    step = max(1, _BLOCK_CELLS // max(len(fields), 1))
+    for start in range(0, ds.features.shape[0], step):
+        rows = ds.features[start:start + step].tolist()
         if ds.labels is not None:
-            row.append(ds.class_names[ds.labels[r]])
-        yield row
+            for row, code in zip(rows, ds.labels[start:start + step].tolist()):
+                row.append(names[code])
+        yield (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def csv_text(ds: Dataset) -> str:
     """A dataset as CSV text (header row, label column named 'label').
 
     Floats are written with repr's shortest round-trip form, so a reload
-    reproduces the matrix exactly.
+    reproduces the matrix exactly; the text is what ``csv.writer`` writes.
     """
-    buf = io.StringIO()
-    csv.writer(buf).writerows(_csv_rows(ds))
-    return buf.getvalue()
+    return "".join(_csv_blocks(ds))
 
 
 def save_csv(ds: Dataset, path: str | Path) -> None:
-    """Write the bytes of :func:`csv_text` to ``path``, streamed row by row."""
+    """Write the bytes of :func:`csv_text` to ``path``, a block of rows at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(_csv_rows(ds))
+        fh.writelines(_csv_blocks(ds))
 
 
 def fit_scaler(ds: Dataset) -> ScalerParams:

@@ -7,10 +7,13 @@ seeded toy datasets at the end (a linearly separable set and a perfectly
 learnable threshold) give tests inputs whose right answer is known.
 """
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
+import reprlib
 from array import array
 from operator import mul
 
@@ -345,12 +348,26 @@ def parse_rows_cellwise(rows, schema, path):
                 if value is None or not math.isfinite(value):
                     kind = "non-numeric" if value is None else "non-finite"
                     raise DataError(
-                        f"{path} line {line}: {kind} value {cell!r} "
+                        f"{path} line {line}: {kind} value {reprlib.repr(cell)} "
                         f"in column {header[i]!r}"
                     )
                 values.append(value)
     raw = np.frombuffer(values).reshape(line + 1 - first_line, len(feature_names))
     return raw, feature_names, label_values
+
+
+def csv_text_rowwise(ds):
+    """The CSV text of ``data.csv_text`` through ``csv.writer``, one row at a
+    time: each float as its repr, then the class name of the row's label."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(list(ds.feature_names) + ([] if ds.labels is None else ["label"]))
+    for r, values in enumerate(ds.features):
+        row = list(map(repr, values.tolist()))
+        if ds.labels is not None:
+            row.append(ds.class_names[ds.labels[r]])
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def confusion_counts_loop(y_true, y_pred, positive):

@@ -1,7 +1,10 @@
+import math
+import re
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from mimiclearn.data import (
 from mimiclearn.errors import DataError
 from mimiclearn.rng import generator
 
-from oracles import parse_rows_cellwise
+from oracles import csv_text_rowwise, parse_rows_cellwise
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -143,17 +146,24 @@ class TestIngest:
         assert ds.features.shape == (2, 2)
 
     def test_save_load_round_trip(self, tmp_path, toy):
+        # -0.0, subnormals, 1e16 and 1e-5 read back bit for bit through both readers
+        edges = np.array([[-0.0, 5e-324, 1e16], [1e-5, -2.5e-310, -1e-5]])
+        ds = Dataset(np.vstack([toy.features, edges]), toy.feature_names,
+                     np.append(toy.labels, [0, 1]), toy.class_names, toy.source_id)
         path = tmp_path / "toy.csv"
-        save_csv(toy, path)
-        back = load_csv(
-            path,
-            CsvSchema(label_column="label", positive_class=toy.class_names[1]),
-        )
-        np.testing.assert_allclose(back.features, toy.features)
-        np.testing.assert_array_equal(back.labels, toy.labels)
-        assert back.class_names == toy.class_names
-        assert back.feature_names == toy.feature_names
-        assert path.read_bytes() == csv_text(toy).encode("utf-8")
+        save_csv(ds, path)
+        assert path.read_bytes() == csv_text(ds).encode("utf-8")
+        # one "?" cell more sends the same rows to the cell-by-cell parser
+        imputed = _write(tmp_path, csv_text(ds) + f"?,0,0,{toy.class_names[0]}\r\n", "imputed.csv")
+        schema = CsvSchema(label_column="label", positive_class=toy.class_names[1])
+        assert data._read_clean_csv(path, schema) is not None
+        assert data._read_clean_csv(imputed, schema) is None
+        rows = np.arange(ds.n_rows)
+        for back in (load_csv(path, schema), load_csv(imputed, schema).select(rows)):
+            assert back.features.tobytes() == ds.features.tobytes()
+            np.testing.assert_array_equal(back.labels, ds.labels)
+            assert back.class_names == ds.class_names
+            assert back.feature_names == ds.feature_names
 
     def test_missing_cells_in_several_columns(self, tmp_path):
         path = _write(tmp_path, "a,b,label\n?,1,x\n2,?,y\n4,3,x\n?,?,y\n8,5,x\n")
@@ -173,20 +183,25 @@ class TestIngest:
         with pytest.raises(DataError, match="cannot read as a UTF-8 CSV"):
             ingest_csv(path, CsvSchema(label_column="label"))
 
+    def test_long_bad_cell_is_echoed_cut_short(self, tmp_path):
+        # a quote before a number runs its cell on to the next quote, 60 KB later
+        rows = ["1.5,2,x"] * 8_000
+        rows[1] = '"' + rows[1]
+        rows[-1] = '"' + rows[-1]
+        path = _write(tmp_path, "a,b,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError) as err:
+            ingest_csv(path, CsvSchema(label_column="label"))
+        message = str(err.value)
+        assert len(message) < len(str(path)) + 100 and "\n" not in message
+        assert re.fullmatch(r".* line 3: non-numeric value '1\.5,2,x\\n.*' in column 'a'",
+                            message)
+
     # the clean file takes the C reader, the one with a "?" the cell-by-cell parser
     @pytest.mark.parametrize("missing", [False, True], ids=["clean", "one-missing-cell"])
     def test_peak_allocation_stays_near_the_matrix(self, tmp_path, missing):
         # 20,000 x 11 float64 is 1.8 MB; holding every cell as a string
         # before parsing any of them peaks above 20 MB
-        rng = generator(7)
-        n, d = 20_000, 11
-        src = Dataset(
-            features=rng.normal(size=(n, d)),
-            feature_names=tuple(f"x{i}" for i in range(d)),
-            labels=np.arange(n) % 2,
-            class_names=("negative", "positive"),
-            source_id="big",
-        )
+        src = _big_dataset()
         path = tmp_path / "big.csv"
         save_csv(src, path)
         want = src.features.copy()
@@ -204,6 +219,32 @@ class TestIngest:
         np.testing.assert_array_equal(ds.features, want)
         np.testing.assert_array_equal(ds.labels, src.labels)
         assert peak < 10_000_000, f"ingest peaked at {peak / 1e6:.1f} MB"
+
+    def test_clean_file_is_read_without_a_copy_of_the_matrix(self, tmp_path):
+        # the C reader alone peaks near 2.3 MB; a copy of the matrix and labels adds 1.9 MB
+        src = _big_dataset()
+        path = tmp_path / "big.csv"
+        save_csv(src, path)
+        tracemalloc.start()
+        try:
+            ds, _ = ingest_csv(path, CsvSchema(label_column="label"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.tobytes() == src.features.tobytes()
+        assert peak < 3_000_000, f"ingest peaked at {peak / 1e6:.2f} MB"
+
+
+def _big_dataset():
+    """20,000 rows of 11 normal features and two alternating classes."""
+    n, d = 20_000, 11
+    return Dataset(
+        features=generator(7).normal(size=(n, d)),
+        feature_names=tuple(f"x{i}" for i in range(d)),
+        labels=np.arange(n) % 2,
+        class_names=("negative", "positive"),
+        source_id="big",
+    )
 
 
 _CSV_CELLS = st.one_of(
@@ -364,6 +405,54 @@ def test_which_files_take_the_c_reader(tmp_path, text, c_reader):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     assert (data._read_clean_csv(path, _LABELED) is not None) == c_reader
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                                 1e16, 1e-5, 0.1, 1e22, 1.7976931348623157e308])
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["a,b", 'say "hi"', "\r", "\n", "x\r\ny", "\u00e9", "\u65e5\u672c", "", " ",
+                     "-0.0"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _table(draw):
+    """A table for the CSV writer, with a row count at or next to its block size.
+
+    A stand-in with Dataset's fields takes what Dataset refuses (no features,
+    a non-finite value); any other table is a Dataset."""
+    n_features, labeled = draw(st.integers(0, 3)), draw(st.booleans())
+    block = max(1, data._BLOCK_CELLS // max(n_features + labeled, 1))
+    n = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1]))
+    pool = np.array(draw(st.lists(st.one_of(_EDGE_FLOATS, st.floats()), min_size=1, max_size=8)))
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    table = SimpleNamespace(
+        features=pool[rng.integers(pool.size, size=(n, n_features))],
+        feature_names=tuple(draw(st.lists(_CELL_TEXT, min_size=n_features,
+                                          max_size=n_features))),
+        labels=None, class_names=tuple(draw(st.lists(_CELL_TEXT, min_size=1, max_size=3))))
+    if labeled:
+        table.labels = rng.integers(len(table.class_names), size=n)
+    if n_features and np.isfinite(table.features).all():
+        return Dataset(source_id="t", **vars(table))
+    return table
+
+
+@given(table=_table())
+@example(table=SimpleNamespace(features=np.zeros((3, 0)), feature_names=(),
+                               labels=np.array([0, 1, 0]), class_names=("", "a,b")))
+@example(table=SimpleNamespace(features=np.zeros((2, 0)), feature_names=(), labels=None,
+                               class_names=()))
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_the_row_by_row_reference(table):
+    """``csv_text`` and ``save_csv`` write the bytes ``csv.writer`` writes row by row."""
+    want = csv_text_rowwise(table)
+    assert csv_text(table) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        save_csv(table, path)
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 class TestScaler:
@@ -555,6 +644,13 @@ class TestDataset:
         np.testing.assert_array_equal(sub.labels, toy.labels[[0, 2, 4]])
         relabeled = toy.without_labels().with_labels(toy.labels)
         np.testing.assert_array_equal(relabeled.labels, toy.labels)
+
+    def test_caller_arrays_are_copied(self):
+        X, y = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])
+        ds = Dataset(X, ("a", "b"), y, ("n", "p"), "t")
+        X[0, 0], y[0] = 99.0, 1
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
 
     def test_features_are_read_only(self, toy):
         with pytest.raises(ValueError):
