@@ -24,7 +24,7 @@ from ..data import Dataset, ScalerParams, apply_scaler, fit_scaler
 from ..errors import DataError, PipelineError
 from ..rng import STAGE_SPEC, derive_seed
 from .bayes import NbModel, fit_nb, nb_log_posterior, nb_posterior
-from .forest import ForestModel, TreeNodes, fit_forest, forest_votes
+from .forest import ForestModel, TreeNodes, fit_forest, fit_forests, forest_votes
 from .knn import KnnModel, fit_knn, knn_vote
 from .svm import SvmModel, fit_svm, svm_margin
 
@@ -68,6 +68,9 @@ class Family:
     unscaled, and ``decide`` turns ``(params, raw output, hyperparameters)``
     into (predictions, scores); ``n_features`` reads the feature count off params.
     ``record`` is the params' dataclass, written to model files; knn has None.
+    ``fit_subsets``, which only an unscaled family may have, takes ``(X, y,
+    row subsets, n_classes, hyperparameters, seed)`` and fits them all at once
+    (see :func:`fit`).
     """
 
     defaults: dict
@@ -78,6 +81,7 @@ class Family:
     decide: Callable
     n_features: Callable
     record: type | None
+    fit_subsets: Callable | None = None
 
 
 REGISTRY = {
@@ -115,6 +119,9 @@ REGISTRY = {
         decide=lambda p, r, hp: (np.argmax(r, axis=1), r[:, 1] / float(len(p.trees))),
         n_features=lambda p: p.n_features,
         record=ForestModel,
+        fit_subsets=lambda X, y, subsets, n_classes, hp, seed: fit_forests(
+            X, y, subsets, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"], seed
+        ),
     ),
     "nb": Family(
         defaults={"var_smoothing": 1e-9},
@@ -231,28 +238,42 @@ class TrainedModel:
         return len(self.class_names)
 
 
-def fit(spec: ClassifierSpec, train: Dataset, origin: str) -> TrainedModel:
+def fit(spec: ClassifierSpec, train: Dataset, origin: str, subsets=None) -> TrainedModel:
     """Train one classifier; deterministic for a fixed spec seed.
 
-    Raises PipelineError when the training set holds a single class, and for
-    knn when it holds fewer than k samples.
+    With ``subsets``, a sequence of strictly ascending row-index arrays of
+    ``train`` (rf only), the model holds each subset's ``n_trees`` trees in
+    turn, each equal to a tree of ``fit(spec, train.select(subset), origin)``;
+    they are grown together from one sort of ``train``.
+
+    Raises PipelineError when the training set (or a subset) holds a single
+    class, and for knn when it holds fewer than k samples.
     """
     if train.labels is None:
         raise DataError("fit requires a labeled dataset")
-    if np.unique(train.labels).size < 2:
+    family = REGISTRY[spec.kind]
+    parts = [train.labels]
+    if subsets is not None:
+        if family.fit_subsets is None:
+            raise PipelineError(f"{spec.kind} fits one row subset per call")
+        subsets = [np.asarray(rows) for rows in subsets]
+        if not subsets or not all(_ascending_rows(rows, train.n_rows) for rows in subsets):
+            raise PipelineError("subsets must be non-empty, strictly ascending row indices")
+        parts = [train.labels[rows] for rows in subsets]
+    if any(np.unique(labels).size < 2 for labels in parts):
         raise PipelineError(
             f"training set for {spec.kind} contains a single class"
         )
-    family = REGISTRY[spec.kind]
     scaler = None
     fit_data = train
     if family.scaled:
         scaler = fit_scaler(train)
         fit_data = apply_scaler(train, scaler)
-    params = family.fit(
-        fit_data.features, fit_data.labels, len(train.class_names),
-        spec.hyperparameters, spec.seed,
-    )
+    X, y, n_classes = fit_data.features, fit_data.labels, len(train.class_names)
+    if subsets is None:
+        params = family.fit(X, y, n_classes, spec.hyperparameters, spec.seed)
+    else:
+        params = family.fit_subsets(X, y, subsets, n_classes, spec.hyperparameters, spec.seed)
     return TrainedModel(
         spec=spec,
         params=params,
@@ -260,6 +281,11 @@ def fit(spec: ClassifierSpec, train: Dataset, origin: str) -> TrainedModel:
         scaler=scaler,
         origin=origin,
     )
+
+
+def _ascending_rows(rows, n_rows) -> bool:
+    return (rows.ndim == 1 and rows.dtype.kind in "iu" and rows.size > 0
+            and 0 <= rows[0] and rows[-1] < n_rows and bool((rows[1:] > rows[:-1]).all()))
 
 
 def _prepare_rows(model: TrainedModel, rows: np.ndarray) -> np.ndarray:

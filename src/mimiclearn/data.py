@@ -58,7 +58,8 @@ class Dataset:
             raise DataError("features must be a 2-D matrix")
         if feats.shape[1] == 0:
             raise DataError("dataset has no feature columns")
-        if not np.isfinite(feats).all():
+        # min and max are NaN if any cell is, and need no temporary of the matrix's shape
+        if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
             raise DataError("features contain NaN or non-finite values")
         if len(self.feature_names) != feats.shape[1]:
             raise DataError(
@@ -85,16 +86,19 @@ class Dataset:
         return self.features.shape[1]
 
     def select(self, idx: np.ndarray, source_suffix: str = "") -> "Dataset":
-        """Row subset, preserving label/schema metadata."""
-        labels = None if self.labels is None else self.labels[idx]
-        return replace(self, features=self.features[idx], labels=labels,
+        """Row subset, preserving label/schema metadata; the indexed rows are
+        frozen in place, not copied again."""
+        labels = None if self.labels is None else self.labels[idx].view(_Built)
+        return replace(self, features=self.features[idx].view(_Built), labels=labels,
                        source_id=self.source_id + source_suffix)
 
     def without_labels(self) -> "Dataset":
-        return replace(self, labels=None)
+        """The same frozen features, with no labels."""
+        return replace(self, features=self.features.view(_Built), labels=None)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
-        return replace(self, labels=labels)
+        """The same frozen features, with a copy of ``labels``."""
+        return replace(self, features=self.features.view(_Built), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
     else:
         try:
             with open(path, newline="", encoding="utf-8-sig") as fh:
-                rows = filter(None, csv.reader(fh))
+                rows = _numbered(csv.reader(fh))
                 try:
                     raw, feature_names, labels = _parse_rows(rows, schema, path)
                 except DataError:
@@ -364,19 +368,28 @@ def _read_clean_csv(path: Path, schema: CsvSchema):
     return raw, tuple(header[i] for i in columns), labels
 
 
+def _numbered(reader):
+    """(file line the row starts on, row) for each non-empty row of a
+    ``csv.reader``: blank lines and quoted line breaks count as lines."""
+    line = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield line, row
+        line = reader.line_num + 1
+
+
 def _parse_rows(rows, schema: CsvSchema, path: Path):
-    """Parse rows as read, cell by cell: features (NaN where missing), feature
+    """Parse ``_numbered`` rows, cell by cell: features (NaN where missing), feature
     names, and labels as (first-seen names, int64 codes) or None."""
     head = list(itertools.islice(rows, 2))
     if not head:
         raise DataError(f"empty file: {path}")
     if schema.has_header:
-        header = [c.strip() for c in head.pop(0)]
+        header = [c.strip() for c in head.pop(0)[1]]
         if not head:
             raise DataError(f"{path}: header only, no data rows")
     else:
-        header = [f"x{i}" for i in range(len(head[0]))]
-    first_line = 2 if schema.has_header else 1
+        header = [f"x{i}" for i in range(len(head[0][1]))]
 
     n_cols = len(header)
     label_idx = _resolve_label_column(schema.label_column, header, n_cols, path)
@@ -387,7 +400,7 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
     values = array("d")
     codes = None if label_idx is None else array("q")
     code_of: dict[str, int] = {}  # label name -> code, in first-seen order
-    for line, row in enumerate(itertools.chain(head, rows), first_line):
+    for n_rows, (line, row) in enumerate(itertools.chain(head, rows), 1):
         if len(row) != n_cols:
             raise DataError(
                 f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
@@ -412,7 +425,7 @@ def _parse_rows(rows, schema: CsvSchema, path: Path):
                         f"in column {header[i]!r}"
                     )
                 values.append(value)
-    raw = np.frombuffer(values).reshape(line + 1 - first_line, len(feature_names))
+    raw = np.frombuffer(values).reshape(n_rows, len(feature_names))
     labels = None if codes is None else (list(code_of), np.frombuffer(codes, np.int64))
     return raw, feature_names, labels
 

@@ -19,10 +19,13 @@ from operator import mul
 
 import numpy as np
 
+from mimiclearn.classifiers import ORIGIN_TEACHER, fit, predict_batch
 from mimiclearn.classifiers.forest import ForestModel, TreeNodes
 from mimiclearn.classifiers.svm import SvmModel
 from mimiclearn.data import Dataset, _resolve_label_column
 from mimiclearn.errors import DataError, PipelineError
+from mimiclearn.metrics import macro_metrics
+from mimiclearn.mimic import CvReport
 from mimiclearn.rng import STAGE_SGD, STAGE_TREE, derive_seed, generator
 
 
@@ -311,23 +314,23 @@ def fit_svm_stepwise(X, y, n_classes, reg_lambda, epochs, seed):
 def parse_rows_cellwise(rows, schema, path):
     """A separate copy of ``data._parse_rows``, the cell-by-cell parser: each
     cell stripped, matched against the missing token, then parsed with
-    ``float``. The labels come back as a list, one stripped name per row."""
+    ``float``. ``rows`` are (file line the row starts on, row) pairs. The labels
+    come back as a list, one stripped name per row."""
     head = list(itertools.islice(rows, 2))
     if not head:
         raise DataError(f"empty file: {path}")
     if schema.has_header:
-        header = [c.strip() for c in head.pop(0)]
+        header = [c.strip() for c in head.pop(0)[1]]
         if not head:
             raise DataError(f"{path}: header only, no data rows")
     else:
-        header = [f"x{i}" for i in range(len(head[0]))]
-    first_line = 2 if schema.has_header else 1
+        header = [f"x{i}" for i in range(len(head[0][1]))]
     n_cols = len(header)
     label_idx = _resolve_label_column(schema.label_column, header, n_cols, path)
     feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     values = array("d")
     label_values = None if label_idx is None else []
-    for line, row in enumerate(itertools.chain(head, rows), first_line):
+    for n_rows, (line, row) in enumerate(itertools.chain(head, rows), 1):
         if len(row) != n_cols:
             raise DataError(
                 f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
@@ -352,7 +355,7 @@ def parse_rows_cellwise(rows, schema, path):
                         f"in column {header[i]!r}"
                     )
                 values.append(value)
-    raw = np.frombuffer(values).reshape(line + 1 - first_line, len(feature_names))
+    raw = np.frombuffer(values).reshape(n_rows, len(feature_names))
     return raw, feature_names, label_values
 
 
@@ -368,6 +371,22 @@ def csv_text_rowwise(ds):
             row.append(ds.class_names[ds.labels[r]])
         writer.writerow(row)
     return buf.getvalue()
+
+
+def cross_validate_foldwise(spec, train_set, assignment):
+    """``mimic._cross_validate`` one fold at a time: each fold's model is fit
+    on ``train_set.select`` of the other folds' rows, then scores its fold."""
+    n_classes = len(train_set.class_names)
+    accs, f1s = [], []
+    for fold in range(assignment.k):
+        fit_part = train_set.select(assignment.train_indices(fold))
+        eval_part = train_set.select(assignment.test_indices(fold))
+        model = fit(spec, fit_part, ORIGIN_TEACHER)
+        report = macro_metrics(eval_part.labels, predict_batch(model, eval_part.features),
+                               n_classes)
+        accs.append(report.accuracy)
+        f1s.append(report.f1)
+    return CvReport(spec=spec, fold_accuracies=tuple(accs), fold_macro_f1=tuple(f1s))
 
 
 def confusion_counts_loop(y_true, y_pred, positive):

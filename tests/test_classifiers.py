@@ -32,6 +32,7 @@ from mimiclearn.classifiers.forest import (
     ForestModel,
     TreeNodes,
     fit_forest,
+    fit_forests,
     forest_votes,
 )
 from mimiclearn.classifiers.knn import KnnModel, fit_knn, knn_vote
@@ -676,6 +677,129 @@ class TestFreshDraws:
             model = fit(spec, part, ORIGIN_TEACHER)
             _assert_same_trees(model.params, fit_forest_recursive(
                 part.features, part.labels, 2, 5, 8, 2, 4))
+
+
+def _fold_subsets(n_rows, k, seed):
+    """A race's waves of training rows: folds drawn at random, so their sizes
+    differ, then each fold's training rows, two folds per wave (an odd k
+    leaves a lone last fold)."""
+    fold_of = generator(seed).integers(0, k, size=n_rows)
+    train = [np.flatnonzero(fold_of != fold) for fold in range(k)]
+    return [train[first : first + 2] for first in range(0, k, 2)]
+
+
+def _assert_wave_equals_own_fits(X, y, subsets, n_classes, n_trees, max_depth, min_split, seed):
+    wave = fit_forests(X, y, subsets, n_classes, n_trees, max_depth, min_split, seed)
+    assert len(wave.trees) == len(subsets) * n_trees
+    for i, rows in enumerate(subsets):
+        own = fit_forest(X[rows], y[rows], n_classes, n_trees, max_depth, min_split, seed)
+        trees = wave.trees[i * n_trees : (i + 1) * n_trees]
+        _assert_same_trees(ForestModel(trees, wave.n_features, wave.n_classes), own)
+
+
+class TestFoldWaves:
+    # a wave grows several ascending row subsets of one matrix together; each
+    # subset's trees equal those of its own fit, in every field and dtype
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_waves_equal_own_fits_on_tied_cells(self, n_classes):
+        # the tie-heavy data of test_trees_equal_the_recursive_reference
+        rng = generator(140 + n_classes)
+        eps = np.finfo(np.float64).eps
+        for trial in range(8):
+            n_rows = int(rng.integers(24, 120))
+            n_features = int(rng.integers(1, 7))
+            X = rng.integers(0, int(rng.integers(2, 6)), size=(n_rows, n_features))
+            X = 1.0 + eps * X if trial % 2 else X.astype(np.float64)
+            y = rng.integers(0, n_classes, size=n_rows)
+            k = int(rng.choice([2, 3, 5]))
+            max_depth = int(rng.choice([0, 1, 3, 16]))
+            min_split = int(rng.choice([2, 5, 20]))
+            for subsets in _fold_subsets(n_rows, k, trial):
+                _assert_wave_equals_own_fits(X, y, subsets, n_classes, 3, max_depth,
+                                             min_split, int(rng.integers(0, 1000)))
+
+    @pytest.mark.parametrize("n_trees, max_depth", [(1, 16), (7, 16), (100, 16), (7, 0)])
+    def test_waves_equal_own_fits_at_forest_sizes(self, n_trees, max_depth):
+        X, y = _small_forest_data()
+        for subsets in _fold_subsets(100, 3, n_trees):
+            _assert_wave_equals_own_fits(X, y, subsets, 3, n_trees, max_depth, 2, 11)
+
+    @pytest.mark.parametrize("in_flight", [1, 7, 100])
+    @pytest.mark.parametrize("step_rows", [1, forest.STEP_ROWS, 10**9])
+    def test_waves_do_not_depend_on_batching(self, step_rows, in_flight, monkeypatch):
+        # the extremes of test_trees_do_not_depend_on_batching: one slot or
+        # more slots than trees per subset, one node or every node per step
+        monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
+        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
+        X, y = _small_forest_data()
+        for subsets in _fold_subsets(100, 3, 5):
+            _assert_wave_equals_own_fits(X, y, subsets, 3, 12, 16, 2, 6)
+
+    def test_default_pair_grows_in_one_wave(self, monkeypatch):
+        # both folds' trees start before the first step, which fills the
+        # pair's budget of twice STEP_ROWS rows
+        X, y = _small_forest_data()
+        n_trees = DEFAULT_HYPERPARAMETERS["rf"]["n_trees"]
+        plain, split_step, seeds, rows = forest.generator, forest._split_step, [], []
+        monkeypatch.setattr(forest, "generator", lambda seed: seeds.append(seed) or plain(seed))
+
+        def stop_at_first_step(*args):
+            rows.append(int(inspect.signature(split_step).bind(*args).arguments["m"].sum()))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(forest, "_split_step", stop_at_first_step)
+        with pytest.raises(KeyboardInterrupt):
+            fit_forests(X, y, _fold_subsets(100, 2, 1)[0], 3, n_trees, 16, 2, 9)
+        assert len(seeds) == 2 * n_trees
+        assert forest.STEP_ROWS < rows[0] <= 2 * forest.STEP_ROWS
+
+    def test_fit_of_subsets_holds_each_subset_model_in_turn(self, cardio_ds):
+        spec = ClassifierSpec("rf", {"n_trees": 6, "max_depth": 8}, seed=4)
+        subsets = _fold_subsets(cardio_ds.n_rows, 2, 3)[0]
+        model = fit(spec, cardio_ds, ORIGIN_TEACHER, subsets)
+        for i, rows in enumerate(subsets):
+            own = fit(spec, cardio_ds.select(rows), ORIGIN_TEACHER).params
+            _assert_same_trees(ForestModel(model.params.trees[6 * i : 6 * (i + 1)], 11, 2), own)
+
+    def test_single_class_subset_is_refused_as_its_own_fit_is(self, toy):
+        spec = ClassifierSpec("rf", {"n_trees": 3})
+        one_class = np.flatnonzero(toy.labels == 0)
+        with pytest.raises(PipelineError) as own:
+            fit(spec, toy.select(one_class), ORIGIN_TEACHER)
+        with pytest.raises(PipelineError) as wave:
+            fit(spec, toy, ORIGIN_TEACHER, [np.arange(toy.n_rows), one_class])
+        assert str(wave.value) == str(own.value)
+
+    @pytest.mark.parametrize("subsets", [
+        [], [[]], [[2, 1]], [[1, 1]], [[-1, 2]], [[0, 10**6]], [np.array([3, 1], np.uint8)],
+        [[0.0, 1.0]], [np.ones(4, bool)], [[[0, 1]]],
+    ])
+    def test_subsets_must_be_ascending_row_indices(self, toy, subsets):
+        with pytest.raises(PipelineError, match="strictly ascending"):
+            fit(ClassifierSpec("rf", {"n_trees": 3}), toy, ORIGIN_TEACHER, subsets)
+
+    @pytest.mark.parametrize("kind", ["svm", "knn", "nb"])
+    def test_other_families_fit_one_subset_per_call(self, toy, kind):
+        with pytest.raises(PipelineError, match="one row subset per call"):
+            fit(ClassifierSpec(kind), toy, ORIGIN_TEACHER, [np.arange(toy.n_rows)])
+
+    def test_pair_peak_allocation_stays_bounded(self):
+        # two 630-row folds of a 700-row partition, as a race grows them:
+        # twice the slots and step rows of one fit, which peaks near 3.3 MB
+        ds = cardio_like().select(np.arange(700))
+        hp = DEFAULT_HYPERPARAMETERS["rf"]
+        subsets = _fold_subsets(700, 10, 1)[0]
+        args = (ds.features, ds.labels, subsets, 2, hp["n_trees"], hp["max_depth"],
+                hp["min_split"], 1)
+        fit_forests(*args[:4], 2, *args[5:])  # warm-up: lazy imports and first calls
+        tracemalloc.start()
+        try:
+            fit_forests(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, f"pair fit peaked at {peak / 1e6:.1f} MB"
 
 
 class TestNaiveBayesOracle:

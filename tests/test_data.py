@@ -104,6 +104,16 @@ class TestIngest:
         with pytest.raises(DataError, match="line 3"):
             ingest_csv(path, CsvSchema(label_column="label"))
 
+    @pytest.mark.parametrize("text", ["a,y\n1,p\n\nfoo,n\n", 'a,y\n1,"p\nq"\nfoo,n\n'],
+                             ids=["blank-line", "quoted-line-break"])
+    def test_bad_cell_names_its_file_line(self, tmp_path, text, monkeypatch):
+        # the third row starts on line 4: line numbers count file lines, not rows
+        path = _write(tmp_path, text)
+        want = f"{path} line 4: non-numeric value 'foo' in column 'a'"
+        assert _ingest_result(path, CsvSchema(label_column="y")) == want
+        monkeypatch.setattr(data, "_parse_rows", _parse_rows_by_oracle)
+        assert _ingest_result(path, CsvSchema(label_column="y")) == want
+
     def test_non_numeric_feature_cell(self, tmp_path):
         path = _write(tmp_path, "a,label\nfoo,0\n1,1\n")
         with pytest.raises(DataError, match="non-numeric"):
@@ -651,6 +661,36 @@ class TestDataset:
         X[0, 0], y[0] = 99.0, 1
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == [0, 1]
+
+    def test_relabeled_datasets_share_the_frozen_features(self, toy):
+        labels = np.array(toy.labels)
+        unlabeled = toy.without_labels()
+        relabeled = unlabeled.with_labels(labels)
+        for ds in (unlabeled, relabeled):
+            assert np.shares_memory(ds.features, toy.features)
+            assert not ds.features.flags.writeable
+        assert not np.shares_memory(relabeled.labels, labels)  # a caller's array
+
+    def test_relabeling_and_selecting_copy_no_matrix(self):
+        # 100,000 x 11 features are 8.8 MB; each step allocates only its result
+        n, d = 100_000, 11
+        ds = Dataset(generator(8).normal(size=(n, d)), tuple(f"x{i}" for i in range(d)),
+                     np.arange(n) % 2, ("a", "b"), "big")
+        half = np.arange(0, n, 2)
+        steps = {
+            "without_labels": (ds.without_labels, 0),
+            "with_labels": (lambda: ds.with_labels(ds.labels), ds.labels.nbytes),
+            "select": (lambda: ds.select(half), (ds.features.nbytes + ds.labels.nbytes) // 2),
+        }
+        ds.select(half[:2]).without_labels().with_labels(half[:2] % 2)  # warm-up
+        for name, (step, result_bytes) in steps.items():
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < result_bytes + 50_000, f"{name} peaked at {peak / 1e6:.2f} MB"
 
     def test_features_are_read_only(self, toy):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import mimiclearn
+from mimiclearn import classifiers
 from mimiclearn.classifiers import (
+    FAMILIES,
     ORIGIN_STUDENT,
     ORIGIN_TEACHER,
     ClassifierSpec,
@@ -12,10 +15,11 @@ from mimiclearn.classifiers import (
     fit,
     predict_batch,
 )
-from mimiclearn.data import SplitSpec, stratified_split
+from mimiclearn.data import SplitSpec, kfold, stratified_split
 from mimiclearn.errors import DataError, PipelineError
 from mimiclearn.mimic import (
     PipelineConfig,
+    _cross_validate,
     annotate,
     evaluate_fidelity,
     run_json,
@@ -23,9 +27,10 @@ from mimiclearn.mimic import (
     train_student,
     train_teacher,
 )
-from mimiclearn.rng import STAGE_SPLIT, derive_seed
+from mimiclearn.rng import STAGE_FOLDS, STAGE_SPLIT, derive_seed
+from mimiclearn.synthetic import cardio_like
 
-from oracles import threshold_toy
+from oracles import cross_validate_foldwise, threshold_toy
 
 
 def _assert_same_model(a, b):
@@ -119,6 +124,34 @@ class TestRace:
         _, race = train_teacher(toy, config)
         assert race.reports[0].mean_accuracy == race.reports[1].mean_accuracy
         assert race.winner_index == 0
+
+
+    def test_default_race_grows_rf_folds_two_per_wave(self, monkeypatch):
+        # run-cardio's teacher race: a default config on the 700-row private
+        # part of cardio_like grows its rf folds in ceil(k / 2) waves of two
+        dataset = cardio_like()
+        private = stratified_split(dataset, SplitSpec(seed=derive_seed(1, STAGE_SPLIT))).private
+        config = PipelineConfig(specs=default_specs(1), seed=1)
+        waves, grow = [], classifiers.fit_forests
+
+        def counted(X, y, subsets, *args):
+            waves.append(len(subsets))
+            return grow(X, y, subsets, *args)
+
+        monkeypatch.setattr(classifiers, "fit_forests", counted)
+        _, race = train_teacher(private, config)
+        assert private.n_rows == 700 and waves == [2] * math.ceil(config.cv_k / 2)
+        assignment = kfold(private, config.cv_k, derive_seed(1, STAGE_FOLDS))
+        rf = race.reports[FAMILIES.index("rf")]
+        assert rf == cross_validate_foldwise(rf.spec, private, assignment)
+
+    @pytest.mark.parametrize("cv_k", [2, 5])
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: spec.kind)
+    def test_fold_scores_equal_fold_by_fold_fits(self, heart_ds, spec, cv_k):
+        # an odd k leaves rf a lone last fold
+        assignment = kfold(heart_ds, cv_k, 7)
+        assert _cross_validate(spec, heart_ds, assignment) == cross_validate_foldwise(
+            spec, heart_ds, assignment)
 
 
 class TestAnnotate:
