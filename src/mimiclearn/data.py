@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import reprlib
-import warnings
 from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,11 +27,11 @@ from .rng import generator
 
 
 class _Built(np.ndarray):
-    """An array ingest has just built, which :class:`Dataset` freezes in place."""
+    """A fresh array, or a dataset's own, which :class:`Dataset` freezes in place."""
 
 
 def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
-    out = a.view(np.ndarray) if type(a) is _Built else np.array(a, dtype=dtype)
+    out = np.asarray(a, dtype) if type(a) is _Built else np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -88,17 +87,25 @@ class Dataset:
     def select(self, idx: np.ndarray, source_suffix: str = "") -> "Dataset":
         """Row subset, preserving label/schema metadata; the indexed rows are
         frozen in place, not copied again."""
-        labels = None if self.labels is None else self.labels[idx].view(_Built)
-        return replace(self, features=self.features[idx].view(_Built), labels=labels,
-                       source_id=self.source_id + source_suffix)
+        labels = None if self.labels is None else self.labels[idx]
+        return self._sharing(features=self.features[idx], labels=labels,
+                             source_id=self.source_id + source_suffix)
 
     def without_labels(self) -> "Dataset":
         """The same frozen features, with no labels."""
-        return replace(self, features=self.features.view(_Built), labels=None)
+        return self._sharing(labels=None)
 
     def with_labels(self, labels: np.ndarray) -> "Dataset":
         """The same frozen features, with a copy of ``labels``."""
-        return replace(self, features=self.features.view(_Built), labels=labels)
+        return self._sharing(labels=np.array(labels, dtype=np.int64))
+
+    def _sharing(self, **changes) -> "Dataset":
+        """``replace(self, **changes)``, freezing in place the features and labels,
+        each this dataset's own or a fresh array that no one else holds."""
+        for name in ("features", "labels"):
+            a = changes.get(name, getattr(self, name))
+            changes[name] = None if a is None else a.view(_Built)
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ class ScalerParams:
     def standardize(self, X: np.ndarray) -> np.ndarray:
         """``(X - means) / std_devs``; where x - mean overflows, both are halved first."""
         with np.errstate(over="ignore"):
-            z = (X - self.means) / self.std_devs
+            z = X - self.means
+            z /= self.std_devs
             far = ~np.isfinite(z)
             if far.any():
                 z[far] = ((X / 2 - self.means / 2) / self.std_devs * 2)[far]
@@ -214,12 +222,13 @@ class SplitResult:
 def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStats]:
     """Load a CSV per ``schema``, returning the dataset and ingestion stats.
 
-    A file with no quote, NUL byte, missing token or empty cell, whose rows
-    all have the first row's column count and whose feature cells are all
-    finite numbers, is read by numpy's C reader (``np.loadtxt``). Any other
-    file is read by the cell-by-cell parser, which imputes missing cells and
-    names each bad cell's line and column; a file both can read gives the
-    same bytes through either. Both return labels as (names, codes).
+    The header is read first, for either reader. A file with no quote, NUL
+    byte, missing token or empty cell, whose rows all have the first row's
+    column count and whose feature cells are all finite numbers, is then read
+    by numpy's C reader (``np.loadtxt``). Any other file is read on by the
+    cell-by-cell parser, which imputes missing cells and names each bad
+    cell's line and column; a file both can read gives the same bytes through
+    either. Both return labels as (names, codes).
 
     Raises DataError for a missing, unreadable or empty file, ragged rows
     (naming the line), non-numeric or non-finite feature cells (naming the
@@ -229,23 +238,25 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
     if not path.is_file():
         problem = "not a regular file" if path.exists() else "no such file"
         raise DataError(f"{problem}: {path}")
-    parsed = _read_clean_csv(path, schema)
-    if parsed is not None:
-        raw, feature_names, labels = parsed
-        n_imputed = 0
-    else:
-        try:
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                rows = _numbered(csv.reader(fh))
-                try:
-                    raw, feature_names, labels = _parse_rows(rows, schema, path)
-                except DataError:
-                    for _ in rows:  # a read error further on is reported first
-                        pass
-                    raise
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = _numbered(csv.reader(fh))
+            try:
+                header, label_idx, first = _head(rows, schema, path)
+                parsed = _read_clean_csv(path, schema, header, label_idx, first[0] - 1)
+                if by_cells := parsed is None:
+                    parsed = _parse_rows(itertools.chain([first], rows), header, label_idx,
+                                         schema, path)
+            except DataError:
+                for _ in rows:  # a read error further on is reported first
+                    pass
+                raise
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read as a UTF-8 CSV: {exc}") from None
 
+    raw, feature_names, labels = parsed
+    n_imputed = 0
+    if by_cells:
         missing = np.isnan(raw)  # parsed cells are finite, so NaN marks a missing cell
         n_imputed = int(missing.sum())
         for c in np.nonzero(missing.any(axis=0))[0]:
@@ -309,60 +320,49 @@ def _load_columns(path: Path, skip_lines: int, usecols: list[int], dtype) -> np.
                           usecols=usecols, ndmin=2)
 
 
-def _read_clean_csv(path: Path, schema: CsvSchema):
-    """``_parse_rows``' result through ``np.loadtxt``, with the labels as
-    (names, codes), or None for a file that only ``_parse_rows`` may read.
+def _head(rows, schema: CsvSchema, path: Path):
+    """The stripped header (``x0``, ``x1``... if the file has none), the label
+    column's index, and the first data row, read from ``_numbered`` rows."""
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"empty file: {path}")
+    header = [c.strip() for c in first[1]]
+    if not schema.has_header:
+        header = [f"x{i}" for i in range(len(header))]
+    elif (first := next(rows, None)) is None:
+        raise DataError(f"{path}: header only, no data rows")
+    return header, _resolve_label_column(schema.label_column, header, len(header), path), first
 
-    That is any file with a quote, NUL, empty cell, over-long field or the
-    missing token's text anywhere, a row with another column count, a feature
-    cell that is not a finite number, or a blank label. A cell is missing only
-    if it strips to the token, so a number equal to a numeric token (-999.0
-    for -999) is a value to both readers.
-    """
+
+def _read_clean_csv(path: Path, schema: CsvSchema, header, label_idx, skip_lines: int):
+    """``_parse_rows``' result for the rows after the first ``skip_lines`` lines,
+    read by ``np.loadtxt`` with the labels as (names, codes); or None for a file
+    that only ``_parse_rows`` may read: a quote, NUL, empty cell, over-long
+    field or the missing token's text anywhere, a row with another column
+    count, a feature cell that is not a finite number, or a blank label. A
+    cell is missing only if it strips to the token, so a number equal to a
+    numeric token (-999.0 for -999) is a value to both readers."""
+    columns = [i for i in range(len(header)) if i != label_idx]
+    if not columns:
+        return None
+    labels = None
     try:
         commas = _scan_csv_bytes(path, schema.missing_token.encode())
         if commas is None:
             return None
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            first = next(filter(None, reader), None)
-            header_lines = reader.line_num if schema.has_header else 0
-    except (OSError, ValueError, csv.Error):  # ValueError covers UnicodeError
-        return None
-    if first is None:
-        return None
-    if schema.has_header:
-        header = [c.strip() for c in first]
-    else:
-        header = [f"x{i}" for i in range(len(first))]
-    n_cols = len(header)
-    try:
-        label_idx = _resolve_label_column(schema.label_column, header, n_cols, path)
-    except DataError:
-        return None
-    columns = [i for i in range(n_cols) if i != label_idx]
-    if not columns:
+        if label_idx is not None:
+            # object cells, not str: a str array gives every row the longest label's width
+            cells = _load_columns(path, skip_lines, [label_idx], object)[:, 0]
+            distinct = np.array(sorted(set(cells)), dtype=object)
+            labels = [name.strip() for name in distinct], np.searchsorted(distinct, cells)
+            del cells  # before the feature pass, which holds the float matrix
+        raw = _load_columns(path, skip_lines, columns, np.float64)
+    except (OSError, ValueError):  # ValueError covers UnicodeError
         return None
 
-    labels = None
-    try:
-        with warnings.catch_warnings():  # no data rows: refused below, not warned of
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            if label_idx is not None:
-                # object cells, not str: a str array gives every row the longest label's width
-                cells = _load_columns(path, header_lines, [label_idx], object)[:, 0]
-                distinct = np.array(sorted(set(cells)), dtype=object)
-                labels = [name.strip() for name in distinct], np.searchsorted(distinct, cells)
-                del cells  # before the feature pass, which holds the float matrix
-            raw = _load_columns(path, header_lines, columns, np.float64)
-    except (OSError, ValueError):
-        return None
-
-    n_rows = raw.shape[0]
-    if (n_rows == 0
-            # with usecols, loadtxt reads a row with extra cells
-            or commas != (n_rows + int(schema.has_header)) * (n_cols - 1)
-            or (labels is not None and (labels[1].size != n_rows or "" in labels[0]))
+    # with usecols, loadtxt reads a row with extra cells
+    if (commas != (len(raw) + int(schema.has_header)) * (len(header) - 1)
+            or (labels is not None and (labels[1].size != len(raw) or "" in labels[0]))
             or not np.isfinite(raw).all()):
         return None
     return raw, tuple(header[i] for i in columns), labels
@@ -378,33 +378,18 @@ def _numbered(reader):
         line = reader.line_num + 1
 
 
-def _parse_rows(rows, schema: CsvSchema, path: Path):
-    """Parse ``_numbered`` rows, cell by cell: features (NaN where missing), feature
-    names, and labels as (first-seen names, int64 codes) or None."""
-    head = list(itertools.islice(rows, 2))
-    if not head:
-        raise DataError(f"empty file: {path}")
-    if schema.has_header:
-        header = [c.strip() for c in head.pop(0)[1]]
-        if not head:
-            raise DataError(f"{path}: header only, no data rows")
-    else:
-        header = [f"x{i}" for i in range(len(head[0][1]))]
-
+def _parse_rows(rows, header, label_idx, schema: CsvSchema, path: Path):
+    """Parse the ``_numbered`` data rows under ``_head``'s ``header`` and
+    ``label_idx``, cell by cell: features (NaN where missing), feature names,
+    and labels as (first-seen names, int64 codes) or None."""
     n_cols = len(header)
-    label_idx = _resolve_label_column(schema.label_column, header, n_cols, path)
-    feature_names = tuple(
-        name for i, name in enumerate(header) if i != label_idx
-    )
-
+    feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     values = array("d")
     codes = None if label_idx is None else array("q")
     code_of: dict[str, int] = {}  # label name -> code, in first-seen order
-    for n_rows, (line, row) in enumerate(itertools.chain(head, rows), 1):
+    for n_rows, (line, row) in enumerate(rows, 1):
         if len(row) != n_cols:
-            raise DataError(
-                f"{path} line {line}: expected {n_cols} columns, found {len(row)}"
-            )
+            raise DataError(f"{path} line {line}: expected {n_cols} columns, found {len(row)}")
         for i, cell in enumerate(row):
             cell = cell.strip()
             if i == label_idx:
@@ -532,7 +517,7 @@ def apply_scaler(ds: Dataset, scaler: ScalerParams) -> Dataset:
         raise DataError(
             f"scaler has {scaler.means.shape[0]} columns, dataset has {ds.n_features}"
         )
-    return replace(ds, features=scaler.standardize(ds.features))
+    return ds._sharing(features=scaler.standardize(ds.features))
 
 
 def _allocate_counts(count: int, fractions: tuple[float, ...]) -> list[int]:

@@ -322,8 +322,8 @@ def annotate(teacher: TrainedModel, pool: Dataset) -> Dataset:
         )
     if pool.labels is not None:
         raise PipelineError("annotation pool must be unlabeled")
-    return replace(pool, labels=predict_batch(teacher, pool.features),
-                   class_names=teacher.class_names)
+    return pool._sharing(labels=predict_batch(teacher, pool.features),
+                         class_names=teacher.class_names)
 
 
 def train_student(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tempfile
@@ -166,8 +167,8 @@ class TestIngest:
         # one "?" cell more sends the same rows to the cell-by-cell parser
         imputed = _write(tmp_path, csv_text(ds) + f"?,0,0,{toy.class_names[0]}\r\n", "imputed.csv")
         schema = CsvSchema(label_column="label", positive_class=toy.class_names[1])
-        assert data._read_clean_csv(path, schema) is not None
-        assert data._read_clean_csv(imputed, schema) is None
+        assert _takes_the_c_reader(path, schema)
+        assert not _takes_the_c_reader(imputed, schema)
         rows = np.arange(ds.n_rows)
         for back in (load_csv(path, schema), load_csv(imputed, schema).select(rows)):
             assert back.features.tobytes() == ds.features.tobytes()
@@ -186,12 +187,14 @@ class TestIngest:
         with pytest.raises(DataError, match="column 'b' has no known values"):
             ingest_csv(path, CsvSchema(label_column="label"))
 
-    def test_read_error_later_in_the_file_is_reported_first(self, tmp_path):
+    # the DataError is a bad cell's ("x"), or the header step's (no column "nope")
+    @pytest.mark.parametrize("label_column", ["label", "nope"])
+    def test_read_error_later_in_the_file_is_reported_first(self, tmp_path, label_column):
         # the undecodable byte lies past the first read buffers
         path = tmp_path / "bad.csv"
         path.write_bytes(b"a,label\n1,0\nx,1\n" + b"2,1\n" * 20_000 + b"\xff,0\n")
         with pytest.raises(DataError, match="cannot read as a UTF-8 CSV"):
-            ingest_csv(path, CsvSchema(label_column="label"))
+            ingest_csv(path, CsvSchema(label_column=label_column))
 
     def test_long_bad_cell_is_echoed_cut_short(self, tmp_path):
         # a quote before a number runs its cell on to the next quote, 60 KB later
@@ -305,12 +308,15 @@ def test_ingest_matches_the_cell_by_cell_reference(
     assert got == by_rows == want
 
 
-def _no_c_reader(path, schema):
+def _no_c_reader(path, schema, header, label_idx, skip_lines):
     return None
 
 
-def _parse_rows_by_oracle(rows, schema, path):
-    """``parse_rows_cellwise`` with its label list as (first-seen names, codes)."""
+def _parse_rows_by_oracle(rows, header, label_idx, schema, path):
+    """``parse_rows_cellwise``, given the header row back, with its label list
+    as (first-seen names, codes)."""
+    if schema.has_header:
+        rows = itertools.chain([(1, header)], rows)
     raw, feature_names, label_values = parse_rows_cellwise(rows, schema, path)
     if label_values is None:
         return raw, feature_names, None
@@ -385,6 +391,10 @@ _LABELED = CsvSchema(label_column="y")
 @example(case=("a,y\n", _LABELED))  # a header and no data rows
 @example(case=("a,y\n\n\r\n", _LABELED))  # blank data lines only
 @example(case=("a,y\n0." + "0" * 140_000 + "1,p\n", _LABELED))  # over csv's field limit
+# loadtxt skips empty lines only, so neither reads zero rows or warns of no data
+@example(case=("a\n  \n", CsvSchema()))  # a whitespace-only data line
+@example(case=("a,y\n\r\n1,p\n2,n\n", _LABELED))  # an empty CRLF line after the header
+@example(case=("\n\na,y\n1,p\n\n2,n\n", _LABELED))  # blank lines before the header
 @settings(max_examples=100, deadline=None)
 def test_c_reader_matches_the_row_parser(case):
     """Reading raw bytes with the C reader gives what the row parser gives:
@@ -404,6 +414,8 @@ def test_c_reader_matches_the_row_parser(case):
     ("a,y\n1,p\n2,n\n", True),
     ("\ufeffa,y\r\n1, p \r\n\r\n\x1c2,n", True),
     ("a,y\r1,p\r2,n\r", True),
+    ("\n\na,y\n1,p\n\n2,n\n", True),  # blank lines before the header
+    ("a,y\n\r\n1,p\n2,n\n", True),
     ("a,y\n?,p\n2,n\n", False),  # a missing cell to impute
     ("a,y\n1,p,5\n2,n\n", False),
     ("a,y\n1,p\n  \n2,n\n", False),
@@ -414,7 +426,24 @@ def test_c_reader_matches_the_row_parser(case):
 def test_which_files_take_the_c_reader(tmp_path, text, c_reader):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (data._read_clean_csv(path, _LABELED) is not None) == c_reader
+    assert _takes_the_c_reader(path, _LABELED) == c_reader
+
+
+def _takes_the_c_reader(path, schema):
+    """Whether ``ingest_csv`` reads ``path`` through the C reader."""
+    c_reader, results = data._read_clean_csv, []
+
+    def read_clean_csv(*args):
+        results.append(c_reader(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_read_clean_csv", read_clean_csv)
+        try:
+            ingest_csv(path, schema)
+        except DataError:
+            pass
+    return bool(results) and results[0] is not None
 
 
 _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
@@ -471,6 +500,25 @@ class TestScaler:
         scaled = apply_scaler(toy, scaler)
         np.testing.assert_allclose(scaled.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(scaled.features.std(axis=0), 1.0, atol=1e-12)
+
+    def test_scaled_dataset_shares_the_labels_and_copies_no_matrix(self):
+        # 100,000 x 11 features are 8.8 MB; a second copy of the scaled matrix peaks at 18 MB
+        n, d = 100_000, 11
+        ds = Dataset(generator(8).normal(size=(n, d)), tuple(f"x{i}" for i in range(d)),
+                     np.arange(n) % 2, ("a", "b"), "big")
+        scaler = fit_scaler(ds)
+        apply_scaler(ds.select(np.arange(2)), scaler)  # warm-up
+        tracemalloc.start()
+        try:
+            scaled = apply_scaler(ds, scaler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11_000_000, f"apply_scaler peaked at {peak / 1e6:.1f} MB"
+        assert np.shares_memory(scaled.labels, ds.labels)
+        assert not scaled.features.flags.writeable
+        np.testing.assert_array_equal(scaled.features, (ds.features - scaler.means)
+                                      / scaler.std_devs)
 
     def test_constant_column_passes_through_unchanged(self):
         ds = Dataset(

@@ -173,6 +173,9 @@ class TestAnnotate:
         np.testing.assert_array_equal(
             ann.labels, predict_batch(teacher, split.public_pool.features)
         )
+        # the pool's frozen features are shared, not copied again
+        assert np.shares_memory(ann.features, split.public_pool.features)
+        assert not ann.features.flags.writeable and not ann.labels.flags.writeable
 
     def test_refuses_student_model_and_labeled_pool(self, toy):
         split = stratified_split(toy, SplitSpec(seed=derive_seed(4, STAGE_SPLIT)))
