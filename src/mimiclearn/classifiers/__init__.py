@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from ..data import Dataset, ScalerParams, apply_scaler, fit_scaler
+from ..data import Dataset, FoldAssignment, ScalerParams, apply_scaler, fit_scaler
 from ..errors import DataError, PipelineError
 from ..rng import STAGE_SPEC, derive_seed
 from .bayes import NbModel, fit_nb, nb_log_posterior, nb_posterior
@@ -70,7 +70,8 @@ class Family:
     ``record`` is the params' dataclass, written to model files; knn has None.
     ``fit_subsets``, which only an unscaled family may have, takes ``(X, y,
     row subsets, n_classes, hyperparameters, seed)`` and fits them all at once
-    (see :func:`fit`).
+    into one params record (see :func:`fit`), which ``split`` cuts into each
+    subset's own, given their number.
     """
 
     defaults: dict
@@ -82,6 +83,7 @@ class Family:
     n_features: Callable
     record: type | None
     fit_subsets: Callable | None = None
+    split: Callable | None = None
 
 
 REGISTRY = {
@@ -122,6 +124,8 @@ REGISTRY = {
         fit_subsets=lambda X, y, subsets, n_classes, hp, seed: fit_forests(
             X, y, subsets, n_classes, hp["n_trees"], hp["max_depth"], hp["min_split"], seed
         ),
+        split=lambda p, n: [replace(p, trees=p.trees[i : i + len(p.trees) // n])
+                            for i in range(0, len(p.trees), len(p.trees) // n)],
     ),
     "nb": Family(
         defaults={"var_smoothing": 1e-9},
@@ -274,13 +278,28 @@ def fit(spec: ClassifierSpec, train: Dataset, origin: str, subsets=None) -> Trai
         params = family.fit(X, y, n_classes, spec.hyperparameters, spec.seed)
     else:
         params = family.fit_subsets(X, y, subsets, n_classes, spec.hyperparameters, spec.seed)
-    return TrainedModel(
-        spec=spec,
-        params=params,
-        class_names=train.class_names,
-        scaler=scaler,
-        origin=origin,
-    )
+    return TrainedModel(spec, params, train.class_names, scaler, origin)
+
+
+def fold_fits(spec: ClassifierSpec, train: Dataset, assignment: FoldAssignment):
+    """Yield ``(folds, data, subsets)`` for each fit of a k-fold race on ``train``:
+    ``fold_models(fit(spec, data, origin, subsets), len(folds))`` are the models of
+    ``folds``. A family with ``fit_subsets`` (rf) grows two folds per fit from one
+    sort of ``train``, so a pair pays its growth steps' fixed numpy cost once."""
+    width = 2 if REGISTRY[spec.kind].fit_subsets else 1
+    for first in range(0, assignment.k, width):
+        folds = range(first, min(first + width, assignment.k))
+        if width == 1:
+            yield folds, train.select(assignment.train_indices(first)), None
+        else:
+            yield folds, train, [assignment.train_indices(fold) for fold in folds]
+
+
+def fold_models(model: TrainedModel, n: int) -> list[TrainedModel]:
+    """Each subset's own model from a :func:`fit` of ``n`` subsets; ``[model]`` for one."""
+    if n == 1:
+        return [model]
+    return [replace(model, params=p) for p in REGISTRY[model.spec.kind].split(model.params, n)]
 
 
 def _ascending_rows(rows, n_rows) -> bool:

@@ -47,14 +47,16 @@ def nb_log_posterior(model: NbModel, X: np.ndarray) -> np.ndarray:
     """Unnormalized log posterior per class, shape (n_rows, n_classes)."""
     n_classes = model.priors.shape[0]
     out = np.empty((X.shape[0], n_classes))
+    z = np.empty_like(X)  # every class's terms, in X's layout: it decides how row sums round
     with np.errstate(divide="ignore"):  # zero priors for absent classes
         log_priors = np.log(model.priors)
     for c in range(n_classes):
         var = model.variances[c]
-        log_lik = -0.5 * (
-            np.log(2.0 * math.pi * var) + (X - model.means[c]) ** 2 / var
-        ).sum(axis=1)
-        out[:, c] = log_priors[c] + log_lik
+        np.subtract(X, model.means[c], out=z)
+        z **= 2
+        z /= var
+        z += np.log(2.0 * math.pi * var)
+        out[:, c] = log_priors[c] + -0.5 * z.sum(axis=1)
     return out
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 (missing/malformed input), 3 pipeline problem (training, privacy refusal,
-bad model file). Commands compute everything, then stage their files and rename
-each into place; no file of a failed command is left under the output directory.
+bad model file, out of memory). Commands compute everything, then stage their
+files and rename each into place; no file of a failed command is left under
+the output directory.
 
 Outputs are deterministic: rerunning a command with the same inputs and seed
 reproduces every artifact byte for byte. Training is single-threaded and
@@ -170,9 +171,9 @@ def _write_all(out: Path, artifacts: dict, owned=()) -> None:
     call does not write, such as an earlier run's ``student_model.json``, is
     removed first, so the manifest (last) names every file of its run. Each
     old file is moved into the staging directory before its new one is
-    renamed in; if any rename fails, every old file moves back, in reverse
-    order, and no new one stays. A target that is a directory is refused
-    before anything is written; any OSError is a UsageError.
+    renamed in; on any exception, an interrupt included, every old file moves
+    back, in reverse order, and no new one stays. A target that is a directory
+    is refused before anything is written; any OSError is a UsageError.
     """
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +195,7 @@ def _write_all(out: Path, artifacts: dict, owned=()) -> None:
                         done.append((name, False))
                     if name in artifacts:
                         os.replace(Path(stage, name), out / name)
-            except OSError:
+            except BaseException:
                 for name, saved in reversed(done):
                     if saved:
                         os.replace(old / name, out / name)
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except PipelineError as exc:
         print(f"mimiclearn: pipeline error: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE
+    except MemoryError:
+        print("mimiclearn: pipeline error: out of memory", file=sys.stderr)
         return EXIT_PIPELINE
 
 

@@ -17,7 +17,7 @@ runs are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .classifiers import (
     decide_batch,
     default_specs,
     fit,
+    fold_fits,
+    fold_models,
     predict_batch,
     score_batch,  # noqa: F401 -- kept bound: perfbench/spans.py wraps it by name
     specs_from_config,
@@ -137,11 +139,19 @@ class CvReport:
 
 @dataclass(frozen=True)
 class RaceResult:
-    """All CV reports plus which entry won under the selection metric."""
+    """All CV reports and the selection metric that picks the winner.
+
+    Ties on the selection metric fall back to mean macro-F1, then to the
+    earlier entry.
+    """
 
     reports: tuple[CvReport, ...]
-    winner_index: int
     selection_metric: str
+
+    @property
+    def winner_index(self) -> int:
+        return max(range(len(self.reports)), key=lambda i: (
+            self.reports[i].mean(self.selection_metric), self.reports[i].mean_macro_f1, -i))
 
     @property
     def winner(self) -> CvReport:
@@ -165,7 +175,6 @@ class FidelityReport:
     student differences for the headline metrics, AUC included.
     """
 
-    n_test: int
     teacher_metrics: MetricsReport
     student_metrics: MetricsReport
     teacher_macro: MetricsReport
@@ -173,7 +182,17 @@ class FidelityReport:
     teacher_roc: RocCurve
     student_roc: RocCurve
     agreement: float
-    deltas: dict = field(default_factory=dict)
+
+    @property
+    def n_test(self) -> int:
+        return self.teacher_metrics.n
+
+    @property
+    def deltas(self) -> dict:
+        t, s = self.teacher_metrics, self.student_metrics
+        return {"accuracy": t.accuracy - s.accuracy, "precision": t.precision - s.precision,
+                "recall": t.recall - s.recall, "f1": t.f1 - s.f1,
+                "auc": self.teacher_auc - self.student_auc}
 
     @property
     def teacher_auc(self) -> float:
@@ -213,7 +232,6 @@ class PipelineRun:
     """
 
     config: PipelineConfig
-    part_counts: dict
     row_ids: dict
     teacher_race: RaceResult
     student_race: RaceResult
@@ -221,6 +239,12 @@ class PipelineRun:
     fidelity: FidelityReport
     teacher: TrainedModel
     student: TrainedModel
+
+    @property
+    def part_counts(self) -> dict:
+        ids = self.row_ids
+        return {"private": len(ids["private"]), "public_pool": len(ids["public"]),
+                "test": len(ids["test"])}
 
     def to_json_dict(self) -> dict:
         return {
@@ -246,21 +270,8 @@ def run_json(run: PipelineRun) -> str:
 def _cross_validate(spec, train_set, assignment):
     n_classes = len(train_set.class_names)
     accs, f1s = [], []
-    # rf grows two folds' forests in one fit, from one sort of train_set: its
-    # growth steps have a fixed numpy cost, which a pair then pays once
-    width = 2 if spec.kind == "rf" else 1
-    for first in range(0, assignment.k, width):
-        folds = range(first, min(first + width, assignment.k))
-        if width == 1:
-            models = [fit(spec, train_set.select(assignment.train_indices(first)),
-                          ORIGIN_TEACHER)]
-        else:
-            both = fit(spec, train_set, ORIGIN_TEACHER,
-                       [assignment.train_indices(fold) for fold in folds])
-            n_trees, trees = spec.hyperparameters["n_trees"], both.params.trees
-            models = [replace(both, params=replace(both.params, trees=trees[i : i + n_trees]))
-                      for i in range(0, len(trees), n_trees)]
-            del both, trees
+    for folds, data, subsets in fold_fits(spec, train_set, assignment):
+        models = fold_models(fit(spec, data, ORIGIN_TEACHER, subsets), len(folds))
         for fold, model in zip(folds, models):
             eval_part = train_set.select(assignment.test_indices(fold))
             pred = predict_batch(model, eval_part.features)
@@ -275,30 +286,12 @@ def _select(
     train_set: Dataset, config: PipelineConfig, origin: str
 ) -> tuple[TrainedModel, RaceResult]:
     """Cross-validate every spec on ``train_set``, pick the best, and refit
-    it on all of ``train_set`` as an ``origin`` model.
-
-    Ties on the selection metric fall back to mean macro-F1, then to the
-    earlier entry in ``config.specs``.
-    """
+    it on all of ``train_set`` as an ``origin`` model."""
     if train_set.labels is None:
         raise DataError("model selection requires labeled data")
-    assignment = kfold(
-        train_set, config.cv_k, derive_seed(config.seed, STAGE_FOLDS)
-    )
-    reports = [
-        _cross_validate(spec, train_set, assignment)
-        for spec in config.specs
-    ]
-    values = [r.mean(config.selection_metric) for r in reports]
-    winner = max(
-        range(len(reports)),
-        key=lambda i: (values[i], reports[i].mean_macro_f1, -i),
-    )
-    race = RaceResult(
-        reports=tuple(reports),
-        winner_index=winner,
-        selection_metric=config.selection_metric,
-    )
+    assignment = kfold(train_set, config.cv_k, derive_seed(config.seed, STAGE_FOLDS))
+    reports = tuple(_cross_validate(spec, train_set, assignment) for spec in config.specs)
+    race = RaceResult(reports, config.selection_metric)
     return fit(race.winner.spec, train_set, origin), race
 
 
@@ -355,27 +348,14 @@ def evaluate_fidelity(
     t_pred, t_scores = decide_batch(teacher, test.features)
     s_pred, s_scores = decide_batch(student, test.features)
 
-    t_pos = positive_metrics(y, t_pred)
-    s_pos = positive_metrics(y, s_pred)
-    t_roc = roc(t_scores, y)
-    s_roc = roc(s_scores, y)
-    deltas = {
-        "accuracy": t_pos.accuracy - s_pos.accuracy,
-        "precision": t_pos.precision - s_pos.precision,
-        "recall": t_pos.recall - s_pos.recall,
-        "f1": t_pos.f1 - s_pos.f1,
-        "auc": t_roc.auc - s_roc.auc,
-    }
     return FidelityReport(
-        n_test=test.n_rows,
-        teacher_metrics=t_pos,
-        student_metrics=s_pos,
+        teacher_metrics=positive_metrics(y, t_pred),
+        student_metrics=positive_metrics(y, s_pred),
         teacher_macro=macro_metrics(y, t_pred, 2),
         student_macro=macro_metrics(y, s_pred, 2),
-        teacher_roc=t_roc,
-        student_roc=s_roc,
+        teacher_roc=roc(t_scores, y),
+        student_roc=roc(s_scores, y),
         agreement=float(np.mean(t_pred == s_pred)),
-        deltas=deltas,
     )
 
 
@@ -394,15 +374,8 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PipelineRun:
     annotated = annotate(teacher, split.public_pool)
     student, student_race = train_student(annotated, config)
     fidelity = evaluate_fidelity(teacher, student, split.test)
-
-    part_counts = {
-        "private": split.private.n_rows,
-        "public_pool": split.public_pool.n_rows,
-        "test": split.test.n_rows,
-    }
     return PipelineRun(
         config=config,
-        part_counts=part_counts,
         row_ids={k: [int(i) for i in v] for k, v in split.row_ids.items()},
         teacher_race=teacher_race,
         student_race=student_race,

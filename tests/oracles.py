@@ -274,6 +274,22 @@ def nb_log_posterior_direct(model, X):
     return out
 
 
+def nb_log_posterior_expression(model, X):
+    """``nb_log_posterior`` with each class's terms as one numpy expression, a
+    fresh temporary per operation (the code before its reused buffer)."""
+    n_classes = model.priors.shape[0]
+    out = np.empty((X.shape[0], n_classes))
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(model.priors)
+    for c in range(n_classes):
+        var = model.variances[c]
+        log_lik = -0.5 * (
+            np.log(2.0 * math.pi * var) + (X - model.means[c]) ** 2 / var
+        ).sum(axis=1)
+        out[:, c] = log_priors[c] + log_lik
+    return out
+
+
 def fit_svm_stepwise(X, y, n_classes, reg_lambda, epochs, seed):
     """``fit_svm`` computing ``||(w, b)||`` at every step rather than only
     where its running bound allows a projection: same draws, same float

@@ -20,13 +20,15 @@ from mimiclearn.classifiers import (
     decide_batch,
     default_specs,
     fit,
+    fold_fits,
+    fold_models,
     predict,
     predict_batch,
     score_batch,
     specs_from_config,
 )
 from mimiclearn.classifiers import forest, svm
-from mimiclearn.classifiers.bayes import nb_log_posterior
+from mimiclearn.classifiers.bayes import fit_nb, nb_log_posterior
 from mimiclearn.classifiers.forest import (
     WALK_ROWS,
     ForestModel,
@@ -37,7 +39,7 @@ from mimiclearn.classifiers.forest import (
 )
 from mimiclearn.classifiers.knn import KnnModel, fit_knn, knn_vote
 from mimiclearn.classifiers.svm import SvmModel, fit_svm, svm_margin
-from mimiclearn.data import Dataset, ScalerParams, apply_scaler, fit_scaler
+from mimiclearn.data import Dataset, ScalerParams, apply_scaler, fit_scaler, kfold
 from mimiclearn.errors import PipelineError
 from mimiclearn.metrics import roc
 from mimiclearn.model_io import export_model, import_model
@@ -53,6 +55,7 @@ from oracles import (
     knn_votes_bruteforce,
     linearly_separable,
     nb_log_posterior_direct,
+    nb_log_posterior_expression,
     threshold_toy,
 )
 
@@ -779,6 +782,25 @@ class TestFoldWaves:
         with pytest.raises(PipelineError, match="strictly ascending"):
             fit(ClassifierSpec("rf", {"n_trees": 3}), toy, ORIGIN_TEACHER, subsets)
 
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_fold_fits_give_each_fold_its_own_model(self, heart_ds, kind, k):
+        # rf pairs its folds (an odd k leaves a lone last one); the others fit
+        # one fold's rows at a time; every fold model decides as its own fit
+        spec = ClassifierSpec(kind, {"n_trees": 6} if kind == "rf" else {}, seed=4)
+        assignment = kfold(heart_ds, k, 3)
+        seen = []
+        for folds, data, subsets in fold_fits(spec, heart_ds, assignment):
+            assert len(folds) == (min(2, k - folds[0]) if kind == "rf" else 1)
+            models = fold_models(fit(spec, data, ORIGIN_TEACHER, subsets), len(folds))
+            for fold, model in zip(folds, models, strict=True):
+                own = fit(spec, heart_ds.select(assignment.train_indices(fold)), ORIGIN_TEACHER)
+                for got, want in zip(decide_batch(model, heart_ds.features),
+                                     decide_batch(own, heart_ds.features)):
+                    assert got.tobytes() == want.tobytes()
+                seen.append(fold)
+        assert seen == list(range(k))
+
     @pytest.mark.parametrize("kind", ["svm", "knn", "nb"])
     def test_other_families_fit_one_subset_per_call(self, toy, kind):
         with pytest.raises(PipelineError, match="one row subset per call"):
@@ -815,6 +837,25 @@ class TestNaiveBayesOracle:
             np.testing.assert_array_equal(
                 predict_batch(model, X), np.argmax(want, axis=1)
             )
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 60),
+           n_features=st.integers(1, 12), n_classes=st.integers(2, 4),
+           log_scale=st.integers(-3, 100), layout=st.sampled_from(["C", "F", "strided"]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_buffer_writes_the_expression_bytes(self, seed, n_rows, n_features,
+                                                    n_classes, log_scale, layout):
+        # the layout of X decides how numpy rounds each row sum, so query
+        # rows come C-ordered, Fortran-ordered and as a strided view
+        rng = generator(seed)
+        scale = 10.0 ** log_scale
+        X = (rng.normal(size=(n_rows, n_features)) + rng.normal(size=n_features)) * scale
+        y = rng.integers(0, n_classes, size=n_rows)  # an absent class has prior 0
+        model = fit_nb(X, y, n_classes, 1e-9)
+        wide = rng.normal(size=(n_rows, 2 * n_features)) * scale
+        Q = {"C": wide[:, :n_features].copy(), "F": np.asfortranarray(wide[:, :n_features]),
+             "strided": wide[:, ::2]}[layout]
+        got = nb_log_posterior(model, Q)
+        assert got.tobytes() == nb_log_posterior_expression(model, Q).tobytes()
 
     def test_constant_feature_survives_smoothing(self):
         X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import mimiclearn
+from mimiclearn import cli
 from mimiclearn.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -399,13 +400,13 @@ class TestCommitRollback:
             (out / name).write_text(f"old {name}\n")
         return out
 
-    def _commit(self, out, monkeypatch, fail_at=None):
+    def _commit(self, out, monkeypatch, fail_at=None, error=PermissionError):
         calls, replace = [], os.replace
 
         def failing_replace(src, dst):
             calls.append((src, dst))
             if len(calls) == fail_at:
-                raise PermissionError(f"replace #{fail_at} refused")
+                raise error(f"replace #{fail_at} refused")
             return replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_replace)
@@ -429,6 +430,15 @@ class TestCommitRollback:
         before = _snapshot(out)
         with pytest.raises(UsageError, match=f"replace #{fail_at} refused"):
             self._commit(out, monkeypatch, fail_at)
+        assert _snapshot(out) == before
+
+    @pytest.mark.parametrize("fail_at", range(1, 8))
+    def test_interrupted_rename_leaves_every_old_byte(self, fail_at, tmp_path, monkeypatch):
+        # Ctrl-C between two renames: the interrupt goes on after the rollback
+        out = self._old_dir(tmp_path)
+        before = _snapshot(out)
+        with pytest.raises(KeyboardInterrupt, match=f"replace #{fail_at} refused"):
+            self._commit(out, monkeypatch, fail_at, KeyboardInterrupt)
         assert _snapshot(out) == before
 
 
@@ -513,6 +523,17 @@ class TestExitCodes:
 
     def test_unknown_flag(self, toy_csv):
         assert main(["run", "--data", str(toy_csv), "--turbo"]) == EXIT_USAGE
+
+    def test_memory_error_is_a_pipeline_error_line(self, toy_csv, tmp_path, monkeypatch,
+                                                  capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        out = tmp_path / "o"
+        assert main(_run_args(toy_csv, out)) == EXIT_PIPELINE
+        assert capsys.readouterr().err == "mimiclearn: pipeline error: out of memory\n"
+        assert not out.exists()
 
     def test_unknown_config_key(self, toy_csv, tmp_path):
         config = tmp_path / "config.json"

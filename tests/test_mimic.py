@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mimiclearn.classifiers import (
     fit,
     predict_batch,
 )
-from mimiclearn.data import SplitSpec, kfold, stratified_split
+from mimiclearn.data import Dataset, SplitSpec, kfold, stratified_split
 from mimiclearn.errors import DataError, PipelineError
 from mimiclearn.mimic import (
     PipelineConfig,
@@ -27,7 +28,7 @@ from mimiclearn.mimic import (
     train_student,
     train_teacher,
 )
-from mimiclearn.rng import STAGE_FOLDS, STAGE_SPLIT, derive_seed
+from mimiclearn.rng import STAGE_FOLDS, STAGE_SPLIT, derive_seed, generator
 from mimiclearn.synthetic import cardio_like
 
 from oracles import cross_validate_foldwise, threshold_toy
@@ -176,6 +177,21 @@ class TestAnnotate:
         # the pool's frozen features are shared, not copied again
         assert np.shares_memory(ann.features, split.public_pool.features)
         assert not ann.features.flags.writeable and not ann.labels.flags.writeable
+
+    def test_nb_annotation_peak_allocation_stays_bounded(self, cardio_ds):
+        # a 100,000 x 11 pool (8.8 MB of features) labeled by an nb teacher;
+        # two fresh temporaries of the pool's shape per class peaked at 20.1 MB
+        teacher = fit(ClassifierSpec("nb", {}, seed=1), cardio_ds, ORIGIN_TEACHER)
+        features = generator(1).normal(size=(100_000, cardio_ds.n_features))
+        pool = Dataset(features, cardio_ds.feature_names, None, (), "pool")
+        annotate(teacher, pool.select(np.arange(10)))  # warm-up: first calls
+        tracemalloc.start()
+        try:
+            annotate(teacher, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15_000_000, f"nb annotation peaked at {peak / 1e6:.1f} MB"
 
     def test_refuses_student_model_and_labeled_pool(self, toy):
         split = stratified_split(toy, SplitSpec(seed=derive_seed(4, STAGE_SPLIT)))

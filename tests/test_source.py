@@ -1,11 +1,12 @@
 """Source hygiene, read with the standard library's ``ast``: no module imports
-a name it never uses, and every module-level private function or class is
-used somewhere in the package."""
+a name it never uses, every module-level private function or class is used
+somewhere in the package, and the pipeline stages know no classifier family."""
 
 import ast
 from pathlib import Path
 
 import mimiclearn
+from mimiclearn.classifiers import DEFAULT_HYPERPARAMETERS, FAMILIES
 
 PACKAGE = Path(mimiclearn.__file__).parent
 MODULES = {p.relative_to(PACKAGE).as_posix(): ast.parse(p.read_text(encoding="utf-8"))
@@ -55,3 +56,14 @@ def test_every_private_function_and_class_is_used():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in used]
     assert unused == []
+
+
+def test_pipeline_stages_reach_families_only_through_classifiers():
+    # mimic.py's races and fidelity report leave every family decision (which
+    # folds one fit grows, how its model splits) to classifiers: no model's
+    # .params is read there, and no family kind or hyperparameter is named
+    family_names = set(FAMILIES).union(*DEFAULT_HYPERPARAMETERS.values())
+    found = [ast.unparse(node) for node in ast.walk(MODULES["mimic.py"])
+             if isinstance(node, ast.Attribute) and node.attr == "params"
+             or isinstance(node, ast.Constant) and node.value in family_names]
+    assert found == []
