@@ -1,8 +1,11 @@
 """k-nearest neighbors with Euclidean distance.
 
 The model is just the stored training matrix and labels. Neighbor order
-breaks distance ties by lower training-row index (stable sort); a tied
-majority vote falls back to the class of the single nearest neighbor. A row
+breaks distance ties by lower training-row index, as a stable sort of each
+row's distances does. The k nearest are picked by partition and sorted by
+index, then stably by distance; a row where a tie straddles the k-th
+distance takes the full stable sort. A tied majority vote falls back to the
+class of the single nearest neighbor. A row
 whose squared distances overflow is taken again at a power-of-two scale, as
 ``svm_margin`` does: exact apart from underflow, so no other row moves.
 """
@@ -50,9 +53,20 @@ def _neighbor_labels(model: KnnModel, X: np.ndarray, k: int, scaler=None):
                 exp = np.maximum(exp.max(axis=1), np.frexp(abs(model.points).max())[1])[:, None]
                 z = (np.ldexp(x[far], -exp) - np.ldexp(means, -exp)) / stds
                 d2[far] = ((z[:, None] - np.ldexp(model.points, -exp[:, :, None])) ** 2).sum(2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + chunk] = model.labels[order]
+        out[start : start + chunk] = model.labels[_nearest(d2, k)]
     return out
+
+
+def _nearest(d2, k):
+    """``np.argsort(d2, axis=1, kind="stable")[:, :k]``, from a partition in
+    each row where exactly k distances are at most the k-th, the largest of
+    the k picked (so not where a tie straddles it, nor where it is NaN)."""
+    part = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)  # by index
+    near = np.take_along_axis(d2, part, 1)
+    order = np.take_along_axis(part, np.argsort(near, axis=1, kind="stable"), 1)
+    slow = np.count_nonzero(d2 <= near.max(axis=1, keepdims=True), axis=1) != k
+    order[slow] = np.argsort(d2[slow], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def knn_vote(model: KnnModel, X: np.ndarray, k: int, scaler=None):

@@ -8,24 +8,31 @@ rest of the weight vector. Epoch shuffles come from one seeded generator,
 making training deterministic. Binary only.
 
 The weights are the same bytes on every IEEE-754 host. Training runs on
-Python floats with plain products and sums, which CPython never fuses, and
-``math.fsum`` dot products, which are correctly rounded (Shewchuk's exact
-summation). So is the squared norm, computed only when a running bound on
-``||(w, b)||`` cannot rule the projection out. Neither BLAS, whose kernels
-sum in CPU-dependent orders, some with fused multiply-adds, nor the builtin
-``sum()``, which compensates float sums from Python 3.12 on, is used.
-``svm_margin`` adds the columns one at a time in a fixed order with numpy
-elementwise operations, which do not fuse, starting from +0.0 so that no
-margin is a negative zero; a row far outside the training scale, whose
-margin overflows, is taken again scaled by a power of two.
+Python floats with plain products and sums, which CPython never fuses. Each
+hinge is the one ``math.fsum``'s correctly rounded dot product (Shewchuk's
+exact summation) picks; ``fsum`` also sums the squared norm, but only when
+a running bound on ``||(w, b)||`` cannot rule the projection out. BLAS, whose
+kernels sum in CPU-dependent orders, some with fused multiply-adds, is not
+used; the builtin ``sum()``, which compensates from Python 3.12 on, only
+picks a hinge where a bound shows ``fsum`` picks the same. ``svm_margin``
+adds the columns one at a time in a fixed order with numpy elementwise
+operations, which do not fuse, starting from +0.0 so that no margin is a
+negative zero; a row far outside the training scale, whose margin
+overflows, is taken again scaled by a power of two.
 
-A skipped norm could not have fired, so no byte changes: each hinge step
+Neither skip changes a byte (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 2-4). A skipped norm could not have fired: each hinge step
 adds ``|c| * length[i] >= |c| * ||(x_i, 1)||`` to the bound, and a skip
-needs it below the radius with margins (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 2-3). ``_SLACK`` covers a dozen roundings of
-2**-53 per step and per norm, ``_TINY`` subnormal products, ``_FLOOR``
-subnormal squares (at most sqrt((d + 1) * 2**-1075) on a norm), and
-``_CAP`` the overflow, which raises, of a skipped ``fsum`` of squares.
+needs it below the radius with margins. ``_SLACK`` covers a dozen roundings
+of 2**-53 per step and per norm, ``_TINY`` subnormal products, ``_FLOOR``
+subnormal squares (at most sqrt((d + 1) * 2**-1075) on a norm), and ``_CAP``
+the overflow, which raises, of a skipped ``fsum`` of squares. ``sum()`` errs
+on ``fsum``'s products by at most gamma_{d-1} (plain, to 3.11) or 2u +
+O(d u^2) (Neumaier, from 3.12) times their magnitudes' sum, u = 2**-53, and
+by Cauchy-Schwarz that sum is under ``lengths[i] * bound``; ``tols[i]`` takes
+4 (d + 2) u of it, and ``_NEAR`` the rounding of ``fsum``, ``+ b`` and 1's
+neighbours. A margin nearer 1, a NaN, and a row over ``_WIDE`` (whose margin
+could overflow: the bound is under 1/sqrt(5e-324) < 2**538) take ``fsum``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ _SLACK = 1.0 + 1e-12
 _TINY = 1e-300
 _FLOOR = 1e-150
 _CAP = 2.0**500
+_NEAR = 2.0**-50
+_WIDE = 2.0**480
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,7 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
     radius = 1.0 / math.sqrt(reg_lambda)
     limit = min(radius, _CAP)
     lengths = [math.hypot(*x, 1.0) * _SLACK for x in rows]
+    tols = [4 * (d + 2) * 2.0**-53 * a if a < _WIDE else math.inf for a in lengths]
     bound = 0.0  # >= ||(w, b)||
     rng = generator(derive_seed(seed, STAGE_SGD))
     t = 0
@@ -72,7 +82,9 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
         for i in rng.permutation(n).tolist():
             t += 1
             x, s = rows[i], signs[i]
-            margin = s * (math.fsum(map(mul, x, w)) + b)
+            margin = s * (sum(map(mul, x, w)) + b)
+            if not abs(margin - 1.0) > tols[i] * bound + _NEAR:
+                margin = s * (math.fsum(map(mul, x, w)) + b)
             shrink = 1.0 - 1.0 / t  # == 1 - eta*reg_lambda
             if margin < 1.0:
                 c = (1.0 / (reg_lambda * t)) * s  # eta * y_i

@@ -327,6 +327,39 @@ def fit_svm_stepwise(X, y, n_classes, reg_lambda, epochs, seed):
     return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
 
 
+def neumaier_sum(values):
+    """The builtin ``sum()`` of floats as CPython 3.12 and later compute it:
+    the int start 0 plus the first value, then Neumaier's compensated
+    summation, whose compensation is added at the end only when it is
+    nonzero and finite."""
+    values = iter(values)
+    total, c = 0 + next(values, 0), 0.0
+    for v in values:
+        t = total + v
+        c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def pushed_sum(products, s, b):
+    """A sum of the margin ``s * (sum + b)``'s products as wrong as plain
+    summation (error at most gamma_{d-1} times the sum of |p|) or compensated
+    summation (at most 2u + O(d u^2) times it) of d floats may be, the way
+    that flips the hinge: the correctly rounded sum moved by gamma_{d+1}
+    times that sum so the margin rises if it is below 1 and falls otherwise.
+    Where the exact sum overflows or meets inf - inf, ``s`` times infinity."""
+    products = list(products)
+    u = 2.0**-53
+    gamma = (len(products) + 1) * u / (1 - (len(products) + 1) * u)
+    try:
+        exact = math.fsum(products)
+        error = gamma * math.fsum(map(abs, products))
+    except (OverflowError, ValueError):
+        return s * math.inf
+    rise = s * (exact + b) < 1.0
+    return exact + s * error if rise else exact - s * error
+
+
 def parse_rows_cellwise(rows, schema, path):
     """A separate copy of ``data._parse_rows``, the cell-by-cell parser: each
     cell stripped, matched against the missing token, then parsed with

@@ -1,5 +1,7 @@
 import inspect
 import math
+import shutil
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -27,7 +29,7 @@ from mimiclearn.classifiers import (
     score_batch,
     specs_from_config,
 )
-from mimiclearn.classifiers import forest, svm
+from mimiclearn.classifiers import forest, knn, svm
 from mimiclearn.classifiers.bayes import fit_nb, nb_log_posterior
 from mimiclearn.classifiers.forest import (
     WALK_ROWS,
@@ -56,6 +58,8 @@ from oracles import (
     linearly_separable,
     nb_log_posterior_direct,
     nb_log_posterior_expression,
+    neumaier_sum,
+    pushed_sum,
     threshold_toy,
 )
 
@@ -208,6 +212,29 @@ class TestKnnOracle:
             scores = score_batch(model, np.vstack([ds.features[:20], far]))
         assert scores[:20].tobytes() == score_batch(model, ds.features[:20]).tobytes()
         assert scores[20:].tolist() == [model.params.labels[:8].mean()] * 2
+
+    @given(
+        n_rows=st.integers(1, 30),
+        n_train=st.integers(1, 50),
+        k_pick=st.sampled_from(["1", "n_train", "between"]),
+        cells=st.sampled_from(["tied", "spread", "non-finite"]),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_partition_picks_the_stable_sort_neighbours(
+        self, n_rows, n_train, k_pick, cells, data_seed
+    ):
+        rng = generator(data_seed)
+        k = {"1": 1, "n_train": n_train}.get(k_pick) or int(rng.integers(1, n_train + 1))
+        if cells == "spread":
+            d2 = rng.random((n_rows, n_train))
+        else:  # few distinct distances, so ties straddle the k-th often
+            d2 = rng.integers(0, 4, size=(n_rows, n_train)).astype(np.float64)
+        if cells == "non-finite":
+            odd = rng.random(d2.shape) < 0.25
+            d2[odd] = rng.choice([np.nan, np.inf], size=int(odd.sum()))
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(knn._nearest(d2, k), want)
 
     def test_predict_peak_allocation_stays_bounded(self):
         # 770 queries against 630 points of 11 features, the size of a cardio
@@ -884,12 +911,24 @@ _LAMBDAS = st.one_of(
     st.floats(-323.3, 308.2).map(lambda e: min(max(10.0**e, 5e-324), 1.7e308)),
 )
 
+_SVM_FITS = dict(
+    reg_lambda=_LAMBDAS,
+    n_rows=st.integers(1, 40),
+    log_scales=st.lists(st.floats(-310.0, 300.0), max_size=12),
+    zero_rows=st.sets(st.integers(0, 39), max_size=5),
+    epochs=st.integers(1, 3),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 1000),
+)
+
 
 class _CountingMath:
-    """Stands in for ``math`` inside ``svm`` and counts ``fsum`` calls."""
+    """Stands in for ``math`` inside ``svm`` and counts ``fsum`` and ``sqrt``
+    calls. The radius takes one ``sqrt`` and each norm one ``fsum`` under one
+    ``sqrt``; every other ``fsum`` is a margin its bound could not decide."""
 
     def __init__(self):
-        self.fsum_calls = 0
+        self.fsum_calls = self.sqrt_calls = 0
 
     def __getattr__(self, name):
         return getattr(math, name)
@@ -897,6 +936,25 @@ class _CountingMath:
     def fsum(self, values):
         self.fsum_calls += 1
         return math.fsum(values)
+
+    def sqrt(self, value):
+        self.sqrt_calls += 1
+        return math.sqrt(value)
+
+    @property
+    def norms(self):
+        return self.sqrt_calls - 1
+
+    @property
+    def fallbacks(self):
+        return self.fsum_calls - self.norms
+
+
+def _sum_toward_one(values):
+    """``pushed_sum`` for the calling ``fit_svm`` step, whose ``s`` and ``b``
+    are read from that frame's locals."""
+    step = sys._getframe(1).f_locals
+    return pushed_sum(values, step["s"], step["b"])
 
 
 class TestSvm:
@@ -948,15 +1006,7 @@ class TestSvm:
         text = roc(margins, np.array([0, 1, 0, 1, 0, 1])).to_csv_text()
         assert "-0.0" not in text
 
-    @given(
-        reg_lambda=_LAMBDAS,
-        n_rows=st.integers(1, 40),
-        log_scales=st.lists(st.floats(-310.0, 300.0), max_size=12),
-        zero_rows=st.sets(st.integers(0, 39), max_size=5),
-        epochs=st.integers(1, 3),
-        data_seed=st.integers(0, 2**32 - 1),
-        seed=st.integers(0, 1000),
-    )
+    @given(**_SVM_FITS)
     @settings(max_examples=60, deadline=None)
     def test_fit_matches_stepwise_norm_oracle(
         self, reg_lambda, n_rows, log_scales, zero_rows, epochs, data_seed, seed
@@ -979,10 +1029,73 @@ class TestSvm:
         counting = _CountingMath()
         monkeypatch.setattr(svm, "math", counting)
         model = fit_svm(*args)
-        steps = 50 * part.n_rows  # one dot-product fsum each
-        norms = counting.fsum_calls - steps
+        steps = 50 * part.n_rows
+        norms, fallbacks = counting.norms, counting.fallbacks
         assert 0 < norms < steps // 10, f"{norms} of {steps} steps took the norm"
+        assert fallbacks == 0, f"{fallbacks} of {steps} margins took fsum"
         assert _svm_bytes(model) == _svm_bytes(fit_svm_stepwise(*args))
+
+    @pytest.mark.parametrize("summation", [neumaier_sum, _sum_toward_one],
+                             ids=["compensated", "worst-case"])
+    @given(**_SVM_FITS)
+    @settings(max_examples=60, deadline=None)
+    def test_fit_under_other_summations_matches_stepwise_oracle(self, summation, **case):
+        # the margin's sum only picks the branch, so a sum that errs as
+        # Python 3.12's sum() does, or by the full bound toward 1, moves no byte
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm, "sum", summation, raising=False)
+            self.test_fit_matches_stepwise_norm_oracle.hypothesis.inner_test(self, **case)
+
+    @pytest.mark.parametrize("summation", [sum, neumaier_sum, _sum_toward_one],
+                             ids=["builtin", "compensated", "worst-case"])
+    @given(
+        n_rows=st.integers(1, 12),
+        n_features=st.integers(1, 4),
+        reg_lambda=st.sampled_from([0.5, 1.0, 2.0]),
+        epochs=st.integers(1, 5),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_near_one_margins_match_stepwise_oracle(
+        self, summation, n_rows, n_features, reg_lambda, epochs, data_seed, seed
+    ):
+        # rows from {-1, 0, 1} at lambda near 1 put many margins within a few
+        # roundings of 1, where only the bound keeps fsum's hinge
+        rng = generator(data_seed)
+        X = rng.integers(-1, 2, size=(n_rows, n_features)).astype(np.float64)
+        args = (X, rng.integers(0, 2, size=n_rows), 2, reg_lambda, epochs, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm, "sum", summation, raising=False)
+            assert _svm_outcome(fit_svm, *args) == _svm_outcome(fit_svm_stepwise, *args)
+
+    def test_undecided_margin_falls_back_to_fsum(self, monkeypatch):
+        # step 1's hinge sets w = b = 1/3, so step 2's margin is 1 up to
+        # rounding, which the bound cannot decide
+        args = (np.array([[1.0, 1.0]]), np.array([1]), 2, 3.0, 2, 0)
+        counting = _CountingMath()
+        monkeypatch.setattr(svm, "math", counting)
+        model = fit_svm(*args)
+        assert counting.fallbacks == 1
+        assert _svm_bytes(model) == _svm_bytes(fit_svm_stepwise(*args))
+
+    def test_compensated_oracle_matches_a_newer_builtin_sum(self):
+        # the newer interpreter needs no numpy: it sums floats sent as hex
+        check = "import sys; assert sys.version_info >= (3, 12)"
+        newer = [path for path in map(shutil.which, ("python3.14", "python3.13", "python3.12"))
+                 if path and subprocess.run([path, "-c", check], capture_output=True).returncode == 0]
+        if not newer:
+            pytest.skip("no Python 3.12 or later on PATH")
+        rng = generator(7)
+        cases = [(rng.normal(size=int(n)) * 10.0 ** rng.integers(-300, 300, size=int(n))).tolist()
+                 + [1e16, 1.0, -1e16, math.inf, -math.inf, math.nan][: int(m)]
+                 for n, m in zip(rng.integers(0, 14, size=400), rng.integers(0, 7, size=400))]
+        lines = "".join(" ".join(v.hex() for v in case) + "\n" for case in cases)
+        child = subprocess.run(
+            [newer[0], "-c", "import sys\nfor line in sys.stdin:\n"
+             "    print(float(sum(map(float.fromhex, line.split()))).hex())"],
+            input=lines, capture_output=True, text=True, check=True)
+        assert child.stdout.split() == [float(neumaier_sum(case)).hex() for case in cases]
 
 
 class TestFitContract:

@@ -752,6 +752,80 @@ def test_split_exit_code_under_fuzzed_csv_and_flags(split_exit_codes, mutations,
         assert written == (_SPLIT_OUTPUTS if code == EXIT_OK else set())
 
 
+# JSON values of every type; ints stay small, so no count can ask for long work
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["NaN", "nan", "Infinity", "-inf", "1e309", "", "2", "knn"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(valid, other=_JUNK):
+    """``valid`` seven times in eight, else ``other``."""
+    return st.sampled_from([valid] * 7 + [other]).flatmap(lambda chosen: chosen)
+
+
+def _with_unknown_key(objects):
+    return objects.map(lambda obj: {**obj, "colour": 1})
+
+
+_SPEC_ENTRY = st.fixed_dictionaries(
+    {"kind": _mostly(st.sampled_from(["nb", "knn"]))},
+    optional={
+        "hyperparameters": _mostly(st.fixed_dictionaries({}, optional={
+            "n_neighbors": _mostly(st.integers(-1, 9)),
+            "var_smoothing": _mostly(st.floats(1e-12, 1.0), st.floats()),
+        })),
+        "seed": _mostly(st.integers(-2, 2**70)),
+    },
+)
+_RUN_CONFIG = st.fixed_dictionaries(
+    {"specs": _mostly(st.lists(_mostly(_SPEC_ENTRY, _with_unknown_key(_SPEC_ENTRY)),
+                               min_size=1, max_size=3)),
+     "cv_k": _mostly(st.just(2))},
+    optional={
+        "fractions": _mostly(st.just([0.5, 0.3, 0.2]),
+                             st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=4)),
+        "selection_metric": _mostly(st.sampled_from(["accuracy", "macro_f1"]),
+                                    st.sampled_from(["f1", "NaN", ""])),
+    },
+)
+_RUN_CONFIGS = _mostly(_RUN_CONFIG, _with_unknown_key(_RUN_CONFIG) | _JUNK)
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.csv"
+    save_csv(threshold_toy(n_rows=40, seed=3), path)
+    return path
+
+
+@pytest.fixture()
+def run_exit_codes():
+    """Every exit code of one fuzz run; some must be successes, so that the
+    fuzz also reaches the race and the writing path."""
+    codes = []
+    yield codes
+    assert codes.count(EXIT_OK) >= 0.1 * len(codes), codes
+
+
+@given(config=_RUN_CONFIGS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_exit_code_under_fuzzed_config(tiny_csv, run_exit_codes, config):
+    """Any config JSON exits 0, 1, 2 or 3; only success writes files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(_run_args(tiny_csv, out, "--config", str(path)))
+        event(f"exit {code}")
+        run_exit_codes.append(code)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_PIPELINE)
+        assert out.exists() == (code == EXIT_OK)
+
+
 def test_split_and_run_share_their_flags(capsys):
     shared = ("seed", "fractions", "out_dir", "label_column", "no_header",
               "positive_class", "missing_token")
