@@ -14,6 +14,7 @@ own vote, sign, or argmax rule.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
@@ -141,6 +142,8 @@ REGISTRY = {
 
 FAMILIES = tuple(REGISTRY)
 DEFAULT_HYPERPARAMETERS = {kind: family.defaults for kind, family in REGISTRY.items()}
+_ECHO = reprlib.Repr()  # reprlib.repr's cuts, with a nested list or object shown as [...]
+_ECHO.maxlevel = 1
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise PipelineError(
-                f"unknown classifier kind {self.kind!r}; expected one of {FAMILIES}"
+                f"unknown classifier kind {_ECHO.repr(self.kind)}; expected one of {FAMILIES}"
             )
         if not isinstance(self.hyperparameters, dict):
             raise PipelineError(f"{self.kind}: hyperparameters must be an object")
@@ -169,7 +172,7 @@ class ClassifierSpec:
         unknown = set(self.hyperparameters) - set(family.defaults)
         if unknown:
             raise PipelineError(
-                f"unknown {self.kind} hyperparameters: {sorted(unknown)}"
+                f"unknown {self.kind} hyperparameters: {_ECHO.repr(sorted(unknown))}"
             )
         merged = {**family.defaults, **self.hyperparameters}
         for name, value in merged.items():
@@ -197,9 +200,8 @@ def specs_from_config(entries, seed: int = 0) -> tuple[ClassifierSpec, ...]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise PipelineError(f"config specs[{i}] needs at least a 'kind'")
-        unknown = set(entry) - {"kind", "hyperparameters", "seed"}
-        if unknown:
-            raise PipelineError(f"config specs[{i}] has unknown keys {sorted(unknown)}")
+        if unknown := sorted(set(entry) - {"kind", "hyperparameters", "seed"}):
+            raise PipelineError(f"config specs[{i}] has unknown keys {_ECHO.repr(unknown)}")
         entry_seed = entry.get("seed", derive_seed(seed, STAGE_SPEC, i))
         try:
             specs.append(ClassifierSpec(

@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import os
+import reprlib
 import sys
 import tempfile
 from dataclasses import asdict
@@ -296,8 +297,8 @@ def cmd_evaluate(args) -> int:
     ds, _ = ingest_csv(args.data, schema)
     if tuple(ds.class_names) != model.class_names:
         raise DataError(
-            f"label values {list(ds.class_names)} do not match the model's "
-            f"classes {list(model.class_names)}; check --positive-class and "
+            f"label values {reprlib.repr(list(ds.class_names))} do not match the model's "
+            f"classes {reprlib.repr(list(model.class_names))}; check --positive-class and "
             "--label-column"
         )
     pred, scores = decide_batch(model, ds.features)

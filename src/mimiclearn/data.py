@@ -225,10 +225,10 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
     The header is read first, for either reader. A file with no quote, NUL
     byte, missing token or empty cell, whose rows all have the first row's
     column count and whose feature cells are all finite numbers, is then read
-    by numpy's C reader (``np.loadtxt``). Any other file is read on by the
-    cell-by-cell parser, which imputes missing cells and names each bad
+    in one pass of numpy's C reader (``np.loadtxt``). Any other file is read on
+    by the cell-by-cell parser, which imputes missing cells and names each bad
     cell's line and column; a file both can read gives the same bytes through
-    either. Both return labels as (names, codes).
+    either. Both return labels as (distinct names in first-seen order, codes).
 
     Raises DataError for a missing, unreadable or empty file, ragged rows
     (naming the line), non-numeric or non-finite feature cells (naming the
@@ -271,7 +271,7 @@ def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStat
         class_names: tuple[str, ...] = ()
     else:
         names, codes = labels  # row i's label is names[codes[i]]
-        class_names = _order_class_names(sorted(set(names)), schema.positive_class, path)
+        class_names = _order_class_names(sorted(names), schema.positive_class, path)
         index_of = {name: i for i, name in enumerate(class_names)}
         labels = np.array([index_of[name] for name in names], dtype=np.int64)[codes].view(_Built)
 
@@ -311,15 +311,6 @@ def _scan_csv_bytes(path: Path, token: bytes) -> int | None:
     return commas
 
 
-def _load_columns(path: Path, skip_lines: int, usecols: list[int], dtype) -> np.ndarray:
-    """Columns ``usecols`` of each non-blank line after the first ``skip_lines``."""
-    # an open file, not a path, from which loadtxt would import gzip; text mode
-    # ends lines at CR, LF and CRLF, as csv.reader does
-    with open(path, encoding="utf-8-sig") as fh:
-        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=skip_lines,
-                          usecols=usecols, ndmin=2)
-
-
 def _head(rows, schema: CsvSchema, path: Path):
     """The stripped header (``x0``, ``x1``... if the file has none), the label
     column's index, and the first data row, read from ``_numbered`` rows."""
@@ -335,35 +326,38 @@ def _head(rows, schema: CsvSchema, path: Path):
 
 
 def _read_clean_csv(path: Path, schema: CsvSchema, header, label_idx, skip_lines: int):
-    """``_parse_rows``' result for the rows after the first ``skip_lines`` lines,
-    read by ``np.loadtxt`` with the labels as (names, codes); or None for a file
-    that only ``_parse_rows`` may read: a quote, NUL, empty cell, over-long
-    field or the missing token's text anywhere, a row with another column
-    count, a feature cell that is not a finite number, or a blank label. A
-    cell is missing only if it strips to the token, so a number equal to a
-    numeric token (-999.0 for -999) is a value to both readers."""
+    """``_parse_rows``' result, labels coded alike, for the rows after the
+    first ``skip_lines`` lines, read in one ``np.loadtxt`` pass; or None for a
+    file that only ``_parse_rows`` may read: a quote, NUL, empty cell,
+    over-long field or the missing token's text anywhere, a row with another
+    column count, a feature cell that is not a finite number, or a blank
+    label. A cell is missing only if it strips to the token, so a number equal
+    to a numeric token (-999.0 for -999) is a value to both readers."""
     columns = [i for i in range(len(header)) if i != label_idx]
-    if not columns:
-        return None
-    labels = None
+    first = [] if label_idx is None else [label_idx]
+    code_of: dict[str, int] = {}  # label name -> code, in first-seen order, as _parse_rows
     try:
         commas = _scan_csv_bytes(path, schema.missing_token.encode())
-        if commas is None:
+        if commas is None or not columns:
             return None
-        if label_idx is not None:
-            # object cells, not str: a str array gives every row the longest label's width
-            cells = _load_columns(path, skip_lines, [label_idx], object)[:, 0]
-            distinct = np.array(sorted(set(cells)), dtype=object)
-            labels = [name.strip() for name in distinct], np.searchsorted(distinct, cells)
-            del cells  # before the feature pass, which holds the float matrix
-        raw = _load_columns(path, skip_lines, columns, np.float64)
+        # an open file, not a path, from which loadtxt would import gzip; text mode
+        # ends lines at CR, LF and CRLF, as csv.reader does. A label cell reads as
+        # its code; without ``encoding``, numpy < 2 hands the converter latin-1 text
+        with open(path, encoding="utf-8-sig") as fh:
+            raw = np.loadtxt(
+                fh, delimiter=",", comments=None, skiprows=skip_lines, usecols=first + columns,
+                ndmin=2, encoding="utf-8",
+                converters={i: lambda cell: code_of.setdefault(cell.strip(), len(code_of))
+                            for i in first})
     except (OSError, ValueError):  # ValueError covers UnicodeError
         return None
 
+    labels = None
+    if first:  # the features are a view, which keeps the pass's buffer
+        labels, raw = (list(code_of), raw[:, 0].astype(np.int64)), raw[:, 1:]
     # with usecols, loadtxt reads a row with extra cells
     if (commas != (len(raw) + int(schema.has_header)) * (len(header) - 1)
-            or (labels is not None and (labels[1].size != len(raw) or "" in labels[0]))
-            or not np.isfinite(raw).all()):
+            or "" in code_of or not np.isfinite(raw).all()):
         return None
     return raw, tuple(header[i] for i in columns), labels
 
@@ -426,9 +420,8 @@ def _resolve_label_column(label_column, header, n_cols, path):
         if label_column in header:
             return header.index(label_column)
         if not (label_column.isascii() and label_column.isdigit()):
-            raise DataError(
-                f"{path}: no column named {label_column!r} (have {header})"
-            )
+            raise DataError(f"{path}: no column named {reprlib.repr(label_column)} "
+                            f"(have {reprlib.repr(header)})")
         label_column = int(label_column)
     index = label_column + n_cols if label_column < 0 else label_column
     if not (0 <= index < n_cols):
@@ -441,8 +434,8 @@ def _order_class_names(names, positive_class, path):
     if positive_class is not None:
         if positive_class not in names:
             raise DataError(
-                f"{path}: positive class {positive_class!r} never appears "
-                f"(labels seen: {names})"
+                f"{path}: positive class {reprlib.repr(positive_class)} never appears "
+                f"(labels seen: {reprlib.repr(names)})"
             )
         if len(names) == 2 and names[1] != positive_class:
             names = [names[1], names[0]]

@@ -17,6 +17,7 @@ runs are reproducible byte for byte.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -91,7 +92,7 @@ class PipelineConfig:
         unknown = set(raw) - allowed
         if unknown:
             raise PipelineError(
-                f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}"
+                f"unknown config keys {reprlib.repr(sorted(unknown))}; allowed: {sorted(allowed)}"
             )
         specs = (specs_from_config(raw["specs"], seed) if "specs" in raw
                  else default_specs(seed))

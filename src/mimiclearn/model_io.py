@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import tempfile
 from itertools import chain
 from pathlib import Path
@@ -196,7 +197,7 @@ def _decode(raw) -> TrainedModel:
                                f"this build reads version {MODEL_FORMAT_VERSION}")
     kind = _need(raw, "kind", str, "")
     if kind not in REGISTRY:
-        raise ModelFormatError(f"unknown model kind {kind!r}")
+        raise ModelFormatError(f"unknown model kind {reprlib.repr(kind)}")
     cls = REGISTRY[kind].record
     if cls is None:
         raise _raw_rows_refusal(kind, "load")
@@ -205,7 +206,7 @@ def _decode(raw) -> TrainedModel:
         raise PrivacyError("refusing to load a model file tagged teacher-private; "
                            "such files should never exist")
     if origin != ORIGIN_STUDENT:
-        raise ModelFormatError(f"unknown model origin {origin!r}")
+        raise ModelFormatError(f"unknown model origin {reprlib.repr(origin)}")
 
     class_names = _need(raw, "class_names", list, "")
     if (len(class_names) < 2 or not all(isinstance(c, str) for c in class_names)

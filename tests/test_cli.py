@@ -37,6 +37,9 @@ from mimiclearn.synthetic import (
 from oracles import threshold_toy
 
 
+_HUGE = "x" * 100_000  # a name or value far longer than any error line should be
+
+
 @pytest.fixture()
 def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
@@ -472,6 +475,14 @@ class TestEvaluateCommand:
         assert payload["model_kind"] == "nb"
         assert 0.0 <= payload["auc"] <= 1.0
 
+    def test_huge_class_mismatch_is_echoed_cut_short(self, exported, tmp_path, capsys):
+        data = tmp_path / "ids.csv"
+        data.write_text("a,b,label\n" + "".join(f"{i},{i},{i:0>40}\n" for i in range(5_000)))
+        code = main(["evaluate", "--model", str(exported), "--data", str(data),
+                     "--label-column", "label"])
+        assert code == EXIT_DATA
+        _assert_one_short_line(capsys.readouterr().err, "mimiclearn: data error: label values")
+
     def test_class_mismatch_is_a_data_error(self, exported, toy_csv, capsys):
         code = main(
             [
@@ -680,9 +691,66 @@ class TestExitCodes:
         assert code == EXIT_PIPELINE
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"specs": [{"kind": _HUGE}]},
+        {"specs": [{"kind": [[[[["nb"] * 10] * 10] * 10] * 10] * 10}]},
+        {"specs": [{"kind": "nb", "hyperparameters": {_HUGE: 1}}]},
+        {"specs": [{"kind": "nb", "hyperparameters": {f"h{i}": 1 for i in range(10_000)}}]},
+        {"specs": [{"kind": "nb", _HUGE: 1}]},
+        {_HUGE: 1},
+        {f"k{i}": 1 for i in range(10_000)},
+    ], ids=["kind", "nested-kind", "hyperparameter", "hyperparameters", "spec-key",
+            "config-key", "config-keys"])
+    def test_huge_config_values_are_echoed_cut_short(self, config, toy_csv, tmp_path,
+                                                     capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(_run_args(toy_csv, tmp_path / "o", "--config", str(path))) == EXIT_USAGE
+        _assert_one_short_line(capsys.readouterr().err, "mimiclearn: error: ")
+
+    @pytest.mark.parametrize("key", ["kind", "origin"])
+    def test_huge_model_fields_are_echoed_cut_short(self, key, toy_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"specs": [{"kind": "nb"}], "cv_k": 2}))
+        out = tmp_path / "out"
+        assert main(_run_args(toy_csv, out, "--config", str(config))) == EXIT_OK
+        model = out / "student_model.json"
+        record = json.loads(model.read_text())
+        record[key] = _HUGE
+        model.write_text(json.dumps(record))
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(model), "--data", str(toy_csv),
+                     "--label-column", "label", "--positive-class", "high"])
+        assert code == EXIT_PIPELINE
+        _assert_one_short_line(capsys.readouterr().err, "mimiclearn: pipeline error: ")
+
+    @pytest.mark.parametrize("case", ["header", "label-flag", "labels", "positive-flag"])
+    def test_huge_csv_names_are_echoed_cut_short(self, case, tmp_path, capsys):
+        # no column is named by --label-column, or no label by --positive-class
+        data, label, positive = tmp_path / "data.csv", "label", "high"
+        names = [_HUGE] + [f"n{i}" for i in range(5_000)]
+        if case == "header":
+            data.write_text(",".join(names) + "\n" + ",".join(["1"] * len(names)) + "\n")
+        else:
+            data.write_text("a,label\n" + "".join(f"{i},{name}\n"
+                                                  for i, name in enumerate(names)))
+            label = _HUGE if case == "label-flag" else label
+            positive = _HUGE + "y" if case == "positive-flag" else positive
+        code = main(["run", "--data", str(data), "--label-column", label,
+                     "--positive-class", positive, "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        _assert_one_short_line(err.replace(str(data), "PATH"), "mimiclearn: data error: PATH")
+        assert ("(have [" if case in ("header", "label-flag") else "(labels seen: [") in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "split" in capsys.readouterr().out
+
+
+def _assert_one_short_line(err, prefix):
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert len(err.encode()) < 400, f"{len(err.encode())} bytes: {err[:200]}"
 
 
 _SPLIT_OUTPUTS = {"private.csv", "public.csv", "test.csv", "split_manifest.json"}

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import re
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mimiclearn import data
+from mimiclearn.classifiers import ORIGIN_STUDENT, ClassifierSpec, decide_batch, fit
 
 from mimiclearn.data import (
     CsvSchema,
@@ -29,6 +31,7 @@ from mimiclearn.data import (
     stratified_split,
 )
 from mimiclearn.errors import DataError
+from mimiclearn.model_io import model_text
 from mimiclearn.rng import generator
 
 from oracles import csv_text_rowwise, parse_rows_cellwise
@@ -444,6 +447,66 @@ def _takes_the_c_reader(path, schema):
         except DataError:
             pass
     return bool(results) and results[0] is not None
+
+
+@given(case=_raw_csv())
+@example(case=("y,a\nb,1\n a ,2\nb,3\n", _LABELED))  # first-seen order is not sorted order
+@example(case=("a,y,b\n1,z,2\n3,\xe9,4\n5,c d,6\n", _LABELED))
+@example(case=("1,2\n3,4\n", CsvSchema(label_column=None, has_header=False)))
+@settings(max_examples=100, deadline=None)
+def test_both_readers_code_labels_alike(case):
+    """Where the C reader takes a file, its labels are ``_parse_rows``': the
+    same distinct names in first-seen order and the same codes."""
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = data._numbered(csv.reader(fh))
+            try:
+                header, label_idx, first = data._head(rows, schema, path)
+            except DataError:  # an empty file or a header only: neither reader runs
+                return
+            clean = data._read_clean_csv(path, schema, header, label_idx, first[0] - 1)
+            if clean is None:
+                return
+            parsed = data._parse_rows(itertools.chain([first], rows), header, label_idx,
+                                      schema, path)
+    assert _coded(clean[2]) == _coded(parsed[2])
+
+
+def _coded(labels):
+    return None if labels is None else (labels[0], labels[1].dtype, labels[1].tobytes())
+
+
+@pytest.mark.parametrize("place", [0, 1, 3], ids=["label-first", "label-middle", "label-last"])
+def test_ingested_features_fit_and_decide_as_a_contiguous_copy(tmp_path, place):
+    """The C reader's features are a strided view of its one pass; every family
+    fits and decides on them exactly as on a C-contiguous copy."""
+    rng = generator(5)
+    X = rng.normal(size=(60, 3)) * [1.0, 1e3, 1e-3] + [0.0, 5e3, 1.0]
+    names = np.where(X[:, 0] + rng.normal(size=60) > 0, "yes", "no")
+    lines = [["a", "b", "c"]] + [list(map(repr, row)) for row in X.tolist()]
+    for line, name in zip(lines, ["y", *names]):
+        line.insert(place, name)
+    path = tmp_path / "clean.csv"
+    path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+    assert _takes_the_c_reader(path, _LABELED)
+    ds, _ = ingest_csv(path, _LABELED)
+    copy = Dataset(np.array(ds.features), ds.feature_names, ds.labels, ds.class_names, "copy")
+    assert not ds.features.flags.c_contiguous and copy.features.flags.c_contiguous
+    assert copy.features.tobytes() == X.tobytes()
+    for spec in [ClassifierSpec("rf", {"n_trees": 3}, seed=1), ClassifierSpec("svm", seed=1),
+                 ClassifierSpec("knn", seed=1), ClassifierSpec("nb", seed=1)]:
+        model, want = fit(spec, ds, ORIGIN_STUDENT), fit(spec, copy, ORIGIN_STUDENT)
+        if spec.kind == "knn":  # raw training rows, which model_text refuses to write
+            assert [a.tobytes() for a in (model.params.points, model.params.labels)] == [
+                a.tobytes() for a in (want.params.points, want.params.labels)]
+        else:
+            assert model_text(model) == model_text(want)
+        for got, expected in zip(decide_batch(model, ds.features),
+                                 decide_batch(model, copy.features)):
+            assert got.tobytes() == expected.tobytes()
 
 
 _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,

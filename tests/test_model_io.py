@@ -280,6 +280,44 @@ def test_exported_students_round_trip_exactly(kind, data, n_features, n_rows, se
     assert file_json(model_to_file(back)) == text
 
 
+@functools.cache
+def _small_export(kind):
+    """The file of a small student: nb, svm, or rf with two shallow trees."""
+    hp = {"n_trees": 2, "max_depth": 3} if kind == "rf" else {}
+    train = heart_disease_like().select(np.arange(40))
+    return model_text(fit(ClassifierSpec(kind, hp, seed=2), train, ORIGIN_STUDENT))
+
+
+_FRAGMENTS = st.one_of(
+    st.sampled_from(["", ",", ":", "[", "]", "{", "}", '"', "null", "true", "false", "0", "1",
+                     "-1", "2", "-0.0", "0.5", "1e308", "1e999", "NaN", "Infinity", "[]", "{}",
+                     "[1, 2]", '"x"', '"rf"', '"svm"', '"nb"', '"knn"', '"teacher-private"',
+                     '"student-shareable"', '"n_trees": 1', '"kind": "nb"', "9" * 30]),
+    st.integers(-5, 40).map(str),
+    st.floats().map(repr),
+)
+
+
+@pytest.mark.parametrize("kind", EXPORTABLE)
+@given(splices=st.lists(st.tuples(st.floats(0, 1), st.integers(0, 12), _FRAGMENTS),
+                        min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_mutated_model_files_are_refused_or_round_trip(kind, splices):
+    """A model file with 1-3 spans replaced by JSON fragments is refused with
+    ModelFormatError or PrivacyError, or imports as a model whose file
+    imports and renders to the same bytes again."""
+    text = _small_export(kind)
+    for where, length, fragment in splices:
+        at = round(where * len(text))
+        text = text[:at] + fragment + text[at + length:]
+    try:
+        model = parse_model_file(text)
+    except (ModelFormatError, PrivacyError):
+        return
+    again = model_text(model)
+    assert model_text(parse_model_file(again)) == again
+
+
 # (family, path to a field of its model file, a value the import must refuse)
 BAD_FIELDS = [
     ("rf", ("parameters", "trees"), [1]),

@@ -1,8 +1,11 @@
 """Source hygiene, read with the standard library's ``ast``: no module imports
 a name it never uses, every module-level private function or class is used
-somewhere in the package, and the pipeline stages know no classifier family."""
+somewhere in the package, and the pipeline stages know no classifier family.
+Also, the test configuration lets a failing hypothesis test report its example."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import mimiclearn
@@ -67,3 +70,21 @@ def test_pipeline_stages_reach_families_only_through_classifiers():
              if isinstance(node, ast.Attribute) and node.attr == "params"
              or isinstance(node, ast.Constant) and node.value in family_names]
     assert found == []
+
+
+def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
+    # hypothesis imports libcst to report the example, and libcst's import warns
+    # of a deprecation that the configuration otherwise turns into an error
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@given(st.integers(0, 10))\n"
+        "@settings(database=None, max_examples=20)\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n", encoding="utf-8")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "test_fails.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 1, child.stdout + child.stderr
+    assert "INTERNALERROR" not in child.stdout + child.stderr
+    assert "Falsifying example: test_fails(" in child.stdout
