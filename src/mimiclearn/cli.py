@@ -35,7 +35,7 @@ from .data import (
     stratified_split,
 )
 from .errors import DataError, PipelineError
-from .metrics import macro_metrics, positive_metrics, roc
+from .metrics import ModelReport, macro_metrics, positive_metrics, roc
 from .mimic import SELECTION_METRICS, PipelineConfig, run_json, run_pipeline
 from .model_io import file_json, has_codec, import_model, model_text, model_to_file
 from .rng import STAGE_SPLIT, derive_seed
@@ -153,14 +153,12 @@ def _classifier_table(race) -> str:
 
 def _fidelity_table(fid) -> str:
     lines = ["role,n,accuracy,precision,recall,f1,auc,agreement"]
-    for role, rep, auc in (
-        ("teacher", fid.teacher_metrics, fid.teacher_auc),
-        ("student", fid.student_metrics, fid.student_auc),
-    ):
+    for role, report in (("teacher", fid.teacher), ("student", fid.student)):
+        rep = report.positive
         lines.append(",".join([
             role, str(fid.n_test),
             _fmt(rep.accuracy), _fmt(rep.precision), _fmt(rep.recall),
-            _fmt(rep.f1), _fmt(auc), _fmt(fid.agreement),
+            _fmt(rep.f1), _fmt(report.roc.auc), _fmt(fid.agreement),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -241,8 +239,8 @@ def cmd_run(args) -> int:
         "run.json": run_json(run),
         "classifier_table.csv": _classifier_table(run.teacher_race),
         "fidelity_table.csv": _fidelity_table(run.fidelity),
-        "roc_teacher.csv": run.fidelity.teacher_roc.to_csv_text(),
-        "roc_student.csv": run.fidelity.student_roc.to_csv_text(),
+        "roc_teacher.csv": run.fidelity.teacher.roc.to_csv_text(),
+        "roc_student.csv": run.fidelity.student.roc.to_csv_text(),
     }
     student_file = student_note = None
     if has_codec(run.student.spec.kind):
@@ -280,9 +278,9 @@ def cmd_run(args) -> int:
         f"student={run.student.spec.kind}"
     )
     print(
-        f"test accuracy teacher={_fmt(fid.teacher_metrics.accuracy)} "
-        f"student={_fmt(fid.student_metrics.accuracy)} "
-        f"auc teacher={_fmt(fid.teacher_auc)} student={_fmt(fid.student_auc)} "
+        f"test accuracy teacher={_fmt(fid.teacher.positive.accuracy)} "
+        f"student={_fmt(fid.student.positive.accuracy)} "
+        f"auc teacher={_fmt(fid.teacher.roc.auc)} student={_fmt(fid.student.roc.auc)} "
         f"agreement={_fmt(fid.agreement)}"
     )
     if student_note:
@@ -302,14 +300,10 @@ def cmd_evaluate(args) -> int:
             "--label-column"
         )
     pred, scores = decide_batch(model, ds.features)
-    result = {
-        "n": ds.n_rows,
-        "model_kind": model.spec.kind,
-        "positive": positive_metrics(ds.labels, pred).to_json_dict(),
-        "macro": macro_metrics(ds.labels, pred, model.n_classes).to_json_dict(),
-    }
-    if model.n_classes == 2:
-        result["auc"] = roc(scores, ds.labels).auc
+    report = ModelReport(
+        positive_metrics(ds.labels, pred), macro_metrics(ds.labels, pred, model.n_classes),
+        roc(scores, ds.labels) if model.n_classes == 2 else None)
+    result = {"n": ds.n_rows, "model_kind": model.spec.kind, **report.to_json_dict()}
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -422,10 +422,12 @@ def _resolve_label_column(label_column, header, n_cols, path):
         if not (label_column.isascii() and label_column.isdigit()):
             raise DataError(f"{path}: no column named {reprlib.repr(label_column)} "
                             f"(have {reprlib.repr(header)})")
-        label_column = int(label_column)
-    index = label_column + n_cols if label_column < 0 else label_column
+        # more digits than n_cols has is out of range; int() refuses over 4,300 digits
+        index = int(label_column) if len(label_column.lstrip("0")) <= len(str(n_cols)) else n_cols
+    else:
+        index = label_column + n_cols if label_column < 0 else label_column
     if not (0 <= index < n_cols):
-        raise DataError(f"{path}: label column index {label_column} out of range")
+        raise DataError(f"{path}: label column index {reprlib.repr(label_column)} out of range")
     return index
 
 

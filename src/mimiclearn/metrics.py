@@ -95,6 +95,24 @@ class RocCurve:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class ModelReport:
+    """One model scored on labelled rows: the positive-class and macro
+    reports, and the ROC curve, which is None for a model of more than two
+    classes."""
+
+    positive: MetricsReport
+    macro: MetricsReport
+    roc: RocCurve | None
+
+    def to_json_dict(self) -> dict:
+        """``positive`` and ``macro``, plus ``auc`` when there is a curve."""
+        block = {"positive": self.positive.to_json_dict(), "macro": self.macro.to_json_dict()}
+        if self.roc is not None:
+            block["auc"] = self.roc.auc
+        return block
+
+
 def left_sum(values) -> float:
     """Add floats left to right from 0.0, as ``sum()`` does up to Python 3.11.
 

@@ -38,7 +38,7 @@ from .classifiers import (
 )
 from .data import Dataset, SplitSpec, kfold, stratified_split
 from .errors import DataError, PipelineError
-from .metrics import MetricsReport, RocCurve, left_sum, macro_metrics, positive_metrics, roc
+from .metrics import ModelReport, left_sum, macro_metrics, positive_metrics, roc
 from .rng import STAGE_FOLDS, STAGE_SPLIT, derive_seed
 
 SELECTION_METRICS = ("accuracy", "macro_f1")
@@ -176,50 +176,30 @@ class FidelityReport:
     student differences for the headline metrics, AUC included.
     """
 
-    teacher_metrics: MetricsReport
-    student_metrics: MetricsReport
-    teacher_macro: MetricsReport
-    student_macro: MetricsReport
-    teacher_roc: RocCurve
-    student_roc: RocCurve
+    teacher: ModelReport
+    student: ModelReport
     agreement: float
 
     @property
     def n_test(self) -> int:
-        return self.teacher_metrics.n
+        return self.teacher.positive.n
 
     @property
     def deltas(self) -> dict:
-        t, s = self.teacher_metrics, self.student_metrics
+        t, s = self.teacher.positive, self.student.positive
         return {"accuracy": t.accuracy - s.accuracy, "precision": t.precision - s.precision,
                 "recall": t.recall - s.recall, "f1": t.f1 - s.f1,
-                "auc": self.teacher_auc - self.student_auc}
-
-    @property
-    def teacher_auc(self) -> float:
-        return self.teacher_roc.auc
-
-    @property
-    def student_auc(self) -> float:
-        return self.student_roc.auc
+                "auc": self.teacher.roc.auc - self.student.roc.auc}
 
     def to_json_dict(self) -> dict:
         return {
             "n_test": self.n_test,
             "agreement": self.agreement,
-            "teacher": {
-                "positive": self.teacher_metrics.to_json_dict(),
-                "macro": self.teacher_macro.to_json_dict(),
-                "auc": self.teacher_auc,
-            },
-            "student": {
-                "positive": self.student_metrics.to_json_dict(),
-                "macro": self.student_macro.to_json_dict(),
-                "auc": self.student_auc,
-            },
+            "teacher": self.teacher.to_json_dict(),
+            "student": self.student.to_json_dict(),
             "deltas": dict(sorted(self.deltas.items())),
-            "teacher_roc": self.teacher_roc.to_json_dict(),
-            "student_roc": self.student_roc.to_json_dict(),
+            "teacher_roc": self.teacher.roc.to_json_dict(),
+            "student_roc": self.student.roc.to_json_dict(),
         }
 
 
@@ -350,12 +330,10 @@ def evaluate_fidelity(
     s_pred, s_scores = decide_batch(student, test.features)
 
     return FidelityReport(
-        teacher_metrics=positive_metrics(y, t_pred),
-        student_metrics=positive_metrics(y, s_pred),
-        teacher_macro=macro_metrics(y, t_pred, 2),
-        student_macro=macro_metrics(y, s_pred, 2),
-        teacher_roc=roc(t_scores, y),
-        student_roc=roc(s_scores, y),
+        teacher=ModelReport(positive_metrics(y, t_pred), macro_metrics(y, t_pred, 2),
+                            roc(t_scores, y)),
+        student=ModelReport(positive_metrics(y, s_pred), macro_metrics(y, s_pred, 2),
+                            roc(s_scores, y)),
         agreement=float(np.mean(t_pred == s_pred)),
     )
 

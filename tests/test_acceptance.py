@@ -72,10 +72,10 @@ def fidelity_stats(breast_ds, heart_ds, cardio_ds):
         start = time.perf_counter()
         fids = [_rf_fidelity(ds, seed) for seed in SEEDS]
         stats[name] = {
-            "teacher_acc": float(np.mean([f.teacher_metrics.accuracy for f in fids])),
-            "student_acc": float(np.mean([f.student_metrics.accuracy for f in fids])),
-            "teacher_auc": float(np.mean([f.teacher_roc.auc for f in fids])),
-            "student_auc": float(np.mean([f.student_roc.auc for f in fids])),
+            "teacher_acc": float(np.mean([f.teacher.positive.accuracy for f in fids])),
+            "student_acc": float(np.mean([f.student.positive.accuracy for f in fids])),
+            "teacher_auc": float(np.mean([f.teacher.roc.auc for f in fids])),
+            "student_auc": float(np.mean([f.student.roc.auc for f in fids])),
             "elapsed": time.perf_counter() - start,
         }
         stats[name]["auc_gap"] = (

@@ -24,9 +24,9 @@ from mimiclearn.cli import (
     build_parser,
     main,
 )
-from mimiclearn.data import CsvSchema, load_csv, save_csv
-from mimiclearn.model_io import import_model
-from mimiclearn.classifiers import ClassifierSpec, predict_batch
+from mimiclearn.data import CsvSchema, Dataset, load_csv, save_csv
+from mimiclearn.model_io import export_model, import_model
+from mimiclearn.classifiers import ORIGIN_STUDENT, ClassifierSpec, fit, predict_batch
 from mimiclearn.mimic import PipelineConfig, annotate, train_student, train_teacher
 from mimiclearn.synthetic import (
     breast_cancer_like,
@@ -445,6 +445,14 @@ class TestCommitRollback:
         assert _snapshot(out) == before
 
 
+# sha256 of `evaluate`'s stdout in test_stdout_bytes_are_pinned
+EVALUATE_STDOUT_DIGESTS = {
+    "nb-binary": "fd601861f31e07c15a557743778fc5bbee9a74cfe2fe66185d369463248f08c6",
+    "nb": "e3ff126d5824bc7f2115dedf7dd08643033721e7be7b04d6dc90198273118393",
+    "rf": "5e081216de955f83cb16e2a832cb93ce16f03c9aebaf32a94d47e04a0031d829",
+}
+
+
 class TestEvaluateCommand:
     @pytest.fixture()
     def exported(self, toy_csv, tmp_path):
@@ -474,6 +482,27 @@ class TestEvaluateCommand:
         assert payload["n"] == ds.n_rows
         assert payload["model_kind"] == "nb"
         assert 0.0 <= payload["auc"] <= 1.0
+
+    @pytest.mark.parametrize("kind", ["nb-binary", "nb", "rf"])
+    def test_stdout_bytes_are_pinned(self, kind, exported, toy_csv, tmp_path, capsys):
+        # a binary nb student from `run`, and nb and rf models of three classes,
+        # whose report has no auc
+        data, model, positive = toy_csv, exported, ["--positive-class", "high"]
+        if kind != "nb-binary":
+            toy = threshold_toy(seed=1)
+            data, model, positive = tmp_path / "three.csv", tmp_path / "three.json", []
+            save_csv(Dataset(features=toy.features, feature_names=toy.feature_names,
+                             labels=np.where(np.arange(toy.n_rows) % 3 == 0, 2, toy.labels),
+                             class_names=("low", "high", "odd"), source_id="three"), data)
+            train = load_csv(data, CsvSchema(label_column="label"))
+            spec = ClassifierSpec(kind, {"n_trees": 5} if kind == "rf" else {})
+            export_model(fit(spec, train, ORIGIN_STUDENT), model)
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--data", str(data),
+                     "--label-column", "label", *positive]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("auc" in json.loads(out)) == (kind == "nb-binary")
+        assert hashlib.sha256(out.encode()).hexdigest() == EVALUATE_STDOUT_DIGESTS[kind]
 
     def test_huge_class_mismatch_is_echoed_cut_short(self, exported, tmp_path, capsys):
         data = tmp_path / "ids.csv"
@@ -724,9 +753,11 @@ class TestExitCodes:
         assert code == EXIT_PIPELINE
         _assert_one_short_line(capsys.readouterr().err, "mimiclearn: pipeline error: ")
 
-    @pytest.mark.parametrize("case", ["header", "label-flag", "labels", "positive-flag"])
+    @pytest.mark.parametrize("case", ["header", "label-flag", "label-index", "labels",
+                                      "positive-flag"])
     def test_huge_csv_names_are_echoed_cut_short(self, case, tmp_path, capsys):
-        # no column is named by --label-column, or no label by --positive-class
+        # no column is named or indexed by --label-column, or no label by
+        # --positive-class; int() refuses an index of over 4,300 digits
         data, label, positive = tmp_path / "data.csv", "label", "high"
         names = [_HUGE] + [f"n{i}" for i in range(5_000)]
         if case == "header":
@@ -734,14 +765,15 @@ class TestExitCodes:
         else:
             data.write_text("a,label\n" + "".join(f"{i},{name}\n"
                                                   for i, name in enumerate(names)))
-            label = _HUGE if case == "label-flag" else label
+            label = {"label-flag": _HUGE, "label-index": "9" * 5_000}.get(case, label)
             positive = _HUGE + "y" if case == "positive-flag" else positive
         code = main(["run", "--data", str(data), "--label-column", label,
                      "--positive-class", positive, "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         _assert_one_short_line(err.replace(str(data), "PATH"), "mimiclearn: data error: PATH")
-        assert ("(have [" if case in ("header", "label-flag") else "(labels seen: [") in err
+        assert {"header": "(have [", "label-flag": "(have [", "label-index": "out of range"
+                }.get(case, "(labels seen: [") in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -754,9 +786,15 @@ def _assert_one_short_line(err, prefix):
 
 
 _SPLIT_OUTPUTS = {"private.csv", "public.csv", "test.csv", "split_manifest.json"}
-_FUZZ_ROWS = [["a", "b", "label"]] + [
-    [str(i % 7 - 3), str(i * 0.5), "yes" if i % 2 else "no"] for i in range(24)
-]
+
+
+def _fuzz_rows(n_rows):
+    return [["a", "b", "label"]] + [
+        [str(i % 7 - 3), str(i * 0.5), "yes" if i % 2 else "no"] for i in range(n_rows)
+    ]
+
+
+_FUZZ_ROWS = _fuzz_rows(24)
 _CELL_MUTATIONS = ["?", "-999", "", " ", "1e308", "-1e308", "5e-324", "-0.0", " 7 ", "ragged"]
 _BYTE_MUTATIONS = {"quote": b'"', "nul": b"\0", "bom": "\ufeff".encode(), "xff": b"\xff"}
 _SPLIT_FLAGS = [  # two thirds of them valid for the seed CSV
@@ -767,13 +805,13 @@ _SPLIT_FLAGS = [  # two thirds of them valid for the seed CSV
     ("--fractions", "0.2,0.4,0.4"), ("--fractions", "0.6,0.2,0.2"),
     ("--fractions", "nan,0.5,0.5"), ("--fractions", "0.5,0.5"), ("--seed", "0"),
     ("--seed", "3"), ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "1.5"),
-    ("--seed", "12345678901234567890"),
+    ("--seed", "12345678901234567890"), ("--label-column", "9" * 5_000),
 ]
 
 
-def _fuzzed_csv(mutations, line_end):
+def _fuzzed_csv(mutations, line_end, seed_rows=_FUZZ_ROWS):
     """The seed CSV with each (kind, position) mutation applied, as bytes."""
-    rows = [list(row) for row in _FUZZ_ROWS]
+    rows = [list(row) for row in seed_rows]
     for kind, at in mutations:  # cell mutations first: they address rows and cells
         row = rows[1 + at % (len(rows) - 1)]
         if kind == "ragged" and at % 2:
@@ -791,21 +829,26 @@ def _fuzzed_csv(mutations, line_end):
 
 
 @pytest.fixture()
-def split_exit_codes():
+def fuzz_exit_codes():
     """Every exit code of one fuzz run; at least 20% must be successes, so
-    that the fuzz also reaches the writing path (the seed CSV is valid)."""
+    that the fuzz also reaches the writing path (the seed CSVs are valid)."""
     codes = []
     yield codes
     assert codes.count(EXIT_OK) >= 0.2 * len(codes), codes
 
 
-@given(mutations=st.lists(st.tuples(st.sampled_from(_CELL_MUTATIONS + list(_BYTE_MUTATIONS)),
-                                    st.integers(0, 10_000)), max_size=3),
-       line_end=st.sampled_from(["\n", "\r", "\r\n"]),
-       flags=st.lists(st.sampled_from(_SPLIT_FLAGS), max_size=2))
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_split_exit_code_under_fuzzed_csv_and_flags(split_exit_codes, mutations, line_end,
+_FUZZED_CSV_AND_FLAGS = given(
+    mutations=st.lists(st.tuples(st.sampled_from(_CELL_MUTATIONS + list(_BYTE_MUTATIONS)),
+                                 st.integers(0, 10_000)), max_size=3),
+    line_end=st.sampled_from(["\n", "\r", "\r\n"]),
+    flags=st.lists(st.sampled_from(_SPLIT_FLAGS), max_size=2))
+_FUZZ_SETTINGS = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZED_CSV_AND_FLAGS
+@_FUZZ_SETTINGS
+def test_split_exit_code_under_fuzzed_csv_and_flags(fuzz_exit_codes, mutations, line_end,
                                                      flags):
     """Any CSV bytes and data flags exit 0, 1 or 2; only success writes files."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -814,10 +857,40 @@ def test_split_exit_code_under_fuzzed_csv_and_flags(split_exit_codes, mutations,
         argv = ["split", "--data", str(data), "--out-dir", str(out)]
         code = main(argv + [arg for flag in flags for arg in flag])
         event(f"exit {code}")
-        split_exit_codes.append(code)
+        fuzz_exit_codes.append(code)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
         written = {p.name for p in out.iterdir()} if out.exists() else set()
         assert written == (_SPLIT_OUTPUTS if code == EXIT_OK else set())
+
+
+_RUN_FUZZ_ROWS = _fuzz_rows(80)  # from 24 rows, one example in eight would succeed
+
+
+@pytest.fixture(scope="module")
+def tiny_config(tmp_path_factory):
+    # svm and knn standardize a column near the float limit; nb does not yet
+    # (ROADMAP item 1(a)): its variance overflows on a 1e308 cell
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps({"specs": [{"kind": "knn", "hyperparameters": {"n_neighbors": 3}},
+                                          {"kind": "svm", "hyperparameters": {"epochs": 2}}],
+                                "cv_k": 2}))
+    return path
+
+
+@_FUZZED_CSV_AND_FLAGS
+@_FUZZ_SETTINGS
+def test_run_exit_code_under_fuzzed_csv_and_flags(tiny_config, fuzz_exit_codes, mutations,
+                                                   line_end, flags):
+    """Any CSV bytes and data flags exit 0, 1, 2 or 3; only success writes files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data.csv", Path(tmp) / "out"
+        data.write_bytes(_fuzzed_csv(mutations, line_end, _RUN_FUZZ_ROWS))
+        argv = ["run", "--data", str(data), "--config", str(tiny_config), "--out-dir", str(out)]
+        code = main(argv + [arg for flag in flags for arg in flag])
+        event(f"exit {code}")
+        fuzz_exit_codes.append(code)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_PIPELINE)
+        assert out.exists() == (code == EXIT_OK)
 
 
 # JSON values of every type; ints stay small, so no count can ask for long work
@@ -880,8 +953,7 @@ def run_exit_codes():
 
 
 @given(config=_RUN_CONFIGS)
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@_FUZZ_SETTINGS
 def test_run_exit_code_under_fuzzed_config(tiny_csv, run_exit_codes, config):
     """Any config JSON exits 0, 1, 2 or 3; only success writes files."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -1050,3 +1122,28 @@ def test_run_json_config_echo_reproduces_the_run(tmp_path, monkeypatch):
             "--out-dir", "again"]
     assert main(args) == EXIT_OK
     assert Path("again/run.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GENERATORS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_evaluate_of_the_shared_student_reproduces_its_fidelity(name, seed, tmp_path,
+                                                                 monkeypatch, capsys):
+    """The paper's hand-off: the student file `run` writes, scored by
+    `evaluate` on the test.csv `split` writes at the same seed, reports
+    run.json's fidelity.student block exactly."""
+    monkeypatch.chdir(tmp_path)
+    save_csv(GOLDEN_GENERATORS[name](), "data.csv")
+    Path("config.json").write_text(json.dumps({"specs": [
+        {"kind": "nb"}, {"kind": "svm"}, {"kind": "rf", "hyperparameters": {"n_trees": 5}},
+    ], "cv_k": 3}))
+    common = ["--data", "data.csv", "--seed", str(seed), "--out-dir"]
+    assert main(["run", *common, "run", "--config", "config.json"]) == EXIT_OK
+    assert main(["split", *common, "split"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--model", "run/student_model.json",
+                 "--data", "split/test.csv"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    run = json.loads(Path("run/run.json").read_text())
+    assert report.pop("n") == run["fidelity"]["n_test"]
+    assert report.pop("model_kind") == run["student_race"]["winner_kind"]
+    assert report == run["fidelity"]["student"]

@@ -240,20 +240,20 @@ class TestStudent:
 class TestFidelity:
     def test_oracle_teacher_makes_agreement_equal_accuracy(self, toy):
         run = run_pipeline(toy, PipelineConfig(specs=SMALL_SPECS, seed=6, cv_k=5))
-        teacher_test_acc = run.fidelity.teacher_metrics.accuracy
+        teacher_test_acc = run.fidelity.teacher.positive.accuracy
         assert teacher_test_acc == 1.0  # the toy is exactly learnable
         assert abs(
-            run.fidelity.agreement - run.fidelity.student_metrics.accuracy
+            run.fidelity.agreement - run.fidelity.student.positive.accuracy
         ) < 1e-12
 
     def test_deltas_are_teacher_minus_student(self, heart_ds):
         run = run_pipeline(heart_ds, PipelineConfig(specs=SMALL_SPECS, seed=2, cv_k=5))
         fid = run.fidelity
         assert fid.deltas["accuracy"] == pytest.approx(
-            fid.teacher_metrics.accuracy - fid.student_metrics.accuracy
+            fid.teacher.positive.accuracy - fid.student.positive.accuracy
         )
         assert fid.deltas["auc"] == pytest.approx(
-            fid.teacher_roc.auc - fid.student_roc.auc
+            fid.teacher.roc.auc - fid.student.roc.auc
         )
         assert 0.0 <= fid.agreement <= 1.0
         assert fid.n_test == run.part_counts["test"]

@@ -1,7 +1,8 @@
 """Source hygiene, read with the standard library's ``ast``: no module imports
 a name it never uses, every module-level private function or class is used
-somewhere in the package, and the pipeline stages know no classifier family.
-Also, the test configuration lets a failing hypothesis test report its example."""
+somewhere in the package, the pipeline stages know no classifier family, and
+only metrics.py spells a model report's keys. Also, the test configuration
+lets a failing hypothesis test report its example."""
 
 import ast
 import subprocess
@@ -69,6 +70,16 @@ def test_pipeline_stages_reach_families_only_through_classifiers():
     found = [ast.unparse(node) for node in ast.walk(MODULES["mimic.py"])
              if isinstance(node, ast.Attribute) and node.attr == "params"
              or isinstance(node, ast.Constant) and node.value in family_names]
+    assert found == []
+
+
+def test_only_metrics_writes_a_model_report_block():
+    # run.json's teacher and student blocks and evaluate's report come from
+    # metrics.ModelReport.to_json_dict, so no other module spells its keys
+    found = [(module, key.value) for module, tree in MODULES.items() if module != "metrics.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Dict)
+             for key in node.keys
+             if isinstance(key, ast.Constant) and key.value in ("positive", "macro")]
     assert found == []
 
 
