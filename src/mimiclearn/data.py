@@ -17,7 +17,7 @@ import json
 import math
 import reprlib
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,12 +84,11 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def select(self, idx: np.ndarray, source_suffix: str = "") -> "Dataset":
+    def select(self, idx: np.ndarray) -> "Dataset":
         """Row subset, preserving label/schema metadata; the indexed rows are
         frozen in place, not copied again."""
         labels = None if self.labels is None else self.labels[idx]
-        return self._sharing(features=self.features[idx], labels=labels,
-                             source_id=self.source_id + source_suffix)
+        return self._sharing(features=self.features[idx], labels=labels)
 
     def without_labels(self) -> "Dataset":
         """The same frozen features, with no labels."""
@@ -207,16 +206,14 @@ class IngestStats:
 class SplitResult:
     """Output of :func:`stratified_split`.
 
-    ``public_pool`` has its labels stripped; the ground-truth copy is kept in
-    ``public_labels_hidden`` strictly for evaluation, never for training.
+    ``public_pool`` carries no labels.
     ``row_ids`` maps each part to the original row indices it came from.
     """
 
     private: Dataset
     public_pool: Dataset
     test: Dataset
-    public_labels_hidden: np.ndarray
-    row_ids: dict = field(default_factory=dict)
+    row_ids: dict
 
 
 def ingest_csv(path: str | Path, schema: CsvSchema) -> tuple[Dataset, IngestStats]:
@@ -530,8 +527,7 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> SplitResult:
     """Deterministic three-way stratified split into private/public/test.
 
     Per-class proportions in every part match the input within one sample.
-    The public part is returned unlabeled; its true labels are retained only
-    in ``public_labels_hidden`` for held-out evaluation.
+    The public part is returned unlabeled.
     """
     if ds.labels is None:
         raise DataError("stratified_split requires a labeled dataset")
@@ -559,14 +555,10 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> SplitResult:
         part_ids[2].append(shuffled[stop2:])
 
     ids = [np.sort(np.concatenate(p)) for p in part_ids]
-    private = ds.select(ids[0], "#private")
-    public_labeled = ds.select(ids[1], "#public")
-    test = ds.select(ids[2], "#test")
     return SplitResult(
-        private=private,
-        public_pool=public_labeled.without_labels(),
-        test=test,
-        public_labels_hidden=np.array(public_labeled.labels),
+        private=ds.select(ids[0]),
+        public_pool=ds.select(ids[1]).without_labels(),
+        test=ds.select(ids[2]),
         row_ids={"private": ids[0], "public": ids[1], "test": ids[2]},
     )
 

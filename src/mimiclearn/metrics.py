@@ -184,12 +184,12 @@ def _class_metrics(c: ConfusionMatrix, index: int, flags: list) -> ClassMetrics:
                         f1=_harmonic(p, r), support=c.tp + c.fn)
 
 
-def positive_metrics(y_true, y_pred, positive: int = 1) -> MetricsReport:
-    """Report for the positive class alone."""
+def positive_metrics(y_true, y_pred) -> MetricsReport:
+    """Report for the positive class (index 1) alone."""
     y_true, y_pred = _check_pair(y_true, y_pred)
-    c = confusion(y_true, y_pred, positive)
+    c = confusion(y_true, y_pred, 1)
     flags = []
-    m = _class_metrics(c, positive, flags)
+    m = _class_metrics(c, 1, flags)
     return MetricsReport(
         n=c.total,
         accuracy=accuracy(c),
@@ -230,8 +230,8 @@ def macro_metrics(y_true, y_pred, n_classes: int) -> MetricsReport:
     )
 
 
-def roc(scores, y_true, positive: int = 1) -> RocCurve:
-    """ROC curve over descending distinct score thresholds, ties grouped.
+def roc(scores, y_true) -> RocCurve:
+    """ROC curve of class 1 over descending distinct score thresholds, ties grouped.
 
     Raises ValueError unless both positive and negative samples are present.
     """
@@ -239,7 +239,7 @@ def roc(scores, y_true, positive: int = 1) -> RocCurve:
     y_true = np.asarray(y_true, dtype=np.int64)
     if scores.shape != y_true.shape or scores.ndim != 1:
         raise ValueError("scores and y_true must be 1-D and the same length")
-    is_pos = y_true == positive
+    is_pos = y_true == 1
     n_pos = int(is_pos.sum())
     n_neg = int(y_true.size - n_pos)
     if n_pos == 0 or n_neg == 0:

@@ -307,13 +307,20 @@ def train_student(
 
     The fold assignment seed is derived exactly as in the teacher race, so a
     student trained on perfectly-annotated rows coincides with a teacher
-    trained on those same rows.
+    trained on those same rows. A class annotated on 1 to cv_k - 1 rows raises.
     """
-    if annotated.labels is not None and np.unique(annotated.labels).size < 2:
-        raise PipelineError(
-            "teacher annotated the whole pool with one class; "
-            "no student can be trained from it"
-        )
+    if annotated.labels is not None:
+        counts = np.bincount(annotated.labels, minlength=len(annotated.class_names))
+        if np.count_nonzero(counts) < 2:
+            raise PipelineError(
+                "teacher annotated the whole pool with one class; "
+                "no student can be trained from it"
+            )
+        for name, count in zip(annotated.class_names, counts):
+            if 0 < count < config.cv_k:
+                raise PipelineError(f"teacher annotated only {count} pool rows as "
+                                    f"{reprlib.repr(name)}; the student race needs "
+                                    f"cv_k={config.cv_k}")
     return _select(annotated, config, ORIGIN_STUDENT)
 
 

@@ -261,7 +261,7 @@ def file_json(record: dict) -> str:
     return _json(record, "\n") + "\n"
 
 
-def model_text(model: TrainedModel, created_at: str | None = None, encode=file_json) -> str:
+def model_text(model: TrainedModel, encode=file_json) -> str:
     """The text of ``model``'s file, rendered by ``encode``, enforcing both export
     refusals. The text is imported again before it is returned, so a model that
     would not import again (a non-finite weight, say) raises PipelineError here."""
@@ -281,7 +281,7 @@ def model_text(model: TrainedModel, created_at: str | None = None, encode=file_j
         "n_features": model.n_features,
         "scaler": None if model.scaler is None else vars(model.scaler),
         "parameters": params if isinstance(params, dict) else vars(params),
-        "created_at": created_at,
+        "created_at": None,
     })
     try:
         parse_model_file(text)
@@ -290,19 +290,18 @@ def model_text(model: TrainedModel, created_at: str | None = None, encode=file_j
     return text
 
 
-def model_to_file(model: TrainedModel, created_at: str | None = None) -> dict:
+def model_to_file(model: TrainedModel) -> dict:
     """The model file's JSON object: :func:`model_text`, decoded by ``json``."""
-    return json.loads(model_text(model, created_at))
+    return json.loads(model_text(model))
 
 
-def export_model(model: TrainedModel, path: str | Path, created_at: str | None = None) -> None:
+def export_model(model: TrainedModel, path: str | Path) -> None:
     """Write a student model to ``path``; :func:`model_to_file` gives its record.
 
     The file is written beside ``path`` and renamed over it, so ``path``
-    holds the old bytes or the new ones, never a part. ``created_at`` is
-    optional precisely so that default exports are byte-for-byte reproducible.
+    holds the old bytes or the new ones, never a part.
     """
-    text = model_text(model, created_at=created_at)
+    text = model_text(model)
     path = Path(path)
     with tempfile.TemporaryDirectory(dir=path.parent) as stage:
         Path(stage, path.name).write_text(text, encoding="utf-8")

@@ -19,8 +19,8 @@ disk, matching its row/column counts, label balance, and rough difficulty:
   label noise; models improve slowly with training-set size and top out
   well below the other two datasets.
 
-Generation is deterministic in the seed; the default seeds are frozen so the
-functions behave like fixed files.
+Each generator draws from its own frozen seed (``BREAST_SEED``, ``HEART_SEED``,
+``CARDIO_SEED``), so it returns the same rows every call, like a fixed file.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ HEART_SEED = 55201
 CARDIO_SEED = 77113
 
 
-def breast_cancer_like(seed: int = BREAST_SEED) -> Dataset:
-    rng = generator(seed)
+def breast_cancer_like() -> Dataset:
+    rng = generator(BREAST_SEED)
     n = 699
     y = (rng.random(n) < 0.345).astype(np.int64)
 
@@ -82,12 +82,12 @@ def breast_cancer_like(seed: int = BREAST_SEED) -> Dataset:
         feature_names=names,
         labels=y,
         class_names=("benign", "malignant"),
-        source_id=f"synthetic:breast_cancer_like:{seed}",
+        source_id=f"synthetic:breast_cancer_like:{BREAST_SEED}",
     )
 
 
-def heart_disease_like(seed: int = HEART_SEED) -> Dataset:
-    rng = generator(seed)
+def heart_disease_like() -> Dataset:
+    rng = generator(HEART_SEED)
     n = 303
     y = (rng.random(n) < 0.46).astype(np.int64)
 
@@ -121,12 +121,12 @@ def heart_disease_like(seed: int = HEART_SEED) -> Dataset:
         feature_names=names,
         labels=y,
         class_names=("absent", "present"),
-        source_id=f"synthetic:heart_disease_like:{seed}",
+        source_id=f"synthetic:heart_disease_like:{HEART_SEED}",
     )
 
 
-def cardio_like(seed: int = CARDIO_SEED) -> Dataset:
-    rng = generator(seed)
+def cardio_like() -> Dataset:
+    rng = generator(CARDIO_SEED)
     n = 1400
     y = (rng.random(n) < 0.5).astype(np.int64)
 
@@ -165,5 +165,5 @@ def cardio_like(seed: int = CARDIO_SEED) -> Dataset:
         feature_names=names,
         labels=y,
         class_names=("negative", "positive"),
-        source_id=f"synthetic:cardio_like:{seed}",
+        source_id=f"synthetic:cardio_like:{CARDIO_SEED}",
     )

@@ -481,7 +481,7 @@ def auc_mann_whitney(scores, y_true, positive=1):
     return wins / (len(pos) * len(neg))
 
 
-def model_record(model, created_at=None) -> dict:
+def model_record(model) -> dict:
     """A model file's JSON object built field by field, every array as nested
     lists: the record the model-file writer must render."""
     def fields_of(params):
@@ -497,7 +497,7 @@ def model_record(model, created_at=None) -> dict:
     return {"format_version": 1, **model.spec.to_json_dict(), "origin": model.origin,
             "class_names": list(model.class_names), "n_features": model.n_features,
             "scaler": None if model.scaler is None else fields_of(model.scaler),
-            "parameters": parameters, "created_at": created_at}
+            "parameters": parameters, "created_at": None}
 
 
 def file_json_dumps(record) -> str:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import math
 import re
@@ -655,13 +656,15 @@ class TestStratifiedSplit:
             assert abs(private_c - 0.5 * total) <= 1
             assert abs(test_c - 0.2 * total) <= 1
 
-    def test_public_pool_is_unlabeled_with_hidden_copy(self, breast_ds):
+    def test_public_pool_is_unlabeled(self, breast_ds):
         split = stratified_split(breast_ds, SplitSpec(seed=3))
         assert split.public_pool.labels is None
-        assert split.public_labels_hidden.shape == (split.public_pool.n_rows,)
         np.testing.assert_array_equal(
-            split.public_labels_hidden, breast_ds.labels[split.row_ids["public"]]
+            split.public_pool.features, breast_ds.features[split.row_ids["public"]]
         )
+        # the pool's true labels do not travel beside it
+        assert [f.name for f in dataclasses.fields(split)] == [
+            "private", "public_pool", "test", "row_ids"]
 
     def test_deterministic_in_seed(self, breast_ds):
         a = stratified_split(breast_ds, SplitSpec(seed=11))

@@ -29,7 +29,7 @@ from mimiclearn.mimic import (
     train_teacher,
 )
 from mimiclearn.rng import STAGE_FOLDS, STAGE_SPLIT, derive_seed, generator
-from mimiclearn.synthetic import cardio_like
+from mimiclearn.synthetic import cardio_like, heart_disease_like
 
 from oracles import cross_validate_foldwise, threshold_toy
 
@@ -199,7 +199,7 @@ class TestAnnotate:
         with pytest.raises(PipelineError, match="teacher"):
             annotate(student, split.public_pool)
         teacher = fit(ClassifierSpec("nb", {}, seed=4), split.private, ORIGIN_TEACHER)
-        labeled_pool = split.public_pool.with_labels(split.public_labels_hidden)
+        labeled_pool = split.public_pool.with_labels(toy.labels[split.row_ids["public"]])
         with pytest.raises(PipelineError, match="unlabeled"):
             annotate(teacher, labeled_pool)
 
@@ -235,6 +235,19 @@ class TestStudent:
             train_student(one_class, PipelineConfig(specs=SMALL_SPECS, cv_k=4))
         with pytest.raises(DataError, match="labeled"):
             train_student(ann.without_labels(), PipelineConfig(specs=SMALL_SPECS, cv_k=4))
+
+    def test_a_class_annotated_on_fewer_rows_than_cv_k_is_refused(self):
+        # the private part has 8 rows of each class, so the teacher race runs;
+        # the teacher then labels 2 of the 8 pool rows 'absent', too few for
+        # 3 folds, which is the teacher's doing, not the input data's
+        rows = np.sort(generator(1).choice(303, 30, replace=False))
+        config = PipelineConfig.from_json_dict(
+            {"specs": [{"kind": "nb"}, {"kind": "svm", "hyperparameters": {"epochs": 2}}],
+             "cv_k": 3}, 1)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(heart_disease_like().select(rows), config)
+        assert str(info.value) == ("teacher annotated only 2 pool rows as 'absent'; "
+                                   "the student race needs cv_k=3")
 
 
 class TestFidelity:

@@ -1,7 +1,8 @@
 """Source hygiene, read with the standard library's ``ast``: no module imports
 a name it never uses, every module-level private function or class is used
-somewhere in the package, the pipeline stages know no classifier family, and
-only metrics.py spells a model report's keys. Also, the test configuration
+somewhere in the package, every defaulted parameter is passed by some call in
+the package, the pipeline stages know no classifier family, and only
+metrics.py spells a model report's keys. Also, the test configuration
 lets a failing hypothesis test report its example."""
 
 import ast
@@ -60,6 +61,51 @@ def test_every_private_function_and_class_is_used():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in used]
     assert unused == []
+
+
+# the console script calls main() with no argument, so argv is left to sys.argv
+UNPASSED_DEFAULTS = {("cli.py", "main", "argv")}
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, positional index or None) for every parameter
+    with a default; a method's index leaves out ``self`` or ``cls``."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, i - (id(node) in methods)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # an option no call in the package sets has one value, so it is a constant
+    calls = {}
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, param, index):
+        if any(k.arg == param for k in call.keywords):
+            return True
+        return index is not None and (
+            len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unpassed = [(module, function, param)
+                for module, tree in MODULES.items()
+                for function, param, index in _defaulted_parameters(tree)
+                if (module, function, param) not in UNPASSED_DEFAULTS
+                and not any(passed(call, param, index) for call in calls.get(function, ()))]
+    assert unpassed == []
 
 
 def test_pipeline_stages_reach_families_only_through_classifiers():
