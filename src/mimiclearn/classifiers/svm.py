@@ -13,12 +13,16 @@ hinge is the one ``math.fsum``'s correctly rounded dot product (Shewchuk's
 exact summation) picks; ``fsum`` also sums the squared norm, but only when
 a running bound on ``||(w, b)||`` cannot rule the projection out. BLAS, whose
 kernels sum in CPU-dependent orders, some with fused multiply-adds, is not
-used; the builtin ``sum()``, which compensates from Python 3.12 on, only
-picks a hinge where a bound shows ``fsum`` picks the same. ``svm_margin``
-adds the columns one at a time in a fixed order with numpy elementwise
-operations, which do not fuse, starting from +0.0 so that no margin is a
-negative zero; a row far outside the training scale, whose margin
-overflows, is taken again scaled by a power of two.
+used. The epochs run in a function compiled once per feature count d from
+``_epochs_source(d)``, with each weight a local variable, since building a
+new weight list at every step cost more than the arithmetic. Its margin adds
+the products left to right, one statement each, the same sum on every Python
+version (the builtin ``sum()`` compensates from 3.12 on), and only picks a
+hinge where a bound shows ``fsum`` picks the same. ``svm_margin`` adds the
+columns one at a time in a fixed order with numpy elementwise operations,
+which do not fuse, starting from +0.0 so that no margin is a negative zero;
+a row far outside the training scale, whose margin overflows, is taken
+again scaled by a power of two.
 
 Neither skip changes a byte (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 2-4). A skipped norm could not have fired: each hinge step
@@ -26,20 +30,20 @@ adds ``|c| * length[i] >= |c| * ||(x_i, 1)||`` to the bound, and a skip
 needs it below the radius with margins. ``_SLACK`` covers a dozen roundings
 of 2**-53 per step and per norm, ``_TINY`` subnormal products, ``_FLOOR``
 subnormal squares (at most sqrt((d + 1) * 2**-1075) on a norm), and ``_CAP``
-the overflow, which raises, of a skipped ``fsum`` of squares. ``sum()`` errs
-on ``fsum``'s products by at most gamma_{d-1} (plain, to 3.11) or 2u +
-O(d u^2) (Neumaier, from 3.12) times their magnitudes' sum, u = 2**-53, and
-by Cauchy-Schwarz that sum is under ``lengths[i] * bound``; ``tols[i]`` takes
-4 (d + 2) u of it, and ``_NEAR`` the rounding of ``fsum``, ``+ b`` and 1's
-neighbours. A margin nearer 1, a NaN, and a row over ``_WIDE`` (whose margin
-could overflow: the bound is under 1/sqrt(5e-324) < 2**538) take ``fsum``.
+the overflow, which raises, of a skipped ``fsum`` of squares. The plain sum
+errs on ``fsum``'s products by at most gamma_{d-1} = (d - 1) u / (1 - (d - 1) u)
+times their magnitudes' sum, u = 2**-53, and by Cauchy-Schwarz that sum is
+under ``lengths[i] * bound``; ``tols[i]`` takes 4 (d + 2) u of it, and
+``_NEAR`` the rounding of ``fsum``, ``+ b`` and 1's neighbours. A margin
+nearer 1, a NaN, and a row over ``_WIDE`` (whose margin could overflow: the
+bound is under 1/sqrt(5e-324) < 2**538) take ``fsum``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -52,6 +56,66 @@ _FLOOR = 1e-150
 _CAP = 2.0**500
 _NEAR = 2.0**-50
 _WIDE = 2.0**480
+
+# Pegasos' steps over every epoch's order of row indices. {w}, {x}, {xw} and
+# {ww} list the weights, the row's features, their products and the squared
+# weights; a line holding {j} is written once per feature j, in column order.
+_EPOCHS = """\
+def epochs(rows, signs, lengths, tols, orders, reg_lambda, radius, limit):
+    w{j} = 0.0
+    b = 0.0
+    bound = 0.0  # >= ||(w, b)||
+    t = 0
+    for order in orders:
+        for i in order:
+            t += 1
+            [{x}] = rows[i]
+            s = signs[i]
+            m = 0.0
+            m = m + x{j} * w{j}
+            margin = s * (m + b)
+            if not abs(margin - 1.0) > tols[i] * bound + _NEAR:
+                margin = s * (math.fsum(({xw})) + b)
+            shrink = 1.0 - 1.0 / t  # == 1 - eta*reg_lambda
+            if margin < 1.0:
+                c = (1.0 / (reg_lambda * t)) * s  # eta * y_i
+                w{j} = w{j} * shrink + c * x{j}
+                b = b * shrink + c
+                bound = (bound * shrink + abs(c) * lengths[i]) * _SLACK + _TINY
+            else:
+                w{j} = w{j} * shrink
+                b *= shrink
+                bound = bound * shrink * _SLACK + _TINY
+            if not bound * _SLACK + _FLOOR <= limit:
+                norm = math.sqrt(math.fsum(({ww})) + b * b)
+                if norm > radius:
+                    scale = radius / norm
+                    w{j} = w{j} * scale
+                    b *= scale
+                bound = min(norm, radius) * _SLACK + _TINY
+    return [{w}], b
+"""
+
+
+def _epochs_source(d: int) -> str:
+    """``_EPOCHS`` for d features. The margin is one statement per product:
+    as a single expression, thousands of terms raise ``RecursionError`` in
+    the compiler."""
+    lists = {"w": ", ".join(f"w{j}" for j in range(d)),
+             "x": ", ".join(f"x{j}" for j in range(d)),
+             "xw": "".join(f"x{j} * w{j}, " for j in range(d)),
+             "ww": "".join(f"w{j} * w{j}, " for j in range(d))}
+    return "".join("".join(line.format(j=j) for j in range(d)) if "{j}" in line
+                   else line.format(**lists) for line in _EPOCHS.splitlines(keepends=True))
+
+
+@functools.cache
+def _epochs(d: int):
+    """The compiled ``_epochs_source(d)``, reading ``math`` and the constants
+    from this module at call time."""
+    namespace = {}
+    exec(compile(_epochs_source(d), f"<svm epochs, {d} features>", "exec"), globals(), namespace)
+    return namespace["epochs"]
 
 
 @dataclass(frozen=True)
@@ -69,39 +133,12 @@ def fit_svm(X, y, n_classes, reg_lambda, epochs, seed) -> SvmModel:
     n, d = X.shape
     rows = X.tolist()
     signs = (2 * y - 1).astype(np.float64).tolist()
-    w = [0.0] * d
-    b = 0.0
     radius = 1.0 / math.sqrt(reg_lambda)
-    limit = min(radius, _CAP)
     lengths = [math.hypot(*x, 1.0) * _SLACK for x in rows]
     tols = [4 * (d + 2) * 2.0**-53 * a if a < _WIDE else math.inf for a in lengths]
-    bound = 0.0  # >= ||(w, b)||
     rng = generator(derive_seed(seed, STAGE_SGD))
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            x, s = rows[i], signs[i]
-            margin = s * (sum(map(mul, x, w)) + b)
-            if not abs(margin - 1.0) > tols[i] * bound + _NEAR:
-                margin = s * (math.fsum(map(mul, x, w)) + b)
-            shrink = 1.0 - 1.0 / t  # == 1 - eta*reg_lambda
-            if margin < 1.0:
-                c = (1.0 / (reg_lambda * t)) * s  # eta * y_i
-                w = [a * shrink + c * xj for a, xj in zip(w, x)]
-                b = b * shrink + c
-                bound = (bound * shrink + abs(c) * lengths[i]) * _SLACK + _TINY
-            else:
-                w = [a * shrink for a in w]
-                b *= shrink
-                bound = bound * shrink * _SLACK + _TINY
-            if not bound * _SLACK + _FLOOR <= limit:
-                norm = math.sqrt(math.fsum(map(mul, w, w)) + b * b)
-                if norm > radius:
-                    scale = radius / norm
-                    w = [a * scale for a in w]
-                    b *= scale
-                bound = min(norm, radius) * _SLACK + _TINY
+    orders = (rng.permutation(n).tolist() for _ in range(epochs))
+    w, b = _epochs(d)(rows, signs, lengths, tols, orders, reg_lambda, radius, min(radius, _CAP))
     return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from mimiclearn.classifiers import ORIGIN_TEACHER, fit, predict_batch
 from mimiclearn.classifiers.forest import ForestModel, TreeNodes
-from mimiclearn.classifiers.svm import SvmModel
+from mimiclearn.classifiers.svm import _CAP, _FLOOR, _NEAR, _SLACK, _TINY, _WIDE, SvmModel
 from mimiclearn.data import Dataset, _resolve_label_column
 from mimiclearn.errors import DataError, PipelineError
 from mimiclearn.metrics import macro_metrics
@@ -324,6 +324,55 @@ def fit_svm_stepwise(X, y, n_classes, reg_lambda, epochs, seed):
                 scale = radius / norm
                 w = [a * scale for a in w]
                 b *= scale
+    return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
+
+
+def fit_svm_listwise(X, y, n_classes, reg_lambda, epochs, seed, summation=sum):
+    """``fit_svm``'s steps on a weight list rebuilt at every step, with each
+    margin first taken by ``summation`` of its products, then by ``fsum``
+    where the bound cannot decide it: same draws, same float operations on
+    ``w`` and ``b`` in the same order. A summation that errs within the
+    bound moves no byte."""
+    if n_classes != 2:
+        raise PipelineError(
+            f"linear svm supports exactly 2 classes, got {n_classes}"
+        )
+    n, d = X.shape
+    rows = X.tolist()
+    signs = (2 * y - 1).astype(np.float64).tolist()
+    w = [0.0] * d
+    b = 0.0
+    radius = 1.0 / math.sqrt(reg_lambda)
+    limit = min(radius, _CAP)
+    lengths = [math.hypot(*x, 1.0) * _SLACK for x in rows]
+    tols = [4 * (d + 2) * 2.0**-53 * a if a < _WIDE else math.inf for a in lengths]
+    bound = 0.0  # >= ||(w, b)||
+    rng = generator(derive_seed(seed, STAGE_SGD))
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            x, s = rows[i], signs[i]
+            margin = s * (summation(map(mul, x, w)) + b)
+            if not abs(margin - 1.0) > tols[i] * bound + _NEAR:
+                margin = s * (math.fsum(map(mul, x, w)) + b)
+            shrink = 1.0 - 1.0 / t  # == 1 - eta*reg_lambda
+            if margin < 1.0:
+                c = (1.0 / (reg_lambda * t)) * s  # eta * y_i
+                w = [a * shrink + c * xj for a, xj in zip(w, x)]
+                b = b * shrink + c
+                bound = (bound * shrink + abs(c) * lengths[i]) * _SLACK + _TINY
+            else:
+                w = [a * shrink for a in w]
+                b *= shrink
+                bound = bound * shrink * _SLACK + _TINY
+            if not bound * _SLACK + _FLOOR <= limit:
+                norm = math.sqrt(math.fsum(map(mul, w, w)) + b * b)
+                if norm > radius:
+                    scale = radius / norm
+                    w = [a * scale for a in w]
+                    b *= scale
+                bound = min(norm, radius) * _SLACK + _TINY
     return SvmModel(weights=np.array(w, dtype=np.float64), bias=b)
 
 

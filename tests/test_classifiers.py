@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import shutil
 import subprocess
@@ -50,6 +51,7 @@ from mimiclearn.synthetic import cardio_like, heart_disease_like
 
 from oracles import (
     fit_forest_recursive,
+    fit_svm_listwise,
     fit_svm_stepwise,
     forest_predict_walk,
     forest_votes_walk,
@@ -951,10 +953,29 @@ class _CountingMath:
 
 
 def _sum_toward_one(values):
-    """``pushed_sum`` for the calling ``fit_svm`` step, whose ``s`` and ``b``
-    are read from that frame's locals."""
+    """``pushed_sum`` for the calling ``fit_svm_listwise`` step, whose ``s``
+    and ``b`` are read from that frame's locals."""
     step = sys._getframe(1).f_locals
     return pushed_sum(values, step["s"], step["b"])
+
+
+def _svm_fit_args(reg_lambda, n_rows, log_scales, zero_rows, epochs, data_seed, seed):
+    """``fit_svm`` arguments for a ``_SVM_FITS`` case: columns scaled by
+    1e-310 to 1e300, some rows all zero."""
+    rng = generator(data_seed)
+    X = rng.normal(size=(n_rows, len(log_scales))) * 10.0 ** np.array(log_scales)
+    X[[r for r in zero_rows if r < n_rows]] = 0.0
+    return X, rng.integers(0, 2, size=n_rows), 2, reg_lambda, epochs, seed
+
+
+def _newer_python():
+    """A Python 3.12 or later on PATH; the test skips without one."""
+    check = "import sys; assert sys.version_info >= (3, 12)"
+    newer = [path for path in map(shutil.which, ("python3.14", "python3.13", "python3.12"))
+             if path and subprocess.run([path, "-c", check], capture_output=True).returncode == 0]
+    if not newer:
+        pytest.skip("no Python 3.12 or later on PATH")
+    return newer[0]
 
 
 class TestSvm:
@@ -1008,16 +1029,25 @@ class TestSvm:
 
     @given(**_SVM_FITS)
     @settings(max_examples=60, deadline=None)
-    def test_fit_matches_stepwise_norm_oracle(
-        self, reg_lambda, n_rows, log_scales, zero_rows, epochs, data_seed, seed
-    ):
-        # columns scaled by 1e-310 to 1e300, some rows all zero
-        rng = generator(data_seed)
-        X = rng.normal(size=(n_rows, len(log_scales))) * 10.0 ** np.array(log_scales)
-        X[[r for r in zero_rows if r < n_rows]] = 0.0
-        y = rng.integers(0, 2, size=n_rows)
-        args = (X, y, 2, reg_lambda, epochs, seed)
+    def test_fit_matches_stepwise_norm_oracle(self, **case):
+        args = _svm_fit_args(**case)
         assert _svm_outcome(fit_svm, *args) == _svm_outcome(fit_svm_stepwise, *args)
+
+    @given(**_SVM_FITS)
+    @settings(max_examples=60, deadline=None)
+    def test_fit_matches_listwise_oracle_with_builtin_sum(self, **case):
+        args = _svm_fit_args(**case)
+        assert _svm_outcome(fit_svm, *args) == _svm_outcome(fit_svm_listwise, *args, sum)
+
+    def test_wide_rows_match_stepwise_oracle(self):
+        # the margin of 3,000 products is 3,000 statements: as one expression
+        # it would overflow the compiler's stack
+        rng = generator(5)
+        X = rng.normal(size=(4, 3000))
+        args = (X, np.array([0, 1, 1, 0]), 2, 1e-3, 2, 0)
+        model = fit_svm(*args)
+        assert np.count_nonzero(model.weights) == 3000
+        assert _svm_bytes(model) == _svm_bytes(fit_svm_stepwise(*args))
 
     def test_default_fold_fit_rarely_computes_the_norm(self, monkeypatch):
         # rows i % 10 != 0 of the first 700 cardio_like rows, as one fold
@@ -1042,9 +1072,9 @@ class TestSvm:
     def test_fit_under_other_summations_matches_stepwise_oracle(self, summation, **case):
         # the margin's sum only picks the branch, so a sum that errs as
         # Python 3.12's sum() does, or by the full bound toward 1, moves no byte
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(svm, "sum", summation, raising=False)
-            self.test_fit_matches_stepwise_norm_oracle.hypothesis.inner_test(self, **case)
+        args = _svm_fit_args(**case)
+        assert (_svm_outcome(fit_svm_listwise, *args, summation)
+                == _svm_outcome(fit_svm_stepwise, *args))
 
     @pytest.mark.parametrize("summation", [sum, neumaier_sum, _sum_toward_one],
                              ids=["builtin", "compensated", "worst-case"])
@@ -1065,9 +1095,9 @@ class TestSvm:
         rng = generator(data_seed)
         X = rng.integers(-1, 2, size=(n_rows, n_features)).astype(np.float64)
         args = (X, rng.integers(0, 2, size=n_rows), 2, reg_lambda, epochs, seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(svm, "sum", summation, raising=False)
-            assert _svm_outcome(fit_svm, *args) == _svm_outcome(fit_svm_stepwise, *args)
+        want = _svm_outcome(fit_svm_stepwise, *args)
+        assert _svm_outcome(fit_svm_listwise, *args, summation) == want
+        assert _svm_outcome(fit_svm, *args) == want
 
     def test_undecided_margin_falls_back_to_fsum(self, monkeypatch):
         # step 1's hinge sets w = b = 1/3, so step 2's margin is 1 up to
@@ -1081,21 +1111,56 @@ class TestSvm:
 
     def test_compensated_oracle_matches_a_newer_builtin_sum(self):
         # the newer interpreter needs no numpy: it sums floats sent as hex
-        check = "import sys; assert sys.version_info >= (3, 12)"
-        newer = [path for path in map(shutil.which, ("python3.14", "python3.13", "python3.12"))
-                 if path and subprocess.run([path, "-c", check], capture_output=True).returncode == 0]
-        if not newer:
-            pytest.skip("no Python 3.12 or later on PATH")
+        newer = _newer_python()
         rng = generator(7)
         cases = [(rng.normal(size=int(n)) * 10.0 ** rng.integers(-300, 300, size=int(n))).tolist()
                  + [1e16, 1.0, -1e16, math.inf, -math.inf, math.nan][: int(m)]
                  for n, m in zip(rng.integers(0, 14, size=400), rng.integers(0, 7, size=400))]
         lines = "".join(" ".join(v.hex() for v in case) + "\n" for case in cases)
         child = subprocess.run(
-            [newer[0], "-c", "import sys\nfor line in sys.stdin:\n"
+            [newer, "-c", "import sys\nfor line in sys.stdin:\n"
              "    print(float(sum(map(float.fromhex, line.split()))).hex())"],
             input=lines, capture_output=True, text=True, check=True)
         assert child.stdout.split() == [float(neumaier_sum(case)).hex() for case in cases]
+
+    def test_epochs_source_gives_the_same_bytes_on_a_newer_python(self, monkeypatch):
+        # the newer interpreter runs the generated epochs on the inputs this
+        # process's fit_svm passed them, sent as hex, and needs no numpy
+        newer = _newer_python()
+        ds = cardio_like().select(np.arange(300))
+        X = apply_scaler(ds, fit_scaler(ds)).features
+        compiled, calls = svm._epochs, []
+
+        def recording(d):
+            def epochs(rows, signs, lengths, tols, orders, *scalars):
+                orders = [list(order) for order in orders]
+                calls.append((d, rows, [signs, lengths, tols], orders, scalars))
+                return compiled(d)(rows, signs, lengths, tols, orders, *scalars)
+            return epochs
+
+        monkeypatch.setattr(svm, "_epochs", recording)
+        model = fit_svm(X, ds.labels, 2, 1e-4, 5, 1)
+        [(d, rows, columns, orders, scalars)] = calls
+        case = {
+            "source": svm._epochs_source(d),
+            "constants": {name: getattr(svm, name).hex()
+                          for name in ("_SLACK", "_TINY", "_FLOOR", "_NEAR")},
+            "rows": [[v.hex() for v in row] for row in rows],
+            "columns": [[v.hex() for v in column] for column in columns],
+            "orders": orders,
+            "scalars": [v.hex() for v in scalars],
+        }
+        child = subprocess.run(
+            [newer, "-c", "import json, math, sys\n"
+             "case = json.load(sys.stdin)\n"
+             "space = {'math': math, **{k: float.fromhex(v) for k, v in case['constants'].items()}}\n"
+             "exec(case['source'], space)\n"
+             "floats = lambda values: [float.fromhex(v) for v in values]\n"
+             "w, b = space['epochs']([floats(row) for row in case['rows']],\n"
+             "    *map(floats, case['columns']), case['orders'], *floats(case['scalars']))\n"
+             "print(*(v.hex() for v in [*w, b]))"],
+            input=json.dumps(case), capture_output=True, text=True, check=True)
+        assert child.stdout.split() == [v.hex() for v in [*model.weights.tolist(), model.bias]]
 
 
 class TestFitContract:
