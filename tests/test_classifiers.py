@@ -1040,14 +1040,21 @@ class TestSvm:
         assert _svm_outcome(fit_svm, *args) == _svm_outcome(fit_svm_listwise, *args, sum)
 
     def test_wide_rows_match_stepwise_oracle(self):
-        # the margin of 3,000 products is 3,000 statements: as one expression
-        # it would overflow the compiler's stack
+        # the margin of 3,000 products is 30 statements of 100 products: as
+        # one expression it would overflow the compiler's stack
         rng = generator(5)
         X = rng.normal(size=(4, 3000))
         args = (X, np.array([0, 1, 1, 0]), 2, 1e-3, 2, 0)
         model = fit_svm(*args)
         assert np.count_nonzero(model.weights) == 3000
         assert _svm_bytes(model) == _svm_bytes(fit_svm_stepwise(*args))
+
+    def test_epoch_steps_call_no_builtin(self):
+        # map runs once per epoch and min once per norm; a builtin such as
+        # abs, sum or len in the step would be a call at every step
+        assert set(svm._epochs(11).__code__.co_names) <= {
+            "math", "fsum", "sqrt", "map", "__getitem__", "min",
+            "_SLACK", "_TINY", "_FLOOR", "_NEAR"}
 
     def test_default_fold_fit_rarely_computes_the_norm(self, monkeypatch):
         # rows i % 10 != 0 of the first 700 cardio_like rows, as one fold
@@ -1099,6 +1106,28 @@ class TestSvm:
         assert _svm_outcome(fit_svm_listwise, *args, summation) == want
         assert _svm_outcome(fit_svm, *args) == want
 
+    @pytest.mark.parametrize("summation", [sum, neumaier_sum, _sum_toward_one],
+                             ids=["builtin", "compensated", "worst-case"])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_near_one_margin_at_large_norms_matches_stepwise_oracle(self, summation, label):
+        # lambda = 1/||(x, 1)||^2 for either row, so step 1's projection leaves
+        # (w, b) = (x, 1) up to rounding: w_j = +-2**10 (1 - 2**-53). The rows
+        # are orthogonal, so step 2's margin is b, just under 1, but its
+        # products are +-2**20 and their plain sum left to right errs by
+        # 2**-32, far past _NEAR: only the tol * bound term sends it to fsum
+        X = 2.0**10 * np.array([[1.0] * 10, [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0]])
+        args = (X, np.array([label, label]), 2, 1 / (10 * 2**20 + 1), 1, 0)
+        want = _svm_outcome(fit_svm_stepwise, *args)
+        assert _svm_outcome(fit_svm_listwise, *args, summation) == want
+        assert _svm_outcome(fit_svm, *args) == want
+
+    def test_nan_margin_falls_back_to_fsum(self):
+        # step 1 leaves w at the radius 1e50 along (1, 1); step 2's products
+        # overflow to +inf and -inf, so the plain margin is NaN, which must
+        # take fsum: it raises, as the oracle's does
+        args = (np.array([[1.0, 1.0], [1e300, -1e300]]), np.array([1, 1]), 2, 1e-100, 1, 1)
+        assert _svm_outcome(fit_svm, *args) == _svm_outcome(fit_svm_stepwise, *args) == ValueError
+
     def test_undecided_margin_falls_back_to_fsum(self, monkeypatch):
         # step 1's hinge sets w = b = 1/3, so step 2's margin is 1 up to
         # rounding, which the bound cannot decide
@@ -1132,21 +1161,20 @@ class TestSvm:
         compiled, calls = svm._epochs, []
 
         def recording(d):
-            def epochs(rows, signs, lengths, tols, orders, *scalars):
+            def epochs(packed, orders, *scalars):
                 orders = [list(order) for order in orders]
-                calls.append((d, rows, [signs, lengths, tols], orders, scalars))
-                return compiled(d)(rows, signs, lengths, tols, orders, *scalars)
+                calls.append((d, packed, orders, scalars))
+                return compiled(d)(packed, orders, *scalars)
             return epochs
 
         monkeypatch.setattr(svm, "_epochs", recording)
         model = fit_svm(X, ds.labels, 2, 1e-4, 5, 1)
-        [(d, rows, columns, orders, scalars)] = calls
+        [(d, packed, orders, scalars)] = calls
         case = {
             "source": svm._epochs_source(d),
             "constants": {name: getattr(svm, name).hex()
                           for name in ("_SLACK", "_TINY", "_FLOOR", "_NEAR")},
-            "rows": [[v.hex() for v in row] for row in rows],
-            "columns": [[v.hex() for v in column] for column in columns],
+            "packed": [[v.hex() for v in row] for row in packed],
             "orders": orders,
             "scalars": [v.hex() for v in scalars],
         }
@@ -1156,8 +1184,8 @@ class TestSvm:
              "space = {'math': math, **{k: float.fromhex(v) for k, v in case['constants'].items()}}\n"
              "exec(case['source'], space)\n"
              "floats = lambda values: [float.fromhex(v) for v in values]\n"
-             "w, b = space['epochs']([floats(row) for row in case['rows']],\n"
-             "    *map(floats, case['columns']), case['orders'], *floats(case['scalars']))\n"
+             "w, b = space['epochs']([tuple(floats(row)) for row in case['packed']],\n"
+             "    case['orders'], *floats(case['scalars']))\n"
              "print(*(v.hex() for v in [*w, b]))"],
             input=json.dumps(case), capture_output=True, text=True, check=True)
         assert child.stdout.split() == [v.hex() for v in [*model.weights.tolist(), model.bias]]
